@@ -11,12 +11,10 @@ import json
 import sys
 from fractions import Fraction
 
-from kleinwiman import kernels
 from kleinwiman.errors import EngineError, UsageError
 from kleinwiman.fields import WIMAN_PRIME, parse_field_flag, preset_field
-from kleinwiman.util import worker_count
 
-SCHEMA = "kleinwiman-report/1"
+SCHEMA = "kleinwiman-report/2"
 
 
 def jsonable(v):
@@ -316,12 +314,28 @@ def cmd_golden(args):
     }
 
 
+def _int_at_least(low):
+    """argparse type of an integer option that must be >= low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="kleinwiman",
         description="Exact computations on the Klein and Wiman line "
                     "configurations and their blowups.")
     sub = p.add_subparsers(dest="command", required=True)
+    nonnegative = _int_at_least(0)
+    positive = _int_at_least(1)
 
     def add_common(sp, preset_choices=("klein", "wiman", "klein-char7")):
         sp.add_argument("--preset", required=True, choices=preset_choices)
@@ -343,35 +357,35 @@ def build_parser():
 
     s = sub.add_parser("series", help="invariant linear series")
     add_common(s, ("klein", "wiman"))
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--m5", type=int, default=0)
-    s.add_argument("--m4", type=int, default=0)
-    s.add_argument("--m3", type=int, default=0)
-    s.add_argument("--m3b", type=int, default=None)
+    s.add_argument("--d", type=nonnegative, required=True)
+    s.add_argument("--m5", type=nonnegative, default=0)
+    s.add_argument("--m4", type=nonnegative, default=0)
+    s.add_argument("--m3", type=nonnegative, default=0)
+    s.add_argument("--m3b", type=nonnegative, default=None)
     s.add_argument("--basis", action="store_true")
     s.set_defaults(fn=cmd_series)
 
     n = sub.add_parser("negsearch", help="negative-curve search")
     add_common(n, ("klein", "wiman"))
-    n.add_argument("--dmax", type=int, default=60)
+    n.add_argument("--dmax", type=positive, default=60)
     n.set_defaults(fn=cmd_negsearch)
 
     w = sub.add_parser("waldschmidt", help="Waldschmidt-constant certificates")
     add_common(w, ("klein", "wiman"))
-    w.add_argument("--ledger-dmax", type=int, default=None)
+    w.add_argument("--ledger-dmax", type=positive, default=None)
     w.add_argument("--curve-only", action="store_true")
     w.set_defaults(fn=cmd_waldschmidt)
 
     f = sub.add_parser("fatideal", help="fat-point ideal computations")
     f.add_argument("task", choices=["alpha", "generators", "contain", "resurgence"])
     add_common(f)
-    f.add_argument("--m", type=int, default=1)
-    f.add_argument("--r", type=int, default=1)
-    f.add_argument("--dmax", type=int, default=30)
-    f.add_argument("--depth", type=int, default=13)
-    f.add_argument("--cap", type=int, default=120)
+    f.add_argument("--m", type=positive, default=1)
+    f.add_argument("--r", type=positive, default=1)
+    f.add_argument("--dmax", type=positive, default=30)
+    f.add_argument("--depth", type=positive, default=13)
+    f.add_argument("--cap", type=positive, default=120)
     f.add_argument("--dhint", type=int, default=1)
-    f.add_argument("--ledger-dmax", type=int, default=None)
+    f.add_argument("--ledger-dmax", type=positive, default=None)
     f.set_defaults(fn=cmd_fatideal)
 
     g = sub.add_parser("golden", help="reference-value suites")
@@ -398,8 +412,6 @@ def dispatch(argv):
     report = {
         "schema": SCHEMA,
         "command": args.command,
-        "kernel_backend": kernels.BACKEND,
-        "workers": worker_count(),
         "results": results,
     }
     return code, report

@@ -85,34 +85,14 @@ class LineConfiguration:
         raise ConfigError(f"no orbit class {label!r}")
 
 
-def _intersection_chunk(args):
-    field, coeffs, pairs = args
-    return [(line_intersection(field, coeffs[i], coeffs[j]), i, j)
-            for i, j in pairs]
-
-
 def classify_points(field, lines):
-    """Pairwise intersections grouped by the number of incident lines.
-
-    The pair scan fans out over KLEINWIMAN_WORKERS with a deterministic merge.
-    """
-    from kleinwiman.util import parallel_map, worker_count
-
+    """Pairwise intersections grouped by the number of incident lines."""
     coeffs = [line_coeffs(line) for line in lines]
-    pairs = [(i, j) for i in range(len(lines)) for j in range(i + 1, len(lines))]
-    workers = worker_count()
-    if workers > 1:
-        size = (len(pairs) + workers - 1) // workers
-        chunks = [pairs[i: i + size] for i in range(0, len(pairs), size)]
-        results = parallel_map(_intersection_chunk,
-                               [(field, coeffs, c) for c in chunks],
-                               workers=workers)
-        triples = [t for chunk in results for t in chunk]
-    else:
-        triples = _intersection_chunk((field, coeffs, pairs))
     incidence = {}
-    for p, i, j in triples:
-        incidence.setdefault(p, set()).update((i, j))
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            p = line_intersection(field, coeffs[i], coeffs[j])
+            incidence.setdefault(p, set()).update((i, j))
     by_mult = {}
     for p, inc in incidence.items():
         by_mult.setdefault(len(inc), []).append(p)

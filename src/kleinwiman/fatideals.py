@@ -18,7 +18,7 @@ from kleinwiman.errors import FatIdealError
 from kleinwiman.fields import PrimeField
 from kleinwiman.linalg import kernel_certified, reduce_against_rref, rref_field
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
-                             monomials_of_degree)
+                             local_monomials, monomials_of_degree)
 
 # regularity data imported from the reference results, never computed here:
 # reg(I^r) for r >= 2 is linear of the recorded shape, and the char-7 value
@@ -48,10 +48,6 @@ class PointSet:
         return len(self.points)
 
 
-def _local_monomials(m):
-    return [(i, s - i) for s in range(m) for i in range(s, -1, -1)]
-
-
 def point_conditions_matrix(pointset, m, d):
     """Vanishing-to-order-m conditions at every point, on the degree-d
     monomial coefficients (columns ordered by monomials_of_degree)."""
@@ -67,7 +63,7 @@ def point_conditions_matrix(pointset, m, d):
 
 
 def _conditions_exact_point(field, pt, chart, m, d, cols):
-    monos = _local_monomials(m)
+    monos = local_monomials(m)
     colvecs = []
     for e in cols:
         t = local_expand(Poly(field, {e: field.one}), pt, m, chart=chart)
@@ -77,7 +73,7 @@ def _conditions_exact_point(field, pt, chart, m, d, cols):
 
 def _conditions_modp(pointset, m, d, cols):
     p = pointset.field.p
-    monos = _local_monomials(m)
+    monos = local_monomials(m)
     ii = np.fromiter((i for i, _ in monos), dtype=np.int64)
     jj = np.fromiter((j for _, j in monos), dtype=np.int64)
     blocks = []
@@ -168,7 +164,7 @@ def symbolic_piece(pointset, m, d):
     if isinstance(field, PrimeField):
         kern = kernels.kernel_mod(mat, field.p)
         return GradedPiece(d, field, cols, kern)
-    basis, _ = kernel_certified(mat, len(cols), field)
+    basis = kernel_certified(mat, len(cols), field)
     return GradedPiece(d, field, cols, basis)
 
 

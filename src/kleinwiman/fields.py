@@ -9,7 +9,8 @@ callers who want infix arithmetic.
 from fractions import Fraction
 from functools import lru_cache
 
-from kleinwiman.errors import FieldError
+from kleinwiman.errors import FieldError, UsageError
+from kleinwiman.kernels import MAX_PRIME
 
 KLEIN_PRIME = 4733   # 7 has exact multiplicative order 7 mod 4733
 WIMAN_PRIME = 4951   # smallest preset prime with sqrt(5), omega and sqrt(-15)
@@ -521,16 +522,6 @@ class FieldElement:
         return self.field.fmt(self.rep)
 
 
-def field_arith(a, b, op):
-    """Dispatch-style arithmetic on wrapped elements (add | sub | mul | div)."""
-    if not isinstance(a, FieldElement) or not isinstance(b, FieldElement):
-        raise FieldError("field_arith expects FieldElement operands")
-    if a.field != b.field:
-        raise FieldError("mismatched field specs")
-    return {"add": a.__add__, "sub": a.__sub__,
-            "mul": a.__mul__, "div": a.__truediv__}[op](b)
-
-
 def _attach_prime_constants(field):
     """Compute the named constants that exist in a prime field."""
     p = field.p
@@ -645,6 +636,8 @@ def preset_field(name, p=None):
     if name == "modp":
         if p is None:
             raise FieldError("modp preset needs p")
+        if p == 2:   # the square roots and halves below need p odd
+            raise FieldError("modp preset needs an odd prime")
         f = _attach_prime_constants(PrimeField(p))
         _check_constant_relations(f)
         return f
@@ -652,13 +645,22 @@ def preset_field(name, p=None):
 
 
 def parse_field_flag(text, preset):
-    """Resolve a CLI --field value ('exact' or 'modp:<p>') for a preset family."""
+    """Resolve a CLI --field value ('exact', 'mod4733' or 'modp:<p>') for a
+    preset family.  A malformed value, or a p that is not an odd prime below
+    the mod-p kernels' MAX_PRIME, is a UsageError."""
     if text in (None, "exact"):
         if preset.startswith("klein-char7"):
             return preset_field("klein-mod7")
         return preset_field("wiman-exact" if preset == "wiman" else "klein-exact")
-    if text.startswith("modp:"):
-        return preset_field("modp", int(text.split(":", 1)[1]))
     if text == "mod4733":
         return preset_field("klein-mod4733")
-    raise FieldError(f"unrecognized field flag {text!r}")
+    kind, _, digits = text.partition(":")
+    if kind != "modp" or not digits.isdigit():
+        raise UsageError(f"unrecognized field flag {text!r}")
+    p = int(digits)
+    if p >= MAX_PRIME:
+        raise UsageError(f"prime {p} too large for the mod-p kernels")
+    try:
+        return preset_field("modp", p)
+    except FieldError as e:
+        raise UsageError(str(e)) from None

@@ -170,22 +170,8 @@ def _elem_sort_key(field, e):
     return tuple(field.sort_key(v) for row in e.m for v in row)
 
 
-def _action_chunk_sum(args):
-    chunk, f = args
-    acc = Poly.zero(f.field, f.nvars, f.weights, f.var_names)
-    for g in chunk:
-        acc = acc + act_on_poly(g, f)
-    return acc
-
-
 def reynolds(group, f):
-    """Group average of f; requires |G| invertible in the field.
-
-    The summation fans out over element chunks when KLEINWIMAN_WORKERS > 1;
-    exact addition commutes, so the result is identical either way.
-    """
-    from kleinwiman.util import parallel_map, worker_count
-
+    """Group average of f; requires |G| invertible in the field."""
     n = group.order
     field = f.field
     try:
@@ -193,18 +179,9 @@ def reynolds(group, f):
     except ZeroDivisionError:
         raise FieldError(
             f"group order {n} is not invertible in {field.name}") from None
-    workers = worker_count()
-    elements = list(group)
-    if workers > 1:
-        size = (len(elements) + workers - 1) // workers
-        chunks = [elements[i: i + size] for i in range(0, len(elements), size)]
-        parts = parallel_map(_action_chunk_sum, [(c, f) for c in chunks],
-                             workers=workers)
-    else:
-        parts = [_action_chunk_sum((elements, f))]
     acc = Poly.zero(field, f.nvars, f.weights, f.var_names)
-    for part in parts:
-        acc = acc + part
+    for g in group:
+        acc = acc + act_on_poly(g, f)
     return acc.scale(inv_n)
 
 

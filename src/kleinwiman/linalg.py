@@ -145,35 +145,29 @@ def kernel_certified(rows, ncols, field):
     two ends meet, the rational basis spans the kernel.  Otherwise falls back
     to generic elimination over the extension field.
 
-    Returns (basis, exact) where basis rows have entries in `field` (rational
-    values when the certificate closed) and exact is always True; the flag is
-    kept for symmetry with future probabilistic backends.
+    Returns the basis rows, with entries in `field` (rational values when the
+    certificate closed).
     """
     if isinstance(field, RationalField):
-        return kernel_field(rows, ncols, field), True
+        return kernel_field(rows, ncols, field)
     if not isinstance(field, SimpleExtension):
         raise FieldError("kernel_certified expects Q or a simple extension")
     if not rows:
-        return kernel_field(rows, ncols, field), True
+        return kernel_field(rows, ncols, field)
     # all-rational matrices need no certificate: a rational basis of the
     # kernel over Q is a basis over any extension
     if all(all(field.coerce(v)[1:] == (Fraction(0),) * (field.deg - 1) for v in row)
            for row in rows):
         qrows = [[field.coerce(v)[0] for v in row] for row in rows]
         basis = kernel_field(qrows, ncols, RationalField())
-        return [[field.embed_rational(c) for c in v] for v in basis], True
+        return [[field.embed_rational(c) for c in v] for v in basis]
     try:
         expanded = expand_extension_rows(rows, field)
         qbasis = kernel_field(expanded, ncols, RationalField())
         reduced, p = reduce_matrix_mod_partner(rows, field)
         rank_p = kernels.rank_mod(reduced, p)
         if len(qbasis) == ncols - rank_p:
-            return [[field.embed_rational(c) for c in v] for v in qbasis], True
+            return [[field.embed_rational(c) for c in v] for v in qbasis]
     except FieldError:
         pass
-    return kernel_field(rows, ncols, field), True
-
-
-def rank_certified(rows, ncols, field):
-    basis, _ = kernel_certified(rows, ncols, field)
-    return ncols - len(basis)
+    return kernel_field(rows, ncols, field)

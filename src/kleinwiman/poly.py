@@ -313,17 +313,6 @@ class Poly:
         return txt if len(txt) < 120 else f"<Poly {len(self.terms)} terms deg {self.degree()}>"
 
 
-def poly_arith(f, g, op):
-    """Dispatch-style arithmetic entry point (op in add | mul | pow)."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "pow":
-        return f ** g
-    raise ValueError(f"unknown op {op!r}")
-
-
 def poly_det(rows):
     """Determinant of a square matrix of Polys by cofactor expansion."""
     n = len(rows)
@@ -372,6 +361,12 @@ def bordered_hessian_det(f, g):
 def jacobian_det(f, g, h):
     """Determinant of the Jacobian of (f, g, h)."""
     return poly_det([gradient(f), gradient(g), gradient(h)])
+
+
+def local_monomials(m):
+    """Exponents (i, j) of u^i v^j in k[u,v]/(u,v)^m, by total degree and
+    then by decreasing i: the coefficient order of truncated expansions."""
+    return [(i, s - i) for s in range(m) for i in range(s, -1, -1)]
 
 
 class TruncPoly:
@@ -565,13 +560,3 @@ def multiplicity_at(f, center, cap=None):
         cap = f.degree() + 1 if f.degree() >= 0 else 1
     t = local_expand(f, center, cap + 1)
     return t.order_of_vanishing()
-
-
-class RingMap:
-    """Substitution homomorphism determined by an image Poly per source variable."""
-
-    def __init__(self, images):
-        self.images = list(images)
-
-    def __call__(self, f):
-        return f.substitute(self.images)

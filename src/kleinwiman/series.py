@@ -17,7 +17,7 @@ from kleinwiman.errors import SeriesError
 from kleinwiman.fields import PrimeField
 from kleinwiman.invariants import invariant_set
 from kleinwiman.linalg import kernel_certified
-from kleinwiman.poly import Poly, local_expand, weighted_basis
+from kleinwiman.poly import Poly, local_expand, local_monomials, weighted_basis
 
 
 def cond(n, m):
@@ -73,10 +73,6 @@ def edim(spec):
         m3b = spec.m3 if spec.m3b is None else spec.m3b
         used = cond(5, spec.m5) + cond(4, spec.m4) + cond(3, spec.m3) + cond(3, m3b)
     return max(base - used, 0)
-
-
-def _local_monomials(m):
-    return [(i, s - i) for s in range(m) for i in range(s, -1, -1)]
 
 
 class _ModpLocalRing:
@@ -171,7 +167,7 @@ def _condition_block(preset, field, rep, m, exps):
     """Rows of vanishing conditions (below order m) at one representative."""
     ring = (_ModpLocalRing(field, m) if isinstance(field, PrimeField)
             else _ExactLocalRing(field, m))
-    monomials = _local_monomials(m)
+    monomials = local_monomials(m)
     weights = series_weights(preset)
     caches = [_generator_powers(preset, field, rep, i, m, max(e[i] for e in exps))
               for i in range(3)]
@@ -241,7 +237,7 @@ def series_basis(spec, field):
         vectors = [[int(c) for c in row] for row in kern]
     else:
         rows = [row for b in blocks for row in b]
-        vectors, _ = kernel_certified(rows, len(exps), field)
+        vectors = kernel_certified(rows, len(exps), field)
     return SeriesBasis(spec, field, exps, vectors)
 
 

@@ -1,7 +1,6 @@
 import json
-import os
-import subprocess
-import sys
+
+import pytest
 
 from kleinwiman.cli import dispatch, jsonable
 
@@ -33,6 +32,21 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--preset", "klein", "--d", "8", "--field", "modp:abc"],
+    ["series", "--preset", "klein", "--d", "8", "--field", "modp:15"],
+    ["series", "--preset", "wiman", "--d", "8", "--field", "modp:1048601"],
+    ["series", "--preset", "klein", "--d", "8", "--field", "modp:2"],
+    ["fatideal", "contain", "--preset", "klein-char7", "--r", "0"],
+    ["series", "--preset", "klein", "--d", "-3"],
+    ["negsearch", "--preset", "klein", "--dmax", "-5"],
+], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
+        "field-even-prime", "r-zero", "d-negative", "dmax-negative"])
+def test_bad_input_is_usage_error(argv):
+    """Rejected before any engine work: exit 2, no report."""
+    assert run_cli(argv) == (2, None)
+
+
 def test_reports_deterministic():
     out = []
     for _ in range(2):
@@ -41,22 +55,6 @@ def test_reports_deterministic():
         assert code == 0
         out.append(json.dumps(jsonable(rep), sort_keys=True))
     assert out[0] == out[1]
-
-
-def test_reports_deterministic_across_workers():
-    env = dict(os.environ)
-    outs = []
-    for workers in ("1", "2"):
-        env["KLEIN" "WIMAN_WORKERS"] = workers
-        proc = subprocess.run(
-            [sys.executable, "-m", "kleinwiman.cli", "config", "show",
-             "--preset", "klein", "--field", "modp:4733"],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0
-        data = json.loads(proc.stdout)
-        data.pop("workers")
-        outs.append(json.dumps(data, sort_keys=True))
-    assert outs[0] == outs[1]
 
 
 def test_waldschmidt_command():

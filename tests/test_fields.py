@@ -5,7 +5,7 @@ import pytest
 
 from kleinwiman.errors import FieldError
 from kleinwiman.fields import (PrimeField, RationalField,
-                               SimpleExtension, field_arith,
+                               SimpleExtension,
                                is_irreducible_monic_int, preset_field,
                                tonelli_sqrt)
 
@@ -108,17 +108,14 @@ def test_division_errors(klein_modp):
     other = preset_field("klein-exact").element(1)
     with pytest.raises(FieldError):
         one + other
-    with pytest.raises(FieldError):
-        field_arith(one, other, "add")
 
 
-def test_field_arith_entry_point(klein_modp):
+def test_element_operators(klein_modp):
     a, b = klein_modp.element(10), klein_modp.element(4)
-    assert field_arith(a, b, "add") == 14
-    assert field_arith(a, b, "sub") == 6
-    assert field_arith(a, b, "mul") == 40
-    assert field_arith(a, b, "div") == klein_modp.element(
-        10 * pow(4, 4731, 4733))
+    assert a + b == 14
+    assert a - b == 6
+    assert a * b == 40
+    assert a / b == klein_modp.element(10 * pow(4, 4731, 4733))
 
 
 def test_modp_missing_roots_reported():

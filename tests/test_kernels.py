@@ -2,44 +2,58 @@ import numpy as np
 import pytest
 
 from kleinwiman import kernels
-from kleinwiman.fields import RationalField
-from kleinwiman.kernels import _ref
-from kleinwiman.linalg import kernel_certified, kernel_field, rank_field
-
-try:
-    from kleinwiman.kernels import _speed
-except ImportError:
-    _speed = None
+from kleinwiman.fields import PrimeField, RationalField
+from kleinwiman.linalg import (kernel_certified, kernel_field, rank_field,
+                               rref_field)
+from kleinwiman.poly import TruncPoly
 
 
-@pytest.mark.skipif(_speed is None, reason="compiled kernels unavailable")
-def test_backends_agree_on_rref():
+def test_rref_mod_matches_field_rref():
+    """Pivots and reduced matrix agree with generic elimination over F_p."""
     rng = np.random.default_rng(42)
     for _ in range(40):
         p = int(rng.choice([7, 4733, 4951]))
-        rows = int(rng.integers(1, 50))
-        cols = int(rng.integers(1, 50))
+        rows = int(rng.integers(1, 25))
+        cols = int(rng.integers(1, 25))
         a = rng.integers(0, p, (rows, cols)).astype(np.int64)
-        a1, a2 = a.copy(), a.copy()
-        p1 = _speed.rref_mod(a1, p)
-        p2 = _ref.rref_mod(a2, p)
-        assert list(p1) == list(p2)
-        assert np.array_equal(a1, a2)
+        if rng.random() < 0.5:   # rank-deficient: repeat a combination of rows
+            a[-1] = (3 * a[0] + 5 * a[rows // 2]) % p
+        r, pivots = kernels.rref_mod(a, p)
+        m, field_pivots = rref_field(a.tolist(), PrimeField(p))
+        assert pivots == field_pivots
+        assert np.array_equal(r, np.array(m, dtype=np.int64))
 
 
-@pytest.mark.skipif(_speed is None, reason="compiled kernels unavailable")
-def test_backends_agree_on_trunc_mul():
+def test_rref_mod_periodic_cleanup():
+    """More than 1024 pivots, so the delayed reduction is cleaned up mid-way;
+    a full-rank square matrix must reduce to the identity."""
+    n, p = 1030, 4733
+    a = np.random.default_rng(45).integers(0, p, (n, n)).astype(np.int64)
+    r, pivots = kernels.rref_mod(a, p)
+    assert pivots == list(range(n))
+    assert np.array_equal(r, np.eye(n, dtype=np.int64))
+
+
+def test_trunc_mul_mod_matches_truncpoly():
     rng = np.random.default_rng(43)
     for _ in range(25):
         p = int(rng.choice([7, 4733]))
-        m = int(rng.integers(2, 40))
+        field = PrimeField(p)
+        m = int(rng.integers(2, 16))
         a = np.zeros((m, m), dtype=np.int64)
         b = np.zeros((m, m), dtype=np.int64)
         for i in range(m):
             a[i, : m - i] = rng.integers(0, p, m - i)
             b[i, : m - i] = rng.integers(0, p, m - i)
-        assert np.array_equal(_speed.trunc_mul_mod(a, b, p),
-                              _ref.trunc_mul_mod(a, b, p))
+        product = TruncPoly(field, m, _terms(a)) * TruncPoly(field, m, _terms(b))
+        expected = np.zeros((m, m), dtype=np.int64)
+        for (i, j), c in product.terms.items():
+            expected[i, j] = c
+        assert np.array_equal(kernels.trunc_mul_mod(a, b, p), expected)
+
+
+def _terms(a):
+    return {(int(i), int(j)): int(a[i, j]) for i, j in zip(*np.nonzero(a))}
 
 
 def test_kernel_mod_is_kernel():
@@ -81,7 +95,7 @@ def test_certified_kernel_matches_direct(klein_exact):
         [f.one, w, f.coerce(2)],
         [f.mul(w, w), f.coerce(3), f.add(w, f.one)],
     ]
-    certified, _ = kernel_certified(rows, 3, f)
+    certified = kernel_certified(rows, 3, f)
     direct = kernel_field(rows, 3, f)
     assert len(certified) == len(direct) == 1
     # both must satisfy the equations
@@ -93,7 +107,7 @@ def test_certified_kernel_matches_direct(klein_exact):
 def test_certified_kernel_rational_matrix(klein_exact):
     f = klein_exact
     rows = [[f.coerce(1), f.coerce(2), f.coerce(3)]]
-    basis, _ = kernel_certified(rows, 3, f)
+    basis = kernel_certified(rows, 3, f)
     assert len(basis) == 2
 
 

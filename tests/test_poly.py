@@ -5,8 +5,7 @@ import pytest
 from kleinwiman.fields import RationalField, preset_field
 from kleinwiman.poly import (Poly, bordered_hessian_det, hessian_det,
                              jacobian_det, local_expand, monomials_of_degree,
-                             multiplicity_at, normalize_point, poly_arith,
-                             weighted_basis)
+                             multiplicity_at, normalize_point, weighted_basis)
 
 Q = RationalField()
 
@@ -141,11 +140,11 @@ def test_multiplicity_of_line_product_at_triple_point(klein_inv_exact):
     assert multiplicity_at(klein_inv_exact.phi[21], (1, 1, 1), cap=5) == 3
 
 
-def test_poly_arith_entry_point():
+def test_poly_operators():
     x, y, _ = _xyz(Q)
-    assert poly_arith(x, y, "add") == x + y
-    assert poly_arith(x, y, "mul") == x * y
-    assert poly_arith(x + y, 2, "pow") == x ** 2 + (x * y).scale(2) + y ** 2
+    assert (x + y) - y == x
+    assert (x * y).degree() == 2
+    assert (x + y) ** 2 == x ** 2 + (x * y).scale(2) + y ** 2
 
 
 def test_canonical_text_deterministic():
