@@ -14,7 +14,7 @@ from fractions import Fraction
 from kleinwiman.errors import EngineError, UsageError
 from kleinwiman.fields import WIMAN_PRIME, parse_field_flag, preset_field
 
-SCHEMA = "kleinwiman-report/2"
+SCHEMA = "kleinwiman-report/3"
 
 
 def jsonable(v):
@@ -193,15 +193,14 @@ def cmd_fatideal(args):
     cfg = build_config(args.preset, None if args.preset == "klein-char7" else field)
     ps = PointSet.from_config(cfg)
     if args.task == "alpha":
-        from kleinwiman.fatideals import alpha_symbolic
+        from kleinwiman.fatideals import certified_alpha
 
         def progress(msg):
             print(msg, file=sys.stderr, flush=True)
 
-        a = alpha_symbolic(ps, args.m, d_hint=args.dhint, cap=args.cap,
-                           progress=progress)
-        return 0, {"field": field.name, "m": args.m, "alpha": a,
-                   "scanned_from": max(1, args.dhint), "source": "computed"}
+        cert = certified_alpha(ps, args.m, cap=args.cap, progress=progress)
+        return 0, {"field": field.name, "m": args.m, **cert,
+                   "source": "computed"}
     if args.task == "generators":
         gens = minimal_generators(ps, args.depth)
         return 0, {"field": field.name, "depth": args.depth,
@@ -234,7 +233,7 @@ def cmd_resurgence(args, field, cfg, ps):
     if preset == "klein-char7":
         gens = minimal_generators(ps, 13)
         f = line_product(cfg)
-        alpha8 = alpha_symbolic(ps, 8, d_hint=args.dhint, cap=60)
+        alpha8 = alpha_symbolic(ps, 8, cap=60)
         alpha_hat = Fraction(alpha8, 8)
         witness = {
             "extreme_failure": {
@@ -384,7 +383,6 @@ def build_parser():
     f.add_argument("--dmax", type=positive, default=30)
     f.add_argument("--depth", type=positive, default=13)
     f.add_argument("--cap", type=positive, default=120)
-    f.add_argument("--dhint", type=int, default=1)
     f.add_argument("--ledger-dmax", type=positive, default=None)
     f.set_defaults(fn=cmd_fatideal)
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from kleinwiman.errors import ConfigError
-from kleinwiman.fields import PrimeField, preset_field
+from kleinwiman.fields import PrimeField, hosting_problem, preset_field
 from kleinwiman.groups import (act_on_poly, klein_generators, klein_group,
                                orbit, orbit_of_poly, valentiner_group)
 from kleinwiman.poly import Poly, chart_for_point, normalize_point
@@ -117,12 +117,10 @@ def _make_class(field, mult, label, points, rep=None):
     return OrbitClass(mult, label, points, rep, chart_for_point(field, rep))
 
 
-def _require_constants(field, names, preset):
-    missing = [n for n in names if n not in field.constants]
-    if missing:
-        raise ConfigError(
-            f"field {field.name} cannot host the {preset} configuration: "
-            f"missing constants {', '.join(missing)}")
+def _require_constants(field, preset):
+    problem = hosting_problem(field, preset)
+    if problem:
+        raise ConfigError(problem)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +130,7 @@ def build_klein(field):
     Lines are the orbit of the pointwise-fixed line of the order-2 generator,
     obtained by symmetrizing x over that involution.
     """
-    _require_constants(field, ["zeta"], "klein")
+    _require_constants(field, "klein")
     group = klein_group(field)
     gens = klein_generators(field)
     x = Poly.variable(field, 0)
@@ -166,7 +164,7 @@ def build_klein(field):
 def build_wiman(field):
     """The 45-line configuration with 36 quintuple, 45 quadruple and two
     60-point orbits of triple points."""
-    _require_constants(field, ["delta", "omega"], "wiman")
+    _require_constants(field, "wiman")
     group = valentiner_group(field)
     x = Poly.variable(field, 0)
     lines = orbit_of_poly(group, x)

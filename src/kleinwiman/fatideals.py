@@ -179,18 +179,75 @@ def vanishes_to_order(f, pointset, m):
     return True
 
 
-def alpha_symbolic(pointset, m, d_hint=1, cap=120, progress=None):
-    """Least degree with a nonzero piece of the m-th symbolic power, scanning
-    upward from max(1, d_hint)."""
-    d = max(1, d_hint)
-    while d <= cap:
-        dim = symbolic_piece(pointset, m, d).dim
+def certified_alpha(pointset, m, cap=120, progress=None):
+    """Least degree alpha with a nonzero piece of the m-th symbolic power
+    (m >= 1), with the two certificates that fix it:
+
+    - "empty_below": the conditions have full column rank in degree alpha - 1;
+    - "witness": a nonzero form of degree alpha, re-checked by local expansion
+      to vanish to order m at every point.
+
+    A nonzero piece stays nonzero one degree up (multiply by a linear form),
+    so alpha is found by bisection on emptiness, which is full column rank
+    of the conditions: no kernel is computed for it.  The lower end m - 1 is
+    empty without elimination (a nonzero form of degree d has order at most
+    d at a point).  The upper end is the least degree whose monomials
+    outnumber the conditions, where the piece cannot be empty; when that
+    lies beyond `cap`, the upper end is `cap`, checked with one rank.
+    A failed certificate raises FatIdealError.
+    """
+    if m < 1:
+        raise FatIdealError(f"alpha needs a multiplicity m >= 1, got {m}")
+    field = pointset.field
+    ranks = {}
+
+    def empty(d):
+        mat, cols = point_conditions_matrix(pointset, m, d)
+        ncols = len(cols)
+        if isinstance(field, PrimeField):
+            rank = kernels.rank_mod(mat, field.p)
+        else:   # the certified kernel ends early on full rank
+            rank = ncols - len(kernel_certified(mat, ncols, field))
+        ranks[d] = (rank, ncols)
         if progress is not None:
-            progress(f"degree {d}: dim {dim}")
-        if dim > 0:
-            return d
-        d += 1
-    raise FatIdealError(f"no element of the symbolic power found up to degree {cap}")
+            progress(f"degree {d}: rank {rank} of {ncols} columns")
+        return rank == ncols
+
+    conditions = len(pointset) * comb(m + 1, 2)
+    lo, hi = m - 1, m
+    while comb(hi + 2, 2) <= conditions:
+        hi += 1
+    if hi > cap:
+        hi = cap
+        if empty(cap):
+            raise FatIdealError(
+                f"no element of the symbolic power found up to degree {cap}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if empty(mid):
+            lo = mid
+        else:
+            hi = mid
+    if lo not in ranks:
+        empty(lo)
+    rank, ncols = ranks[lo]
+    if rank != ncols:
+        raise FatIdealError(f"degree {lo} conditions lost full rank")
+    piece = symbolic_piece(pointset, m, hi)
+    form = piece.basis_polys()[0] if piece.dim else None
+    if form is None or not vanishes_to_order(form, pointset, m):
+        raise FatIdealError(
+            f"no form of degree {hi} vanishing to order {m} re-checks")
+    return {"alpha": hi,
+            "empty_below": {"degree": lo, "rank": rank, "columns": ncols},
+            "witness": {"degree": hi, "order": m, "form": form,
+                        "check": "local expansion at every point"}}
+
+
+def alpha_symbolic(pointset, m, cap=120, progress=None):
+    """Least degree with a nonzero piece of the m-th symbolic power; see
+    certified_alpha for the certificates checked on the way."""
+    return certified_alpha(pointset, m, cap, progress)["alpha"]
 
 
 @dataclass

@@ -644,23 +644,44 @@ def preset_field(name, p=None):
     raise FieldError(f"unknown field preset {name!r}")
 
 
+# the named constants each line configuration is built from
+PRESET_CONSTANTS = {"klein": ("zeta",), "wiman": ("delta", "omega")}
+
+
+def hosting_problem(field, preset):
+    """Why `field` cannot host the `preset` configuration (a constant it is
+    built from is missing), or None."""
+    missing = [n for n in PRESET_CONSTANTS.get(preset, ())
+               if n not in field.constants]
+    if not missing:
+        return None
+    return (f"field {field.name} cannot host the {preset} configuration: "
+            f"missing constants {', '.join(missing)}")
+
+
 def parse_field_flag(text, preset):
     """Resolve a CLI --field value ('exact', 'mod4733' or 'modp:<p>') for a
-    preset family.  A malformed value, or a p that is not an odd prime below
-    the mod-p kernels' MAX_PRIME, is a UsageError."""
+    preset family.  A malformed value, a p that is not an odd prime below
+    the mod-p kernels' MAX_PRIME, or a field that lacks a constant the
+    preset is built from, is a UsageError."""
     if text in (None, "exact"):
         if preset.startswith("klein-char7"):
             return preset_field("klein-mod7")
         return preset_field("wiman-exact" if preset == "wiman" else "klein-exact")
     if text == "mod4733":
-        return preset_field("klein-mod4733")
-    kind, _, digits = text.partition(":")
-    if kind != "modp" or not digits.isdigit():
-        raise UsageError(f"unrecognized field flag {text!r}")
-    p = int(digits)
-    if p >= MAX_PRIME:
-        raise UsageError(f"prime {p} too large for the mod-p kernels")
-    try:
-        return preset_field("modp", p)
-    except FieldError as e:
-        raise UsageError(str(e)) from None
+        field = preset_field("klein-mod4733")
+    else:
+        kind, _, digits = text.partition(":")
+        if kind != "modp" or not digits.isdigit():
+            raise UsageError(f"unrecognized field flag {text!r}")
+        p = int(digits)
+        if p >= MAX_PRIME:
+            raise UsageError(f"prime {p} too large for the mod-p kernels")
+        try:
+            field = preset_field("modp", p)
+        except FieldError as e:
+            raise UsageError(str(e)) from None
+    problem = hosting_problem(field, preset)
+    if problem:
+        raise UsageError(problem)
+    return field

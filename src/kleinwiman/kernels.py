@@ -2,9 +2,20 @@
 
 import numpy as np
 
-# p**2 * (matrix dimension or m**2) must stay below 2**63 for the int64
-# accumulation; every preset prime is tiny compared to this.
+# p**2 * m**2 (truncated products) and (PANEL + 1) * p**2 (the unblocked
+# elimination loop) must stay below 2**63 for the int64 accumulation; every
+# preset prime is tiny compared to this.
 MAX_PRIME = 1 << 20
+
+# Columns per panel of the blocked elimination.  Its trailing update is one
+# float64 product over k <= PANEL pivots of operands reduced mod p, exact
+# while k * (p - 1)**2 < 2**53: for every p < MAX_PRIME that allows k <= 8192.
+PANEL = 32
+assert PANEL <= 8192 and 8192 * (MAX_PRIME - 1) ** 2 < 2 ** 53
+
+# Rows per strip of the trailing update, so that no float64 copy of the
+# whole matrix is ever made.
+STRIP = 256
 
 
 def _check_prime(p):
@@ -12,17 +23,19 @@ def _check_prime(p):
         raise ValueError(f"prime {p} too large for the mod-p kernels")
 
 
-def _rref_inplace(a, p):
-    """Reduce `a` (int64 2D array) to reduced row echelon form mod p, in place.
+def _rref_narrow(a, p, swaps=None):
+    """Unblocked Gauss-Jordan of `a` (int64 2D array, entries in [0, p)) to
+    reduced row echelon form mod p, in place, one pivot column at a time.
 
-    Returns the list of pivot column indices; the rank is its length.
-    Non-pivot rows accumulate unreduced values between periodic cleanups
-    (sound for p < 2**20: magnitudes stay below 1024 * p**2 < 2**62).
+    Returns the list of pivot column indices.  Row exchanges are appended to
+    `swaps` as (i, j) pairs when it is given.  Non-pivot rows accumulate
+    unreduced values until the end: with at most PANEL pivots (the base
+    case, a panel, or the inverse of a pivot block) their magnitudes stay
+    below (PANEL + 1) * p**2.
     """
     rows, cols = a.shape
     pivots = []
     r = 0
-    since_cleanup = 0
     for c in range(cols):
         if r >= rows:
             break
@@ -33,6 +46,8 @@ def _rref_inplace(a, p):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+            if swaps is not None:
+                swaps.append((r, i))
         a[r] %= p
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = (a[r] * inv) % p
@@ -43,25 +58,80 @@ def _rref_inplace(a, p):
             a[other] -= np.outer(mult[other], a[r])
         pivots.append(c)
         r += 1
-        since_cleanup += 1
-        if since_cleanup >= 1024:
-            since_cleanup = 0
-            a %= p
     a %= p
     return pivots
 
 
+def _inverse_mod(block, p):
+    """Inverse mod p of an invertible k x k int64 block."""
+    k = block.shape[0]
+    aug = np.hstack([block, np.eye(k, dtype=np.int64)])
+    _rref_narrow(aug, p)
+    return aug[:, k:]
+
+
+def _rref_inplace(a, p, reduced=True):
+    """Blocked elimination of `a` (int64 2D array, entries in [0, p)) mod p,
+    in place; returns the pivot columns, whose count is the rank.
+
+    Panels of PANEL columns are factored by the unblocked loop, which gives
+    the pivot columns J and the rows that hold them.  Those k pivot rows
+    become A^-1 times themselves, where A is their k x k block on J, and
+    every other row x loses x[J] times them: one float64 product per panel
+    (the FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet).  With `reduced`
+    the result is the RREF; without it only the rows below each panel's
+    pivots are updated, which is enough for the rank.  A matrix no wider
+    than one panel is the base case: the unblocked loop alone.
+    """
+    rows, cols = a.shape
+    if cols <= PANEL:
+        return _rref_narrow(a, p)
+    pivots = []
+    r = 0
+    for c0 in range(0, cols, PANEL):
+        if r >= rows:
+            break
+        swaps = []
+        found = _rref_narrow(a[r:, c0:c0 + PANEL].copy(), p, swaps)
+        if not found:
+            continue
+        for i, j in swaps:
+            a[[r + i, r + j]] = a[[r + j, r + i]]
+        k = len(found)
+        piv = [c0 + c for c in found]
+        head = a[r:r + k, c0:]
+        inv = _inverse_mod(a[r:r + k, piv], p).astype(np.float64)
+        np.remainder((inv @ head).astype(np.int64), p, out=head)
+        pivot_rows = head.astype(np.float64)
+        others = (range(0, r), range(r + k, rows)) if reduced else \
+            (range(r + k, rows),)
+        for span in others:
+            for s in range(span.start, span.stop, STRIP):
+                strip = a[s:min(s + STRIP, span.stop), c0:]
+                t = strip[:, found].astype(np.float64) @ pivot_rows
+                t = t.astype(np.int64)
+                np.subtract(strip, t, out=t)
+                np.remainder(t, p, out=strip)
+        pivots += piv
+        r += k
+    return pivots
+
+
+def _reduced_copy(a, p):
+    _check_prime(p)
+    return np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
+
+
 def rref_mod(a, p):
     """RREF of a copy of `a` mod p. Returns (rref matrix, pivot columns)."""
-    _check_prime(p)
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
-    if a.size == 0:
-        return a, []
-    return a, _rref_inplace(a, p)
+    a = _reduced_copy(a, p)
+    return a, (_rref_inplace(a, p) if a.size else [])
 
 
 def rank_mod(a, p):
-    return len(rref_mod(a, p)[1])
+    """Rank of `a` mod p, by forward elimination only."""
+    a = _reduced_copy(a, p)
+    return len(_rref_inplace(a, p, reduced=False)) if a.size else 0
 
 
 def kernel_mod(a, p):

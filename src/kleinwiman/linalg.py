@@ -139,11 +139,12 @@ def reduce_matrix_mod_partner(rows, field):
 def kernel_certified(rows, ncols, field):
     """Exact right kernel of a matrix over Q or a simple extension of Q.
 
-    For extension fields the kernel is first computed inside Q^n (fast) and
-    certified complete by the rank of the matrix reduced at the partner
-    prime: dim_Q(kernel over Q) <= dim(kernel) <= ncols - rank_p.  When the
-    two ends meet, the rational basis spans the kernel.  Otherwise falls back
-    to generic elimination over the extension field.
+    For extension fields the rank of the matrix reduced at the partner prime
+    comes first: rank_p = ncols proves the kernel empty.  Otherwise the
+    kernel is computed inside Q^n (fast) and certified complete by
+    dim_Q(kernel over Q) <= dim(kernel) <= ncols - rank_p.  When the two
+    ends meet, the rational basis spans the kernel.  Otherwise falls back to
+    generic elimination over the extension field.
 
     Returns the basis rows, with entries in `field` (rational values when the
     certificate closed).
@@ -162,10 +163,14 @@ def kernel_certified(rows, ncols, field):
         basis = kernel_field(qrows, ncols, RationalField())
         return [[field.embed_rational(c) for c in v] for v in basis]
     try:
-        expanded = expand_extension_rows(rows, field)
-        qbasis = kernel_field(expanded, ncols, RationalField())
         reduced, p = reduce_matrix_mod_partner(rows, field)
         rank_p = kernels.rank_mod(reduced, p)
+        if rank_p == ncols:
+            # rank can only drop under reduction, so full rank at p is full
+            # rank over the field: the kernel is empty
+            return []
+        expanded = expand_extension_rows(rows, field)
+        qbasis = kernel_field(expanded, ncols, RationalField())
         if len(qbasis) == ncols - rank_p:
             return [[field.embed_rational(c) for c in v] for v in qbasis]
     except FieldError:

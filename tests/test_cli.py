@@ -40,8 +40,11 @@ def test_usage_error_exit_code():
     ["fatideal", "contain", "--preset", "klein-char7", "--r", "0"],
     ["series", "--preset", "klein", "--d", "-3"],
     ["negsearch", "--preset", "klein", "--dmax", "-5"],
+    ["series", "--preset", "klein", "--d", "8", "--m3", "2", "--field", "modp:11"],
+    ["fatideal", "alpha", "--preset", "klein-char7", "--dhint", "10"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
-        "field-even-prime", "r-zero", "d-negative", "dmax-negative"])
+        "field-even-prime", "r-zero", "d-negative", "dmax-negative",
+        "field-lacks-preset-constants", "removed-dhint"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)
@@ -78,7 +81,15 @@ def test_fatideal_alpha_command():
     code, rep = run_cli(["fatideal", "alpha", "--preset", "klein-char7",
                          "--m", "1"])
     assert code == 0
-    assert rep["results"]["alpha"] == 8
+    results = rep["results"]
+    assert results["alpha"] == 8 and "scanned_from" not in results
+    below = results["empty_below"]
+    assert below["degree"] == 7 and below["rank"] == below["columns"] == 36
+    assert results["witness"]["degree"] == 8
+    assert jsonable(rep)["results"]["witness"]["form"] == "x^7*y + 6*x*y^7"
+    code, _ = run_cli(["fatideal", "alpha", "--preset", "klein-char7",
+                       "--m", "3", "--cap", "10"])
+    assert code == 1
 
 
 def test_invariants_verify_klein_modp():

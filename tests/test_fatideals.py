@@ -4,7 +4,7 @@ import pytest
 
 from kleinwiman.errors import FatIdealError
 from kleinwiman.fatideals import (GradedPiece, alpha_symbolic,
-                                  asymptotic_resurgence_bounds,
+                                  asymptotic_resurgence_bounds, certified_alpha,
                                   containment_inequality_certificate,
                                   containment_report, jacobian_minor_generators,
                                   line_product, membership,
@@ -27,6 +27,36 @@ def test_alpha_values(klein_points_modp, char7_points):
     assert alpha_symbolic(char7_points, 2) == 16
     with pytest.raises(FatIdealError):
         alpha_symbolic(char7_points, 3, cap=10)
+
+
+def _alpha_by_scan(pointset, m):
+    d = 1
+    while symbolic_piece(pointset, m, d).dim == 0:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("points, m", [
+    ("klein_points_modp", 1), ("klein_points_modp", 2),
+    ("char7_points", 1), ("char7_points", 2), ("char7_points", 3)])
+def test_alpha_bisection_matches_scan(points, m, request):
+    ps = request.getfixturevalue(points)
+    cert = certified_alpha(ps, m)
+    alpha = cert["alpha"]
+    assert alpha == _alpha_by_scan(ps, m)
+    below = cert["empty_below"]
+    assert below["degree"] == alpha - 1
+    assert below["rank"] == below["columns"] == len(
+        symbolic_piece(ps, 0, alpha - 1).monomials)
+    assert cert["witness"]["degree"] == alpha
+    assert vanishes_to_order(cert["witness"]["form"], ps, m)
+
+
+def test_alpha_cap_below_alpha(char7_points):
+    """alpha(I^(2)) = 16: a cap under it is a failure, a cap at it is not."""
+    with pytest.raises(FatIdealError):
+        alpha_symbolic(char7_points, 2, cap=15)
+    assert alpha_symbolic(char7_points, 2, cap=16) == 16
 
 
 def test_minimal_generators(klein_gens_modp, char7_gens, wiman_gens_modp):

@@ -24,9 +24,58 @@ def test_rref_mod_matches_field_rref():
         assert np.array_equal(r, np.array(m, dtype=np.int64))
 
 
+def _assert_matches_field_rref(a, p):
+    r, pivots = kernels.rref_mod(a, p)
+    m, field_pivots = rref_field(a.tolist(), PrimeField(p))
+    assert pivots == field_pivots
+    assert np.array_equal(r, np.array(m, dtype=np.int64).reshape(a.shape))
+    assert kernels.rank_mod(a, p) == len(pivots)
+
+
+def test_blocked_rref_matches_field_rref():
+    """Matrices several panels wide, against generic elimination over F_p:
+    a panel with no pivot, a rank-deficient panel, and rows that run out
+    before the columns do."""
+    rng = np.random.default_rng(46)
+    w = kernels.PANEL
+    for p in (7, 4733):
+        a = rng.integers(0, p, (3 * w, 3 * w + 5)).astype(np.int64)
+        _assert_matches_field_rref(a, p)
+        zero_panel = a.copy()
+        zero_panel[:, w:2 * w] = 0
+        _assert_matches_field_rref(zero_panel, p)
+        deficient = a.copy()   # rank 3 on the second panel
+        deficient[:, w:2 * w] = (rng.integers(0, p, (3 * w, 3))
+                                 @ rng.integers(0, p, (3, w))) % p
+        _assert_matches_field_rref(deficient, p)
+        _assert_matches_field_rref(a[: w // 2], p)
+        low_rank = (rng.integers(0, p, (2 * w + 3, w + 1))
+                    @ rng.integers(0, p, (w + 1, 4 * w))) % p
+        _assert_matches_field_rref(low_rank, p)
+
+
+def test_blocked_rref_largest_prime():
+    """p = 1048573, the largest prime below MAX_PRIME, with full-width
+    panels of entries near p: the float64 products sit closest to 2**53."""
+    p = 1048573
+    assert p < kernels.MAX_PRIME
+    rng = np.random.default_rng(47)
+    w = kernels.PANEL
+    a = rng.integers(p - 50, p, (2 * w + 7, 3 * w)).astype(np.int64)
+    _assert_matches_field_rref(a, p)
+
+
+def test_empty_matrices():
+    for shape in ((0, 5), (5, 0), (0, 0), (0, 3 * kernels.PANEL)):
+        a = np.zeros(shape, dtype=np.int64)
+        r, pivots = kernels.rref_mod(a, 7)
+        assert pivots == [] and r.shape == shape
+        assert kernels.rank_mod(a, 7) == 0
+
+
 def test_rref_mod_periodic_cleanup():
-    """More than 1024 pivots, so the delayed reduction is cleaned up mid-way;
-    a full-rank square matrix must reduce to the identity."""
+    """More than 1024 pivots, across dozens of panels: a full-rank square
+    matrix must reduce to the identity."""
     n, p = 1030, 4733
     a = np.random.default_rng(45).integers(0, p, (n, n)).astype(np.int64)
     r, pivots = kernels.rref_mod(a, p)
@@ -102,6 +151,17 @@ def test_certified_kernel_matches_direct(klein_exact):
     for v in certified + direct:
         for row in rows:
             assert f.is_zero(f.sum([f.mul(a, b) for a, b in zip(row, v)]))
+
+
+def test_certified_kernel_full_rank(klein_exact):
+    """Full rank at the partner prime ends the certified route early; the
+    answer is the empty kernel, as by direct elimination."""
+    f = klein_exact
+    w = f.gen
+    rows = [[f.one, w, f.coerce(2)],
+            [f.mul(w, w), f.coerce(3), f.add(w, f.one)],
+            [w, f.zero, f.coerce(5)]]
+    assert kernel_certified(rows, 3, f) == kernel_field(rows, 3, f) == []
 
 
 def test_certified_kernel_rational_matrix(klein_exact):
