@@ -35,6 +35,20 @@ def point_on_line(field, point, coeffs):
     return field.is_zero(acc)
 
 
+def points_on_line(field, coeffs):
+    """Two independent points of the line with these coefficients, plus
+    their sum."""
+    idx = next(i for i, c in enumerate(coeffs) if not field.is_zero(c))
+    pts = []
+    for o in (i for i in range(3) if i != idx):
+        v = [field.zero] * 3
+        v[o] = field.one
+        v[idx] = field.neg(field.div(coeffs[o], coeffs[idx]))
+        pts.append(tuple(v))
+    pts.append(tuple(field.add(a, b) for a, b in zip(pts[0], pts[1])))
+    return pts
+
+
 @dataclass
 class OrbitClass:
     multiplicity: int

@@ -3,6 +3,7 @@ search, and Waldschmidt-constant certificates."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from kleinwiman.errors import EngineError
 from kleinwiman.series import SeriesSpec, series_dim
@@ -119,64 +120,56 @@ RECORDED_EXTENDED_LEDGER = [
 ]
 
 
+# Per preset: first degree, degree step, and per orbit class (class order)
+# either q, iterating that multiplicity over 0 .. d // q, or None for the one
+# multiplicity solved as the least value that makes the class negative.
+# Wiman ties its two triple orbits and has no reference ledger.
+SEARCH_PLANS = {
+    "klein": (4, 2, (None, 4)),
+    "wiman": (6, 6, (5, None, 3)),
+}
+
+
 def negative_curve_search(preset, field, d_max, log=None, progress=None):
     """Effective invariant classes of negative self-intersection meeting all
     previously found ones nonnegatively.
 
-    Replicates the reference loop exactly: even degrees ascending, inner
-    multiplicity ascending, minimal complementary multiplicity making the
-    self-intersection negative, boundary pruning, then an exact series
-    computation; a nonempty series appends the class to the ledger.  The
-    iteration order is normative: changing it would change which candidates
-    get series computations.
+    Replicates the reference loop exactly: degrees ascending, iterated
+    multiplicities ascending (first class outermost), the solved multiplicity
+    minimal, pruning of classes still negative with an iterated multiplicity
+    one lower, then an exact series computation; a nonempty series appends
+    the class to the ledger.  The iteration order is normative: changing it
+    would change which candidates get series computations.
     """
-    if preset != "klein":
-        return _negative_curve_search_wiman(field, d_max, log, progress)
-    ledger = [line_class("klein")]
-    for d in range(4, d_max + 1, 2):
-        for m3 in range(0, d // 4 + 1):
-            m4 = 0
-            while self_int(DivisorClass.make("klein", d, m4, m3)) >= 0:
-                m4 += 1
-            cand = DivisorClass.make("klein", d, m4, m3)
+    if preset not in SEARCH_PLANS:
+        raise EngineError(f"no negative-curve search plan for preset {preset!r}")
+    start, step, bounds = SEARCH_PLANS[preset]
+    solved = bounds.index(None)
+    iterated = [i for i, q in enumerate(bounds) if q is not None]
+    keys = ["m" + label[1:] for label in CLASS_LABELS[preset]]
+    ledger = [line_class(preset)]
+    for d in range(start, d_max + 1, step):
+        for values in product(*(range(d // bounds[i] + 1) for i in iterated)):
+            mults = [0] * len(bounds)
+            for i, v in zip(iterated, values):
+                mults[i] = v
+            while self_int(DivisorClass.make(preset, d, *mults)) >= 0:
+                mults[solved] += 1
+            cand = DivisorClass.make(preset, d, *mults)
             if any(intersect(cand, old) < 0 for old in ledger):
                 continue
-            if m3 and self_int(DivisorClass.make("klein", d, m4, m3 - 1)) < 0:
+            lowered = (DivisorClass.make(preset, d, *(m - (j == i)
+                                                     for j, m in enumerate(mults)))
+                       for i in iterated if mults[i])
+            if any(self_int(c) < 0 for c in lowered):
                 continue
-            dim = series_dim(SeriesSpec("klein", d, m4=m4, m3=m3), field)
+            dim = series_dim(SeriesSpec(preset, d, **dict(zip(keys, mults))), field)
             if log is not None:
-                log.append({"candidate": (d, m4, m3), "dim": dim})
+                log.append({"candidate": (d, *mults), "dim": dim})
             if progress is not None:
-                progress(f"candidate ({d},{m4},{m3}) dim {dim}")
+                progress(f"candidate ({','.join(map(str, (d, *mults)))}) dim {dim}")
             if dim > 0:
                 ledger.append(cand)
-    return ledger
-
-
-def _negative_curve_search_wiman(field, d_max, log=None, progress=None):
-    """Exploratory variant for the 45-line configuration (no reference ledger
-    to compare against); multiplicities on the two triple orbits are tied."""
-    ledger = [line_class("wiman")]
-    for d in range(6, d_max + 1, 6):
-        for m5 in range(0, d // 5 + 1):
-            for m3 in range(0, d // 3 + 1):
-                m4 = 0
-                while self_int(DivisorClass.make("wiman", d, m5, m4, m3)) >= 0:
-                    m4 += 1
-                cand = DivisorClass.make("wiman", d, m5, m4, m3)
-                if any(intersect(cand, old) < 0 for old in ledger):
-                    continue
-                if m3 and self_int(DivisorClass.make("wiman", d, m5, m4, m3 - 1)) < 0:
-                    continue
-                if m5 and self_int(DivisorClass.make("wiman", d, m5 - 1, m4, m3)) < 0:
-                    continue
-                dim = series_dim(SeriesSpec("wiman", d, m5=m5, m4=m4, m3=m3), field)
-                if log is not None:
-                    log.append({"candidate": (d, m5, m4, m3), "dim": dim})
-                if progress is not None:
-                    progress(f"candidate ({d},{m5},{m4},{m3}) dim {dim}")
-                if dim > 0:
-                    ledger.append(cand)
     return ledger
 
 

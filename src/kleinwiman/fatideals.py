@@ -13,10 +13,9 @@ from math import comb
 
 import numpy as np
 
-from kleinwiman import kernels
+from kleinwiman import linalg
 from kleinwiman.errors import FatIdealError
 from kleinwiman.fields import PrimeField
-from kleinwiman.linalg import kernel_certified, reduce_against_rref, rref_field
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
                              local_monomials, monomials_of_degree)
 
@@ -110,25 +109,14 @@ class GradedPiece:
         self.degree = degree
         self.field = field
         self.monomials = monomials
-        if isinstance(field, PrimeField):
-            mat = np.array(rows, dtype=np.int64).reshape(len(rows), len(monomials))
-            self.rows, self.pivots = kernels.rref_mod(mat, field.p)
-            self.rows = self.rows[: len(self.pivots)]
-        else:
-            rref, piv = rref_field(rows, field) if rows else ([], [])
-            self.rows = rref[: len(piv)]
-            self.pivots = piv
+        self.rows, self.pivots = linalg.rref(rows, len(monomials), field)
 
     @property
     def dim(self):
         return len(self.pivots)
 
     def contains_vector(self, vec):
-        if isinstance(self.field, PrimeField):
-            return kernels.in_rowspace_mod(self.rows, self.pivots, vec,
-                                           self.field.p)
-        res = reduce_against_rref(self.rows, self.pivots, vec, self.field)
-        return all(self.field.is_zero(c) for c in res)
+        return linalg.in_rowspace(self.rows, self.pivots, vec, self.field)
 
     def contains_poly(self, f):
         if f.is_zero():
@@ -151,21 +139,10 @@ def membership(f, piece):
 
 def symbolic_piece(pointset, m, d):
     """Exact basis of the forms of degree d vanishing to order >= m at every
-    point of the set."""
+    point of the set (all of them for m <= 0: no conditions)."""
     field = pointset.field
-    cols = monomials_of_degree(3, d)
-    if m <= 0:
-        n = len(cols)
-        eye = np.eye(n, dtype=np.int64) if isinstance(field, PrimeField) else \
-            [[field.one if i == j else field.zero for j in range(n)]
-             for i in range(n)]
-        return GradedPiece(d, field, cols, eye)
-    mat, cols = point_conditions_matrix(pointset, m, d)
-    if isinstance(field, PrimeField):
-        kern = kernels.kernel_mod(mat, field.p)
-        return GradedPiece(d, field, cols, kern)
-    basis = kernel_certified(mat, len(cols), field)
-    return GradedPiece(d, field, cols, basis)
+    mat, cols = point_conditions_matrix(pointset, max(m, 0), d)
+    return GradedPiece(d, field, cols, linalg.kernel(mat, len(cols), field))
 
 
 def vanishes_to_order(f, pointset, m):
@@ -198,16 +175,12 @@ def certified_alpha(pointset, m, cap=120, progress=None):
     """
     if m < 1:
         raise FatIdealError(f"alpha needs a multiplicity m >= 1, got {m}")
-    field = pointset.field
     ranks = {}
 
     def empty(d):
         mat, cols = point_conditions_matrix(pointset, m, d)
         ncols = len(cols)
-        if isinstance(field, PrimeField):
-            rank = kernels.rank_mod(mat, field.p)
-        else:   # the certified kernel ends early on full rank
-            rank = ncols - len(kernel_certified(mat, ncols, field))
+        rank = linalg.rank(mat, ncols, pointset.field)
         ranks[d] = (rank, ncols)
         if progress is not None:
             progress(f"degree {d}: rank {rank} of {ncols} columns")
@@ -286,17 +259,13 @@ def minimal_generators(pointset, up_to_degree):
             for v in range(3):
                 g = f * Poly.variable(field, v)
                 products.append(g.coeff_vector(cols))
-        span = GradedPiece(d, field, cols, products) if products else None
+        span = GradedPiece(d, field, cols, products)
         new = []
         for f in piece.basis_polys():
             vec = f.coeff_vector(cols)
-            if span is None or not span.contains_vector(vec):
+            if not span.contains_vector(vec):
                 new.append(f)
-                rows = ([list(r) for r in span.rows] if span is not None and
-                        not isinstance(field, PrimeField) else
-                        (span.rows.tolist() if span is not None else []))
-                rows.append(vec)
-                span = GradedPiece(d, field, cols, rows)
+                span = GradedPiece(d, field, cols, list(span.rows) + [vec])
         if new:
             gens.by_degree[d] = new
         gens.complete_through = d

@@ -59,10 +59,10 @@ def klein_core_checks():
     rel = verify_klein_relation(inv)
     out.append(_check_true("degree-42 relation", rel["holds"],
                            f"rederived={rel['rederived']}"))
-    from kleinwiman.configs import line_coeffs
+    from kleinwiman.configs import line_coeffs, points_on_line
     on_lines = all(KE.is_zero(inv.phi[21].evaluate(pt))
                    for line in cfg.lines[:21]
-                   for pt in _points_on_line(KE, line_coeffs(line)))
+                   for pt in points_on_line(KE, line_coeffs(line)))
     out.append(_check_true("line product vanishes on all lines", on_lines))
     out.append(_check("dim T_18", dim_t("klein", 18), 3))
     out.append(_check("dim T_42", dim_t("klein", 42), 9))
@@ -108,20 +108,6 @@ def klein_core_checks():
     out.append(_check_true("line product outside the square",
                            not membership(invp.phi[21], power_piece(gens, 2, 21))))
     return out
-
-
-def _points_on_line(field, coeffs):
-    """Two independent points of the line, plus their sum."""
-    idx = next(i for i, c in enumerate(coeffs) if not field.is_zero(c))
-    others = [i for i in range(3) if i != idx]
-    pts = []
-    for o in others:
-        v = [field.zero] * 3
-        v[o] = field.one
-        v[idx] = field.neg(field.div(coeffs[o], coeffs[idx]))
-        pts.append(tuple(v))
-    pts.append(tuple(field.add(a, b) for a, b in zip(pts[0], pts[1])))
-    return pts
 
 
 def wiman_core_checks():

@@ -154,17 +154,13 @@ def kernel_mod(a, p):
     return basis
 
 
-def reduce_mod(rref, pivots, v, p):
-    """Reduce row vector v against an RREF row basis; returns the residual."""
+def in_rowspace_mod(rref, pivots, v, p):
+    """Whether row vector v lies in the span of an RREF row basis mod p."""
     v = np.asarray(v, dtype=np.int64) % p
     for i, c in enumerate(pivots):
         if v[c]:
             v = (v - v[c] * rref[i]) % p
-    return v
-
-
-def in_rowspace_mod(rref, pivots, v, p):
-    return not np.any(reduce_mod(rref, pivots, v, p))
+    return not np.any(v)
 
 
 def trunc_mul_mod(a, b, p):

@@ -7,6 +7,8 @@ normal forms, kernel bases indexed by free columns in increasing order.
 
 from fractions import Fraction
 
+import numpy as np
+
 from kleinwiman import kernels
 from kleinwiman.errors import FieldError
 from kleinwiman.fields import PrimeField, RationalField, SimpleExtension
@@ -85,11 +87,6 @@ def reduce_against_rref(rref_rows, pivots, vec, field):
             row = rref_rows[i]
             v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
     return v
-
-
-def in_rowspace(rref_rows, pivots, vec, field):
-    return all(field.is_zero(c) for c in reduce_against_rref(rref_rows, pivots,
-                                                             vec, field))
 
 
 # -- number-field kernels with a certificate --------------------------------
@@ -176,3 +173,44 @@ def kernel_certified(rows, ncols, field):
     except FieldError:
         pass
     return kernel_field(rows, ncols, field)
+
+
+# -- the engine's entry points: each decides the field once ----------------
+# F_p matrices are int64 arrays for `kernels`; over Q and its extensions they
+# are lists of rows for the exact routines above.  No rows: rank 0, identity
+# kernel.
+
+def _mod_matrix(rows, ncols):
+    return np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
+def kernel(rows, ncols, field):
+    """Right-kernel basis: rows of an int64 array over F_p, a list of rows
+    otherwise (certified, see kernel_certified)."""
+    if isinstance(field, PrimeField):
+        return kernels.kernel_mod(_mod_matrix(rows, ncols), field.p)
+    return kernel_certified(rows, ncols, field)
+
+
+def rank(rows, ncols, field):
+    if isinstance(field, PrimeField):
+        return kernels.rank_mod(_mod_matrix(rows, ncols), field.p)
+    # the certified kernel ends early on full rank
+    return ncols - len(kernel_certified(rows, ncols, field))
+
+
+def rref(rows, ncols, field):
+    """The nonzero rows of the RREF and the pivot columns."""
+    if isinstance(field, PrimeField):
+        reduced, pivots = kernels.rref_mod(_mod_matrix(rows, ncols), field.p)
+    else:
+        reduced, pivots = rref_field(rows, field)
+    return reduced[:len(pivots)], pivots
+
+
+def in_rowspace(rref_rows, pivots, vec, field):
+    """Whether vec lies in the span of the rows returned by rref."""
+    if isinstance(field, PrimeField):
+        return kernels.in_rowspace_mod(rref_rows, pivots, vec, field.p)
+    return all(field.is_zero(c) for c in reduce_against_rref(rref_rows, pivots,
+                                                             vec, field))

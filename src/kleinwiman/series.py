@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kleinwiman import kernels
+from kleinwiman import kernels, linalg
 from kleinwiman.errors import SeriesError
 from kleinwiman.fields import PrimeField
 from kleinwiman.invariants import invariant_set
-from kleinwiman.linalg import kernel_certified
 from kleinwiman.poly import Poly, local_expand, local_monomials, weighted_basis
 
 
@@ -109,6 +108,9 @@ class _ModpLocalRing:
             out[i, order - i:] = 0
         return out
 
+    def matrix(self, cols):
+        return np.array(cols, dtype=np.int64).T
+
 
 class _ExactLocalRing:
     """The same interface over TruncPoly for exact fields."""
@@ -133,6 +135,9 @@ class _ExactLocalRing:
     def truncate(self, a, order):
         return a.copy_truncated(order)
 
+    def matrix(self, cols):
+        return [list(row) for row in zip(*cols)]
+
 
 _POWER_CACHE = {}
 
@@ -143,7 +148,8 @@ def _generator_powers(preset, field, rep, gen_index, order, max_exp):
     Cached per (field, preset, point, generator); the cache is regrown when a
     larger truncation order or exponent is requested, and sliced down
     otherwise (truncation of a product only ever needs the low-order part of
-    the factors).
+    the factors).  The entry keeps its local ring: the one place where this
+    module decides between int64 arrays over F_p and exact TruncPoly.
     """
     key = (field.spec_key(), preset, rep, gen_index)
     entry = _POWER_CACHE.get(key)
@@ -165,12 +171,10 @@ def _generator_powers(preset, field, rep, gen_index, order, max_exp):
 
 def _condition_block(preset, field, rep, m, exps):
     """Rows of vanishing conditions (below order m) at one representative."""
-    ring = (_ModpLocalRing(field, m) if isinstance(field, PrimeField)
-            else _ExactLocalRing(field, m))
     monomials = local_monomials(m)
-    weights = series_weights(preset)
     caches = [_generator_powers(preset, field, rep, i, m, max(e[i] for e in exps))
               for i in range(3)]
+    ring = caches[0]["ring"]
 
     def power(i, e):
         return ring.truncate(caches[i]["powers"][e], m)
@@ -183,9 +187,7 @@ def _condition_block(preset, field, rep, m, exps):
         if c:
             prod = ring.mul(prod, power(2, c))
         cols.append(ring.coeffs(prod, monomials))
-    if isinstance(field, PrimeField):
-        return np.array(cols, dtype=np.int64).T
-    return [list(row) for row in zip(*cols)]
+    return ring.matrix(cols)
 
 
 @dataclass
@@ -193,7 +195,7 @@ class SeriesBasis:
     spec: SeriesSpec
     field: object
     exponents: list       # weighted-monomial order of the coordinates
-    vectors: list         # kernel vectors over the field (raw reps)
+    vectors: list         # kernel basis from linalg.kernel (int64 rows over F_p)
 
     @property
     def dim(self):
@@ -221,24 +223,12 @@ def series_basis(spec, field):
         return SeriesBasis(spec, field, [], [])
     config = invariant_set(spec.preset, field).config
     mults = spec.class_multiplicities()
-    blocks = []
+    rows = []
     for cls, m in zip(config.classes, mults):
         if m > 0:
-            blocks.append(_condition_block(spec.preset, field, cls.representative,
-                                           m, exps))
-    if not blocks:
-        n = len(exps)
-        eye = [[field.one if i == j else field.zero for j in range(n)]
-               for i in range(n)]
-        return SeriesBasis(spec, field, exps, eye)
-    if isinstance(field, PrimeField):
-        mat = np.vstack(blocks)
-        kern = kernels.kernel_mod(mat, field.p)
-        vectors = [[int(c) for c in row] for row in kern]
-    else:
-        rows = [row for b in blocks for row in b]
-        vectors = kernel_certified(rows, len(exps), field)
-    return SeriesBasis(spec, field, exps, vectors)
+            rows.extend(_condition_block(spec.preset, field, cls.representative,
+                                         m, exps))
+    return SeriesBasis(spec, field, exps, linalg.kernel(rows, len(exps), field))
 
 
 def series_dim(spec, field):

@@ -79,7 +79,7 @@ def test_criterion_02_group_orders():
 # -- criterion 3: invariant identities ----------------------------------------
 
 def test_criterion_03_invariant_identities():
-    from kleinwiman.configs import line_coeffs
+    from kleinwiman.configs import line_coeffs, points_on_line
     from kleinwiman.invariants import (klein_invariants, verify_klein_relation,
                                        wiman_invariants)
     from kleinwiman.poly import hessian_det
@@ -100,27 +100,15 @@ def test_criterion_03_invariant_identities():
     rel = verify_klein_relation(ik)
     ok &= _line("degree-42 relation residual zero", rel["holds"],
                 f"rederived={rel['rederived']}")
-    on_lines = all(
+    on_lines = len(ik.config.lines) == 21 and all(
         f.is_zero(ik.phi[21].evaluate(pt))
-        for line in ik.config.lines for pt in _points_on(f, line_coeffs(line)))
+        for line in ik.config.lines for pt in points_on_line(f, line_coeffs(line)))
     ok &= _line("line product vanishes on all 21 lines", on_lines)
     fw = iw.field
     ok &= _line("degree-24 invariant factors into the conjugate pair",
                 iw.extra["upsilon12"] * iw.extra["upsilon12_bar"] == iw.psi[24],
                 f"total {dt:.1f}s")
     assert ok and in_time
-
-
-def _points_on(field, coeffs):
-    idx = next(i for i, c in enumerate(coeffs) if not field.is_zero(c))
-    pts = []
-    for o in [i for i in range(3) if i != idx]:
-        v = [field.zero] * 3
-        v[o] = field.one
-        v[idx] = field.neg(field.div(coeffs[o], coeffs[idx]))
-        pts.append(tuple(v))
-    pts.append(tuple(field.add(a, b) for a, b in zip(pts[0], pts[1])))
-    return pts
 
 
 # -- criterion 4: series dimensions -------------------------------------------

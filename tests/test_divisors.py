@@ -10,6 +10,7 @@ from kleinwiman.divisors import (DivisorClass, KLEIN_CURVE_42,
                                  negative_curve_search, self_int,
                                  verify_divisor_identity, waldschmidt_bounds)
 from kleinwiman.errors import EngineError
+from kleinwiman.fields import preset_field
 from kleinwiman.series import SeriesSpec, series_basis
 
 
@@ -60,6 +61,12 @@ def test_mismatched_configurations():
 def test_negsearch_trivial_cap(klein_modp):
     assert [c.as_text() for c in negative_curve_search("klein", klein_modp, 2)] \
         == ["21H - 4E4 - 3E3"]
+
+
+def test_negsearch_needs_a_plan():
+    """klein-char7 has no search plan; it used to run the Wiman loop."""
+    with pytest.raises(EngineError, match="no negative-curve search plan"):
+        negative_curve_search("klein-char7", preset_field("klein-mod7"), 12)
 
 
 def test_negsearch_to_60(klein_modp):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kleinwiman.errors import FatIdealError
-from kleinwiman.fatideals import (GradedPiece, alpha_symbolic,
+from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   asymptotic_resurgence_bounds, certified_alpha,
                                   containment_inequality_certificate,
                                   containment_report, jacobian_minor_generators,
@@ -11,8 +11,9 @@ from kleinwiman.fatideals import (GradedPiece, alpha_symbolic,
                                   orbit_count_decompositions, power_piece,
                                   resurgence_report, symbolic_piece,
                                   vanishes_to_order)
+from kleinwiman.fields import RationalField
 from kleinwiman.groups import act_on_poly
-from kleinwiman.poly import Poly
+from kleinwiman.poly import Poly, chart_for_point, normalize_point
 
 
 def test_symbolic_piece_dims_klein(klein_points_modp):
@@ -29,6 +30,26 @@ def test_alpha_values(klein_points_modp, char7_points):
         alpha_symbolic(char7_points, 3, cap=10)
 
 
+def _five_points(field, last):
+    """(1:0:0), (0:1:0), (0:0:1), (1:1:1) and `last`: five points, no three
+    on a line, so alpha of the m-th symbolic power is 2m."""
+    pts = [normalize_point(field, p)
+           for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), last)]
+    return PointSet("five-points", field, pts,
+                    [chart_for_point(field, p) for p in pts])
+
+
+@pytest.fixture(scope="module")
+def five_points_zeta7(klein_exact):
+    z = klein_exact.gen
+    return _five_points(klein_exact, (klein_exact.one, z, klein_exact.mul(z, z)))
+
+
+@pytest.fixture(scope="module")
+def five_points_rational():
+    return _five_points(RationalField(), (1, 2, 4))
+
+
 def _alpha_by_scan(pointset, m):
     d = 1
     while symbolic_piece(pointset, m, d).dim == 0:
@@ -38,12 +59,17 @@ def _alpha_by_scan(pointset, m):
 
 @pytest.mark.parametrize("points, m", [
     ("klein_points_modp", 1), ("klein_points_modp", 2),
-    ("char7_points", 1), ("char7_points", 2), ("char7_points", 3)])
+    ("char7_points", 1), ("char7_points", 2), ("char7_points", 3),
+    ("five_points_zeta7", 1), ("five_points_zeta7", 2), ("five_points_zeta7", 3),
+    ("five_points_rational", 1), ("five_points_rational", 2),
+    ("five_points_rational", 3)])
 def test_alpha_bisection_matches_scan(points, m, request):
     ps = request.getfixturevalue(points)
     cert = certified_alpha(ps, m)
     alpha = cert["alpha"]
     assert alpha == _alpha_by_scan(ps, m)
+    if ps.preset == "five-points":
+        assert alpha == 2 * m
     below = cert["empty_below"]
     assert below["degree"] == alpha - 1
     assert below["rank"] == below["columns"] == len(
@@ -206,6 +232,12 @@ def test_asymptotic_bounds():
 def test_exact_symbolic_piece_small(klein_points_exact):
     sp = symbolic_piece(klein_points_exact, 1, 8)
     assert sp.dim == 3
+
+
+def test_exact_symbolic_piece_order_zero(klein_points_exact):
+    """No conditions: the piece is all of S_6, as over F_p."""
+    sp = symbolic_piece(klein_points_exact, 0, 6)
+    assert sp.dim == len(sp.monomials) == 28
 
 
 def test_conditions_exact_vs_modp_dim(klein_points_exact, klein_points_modp):

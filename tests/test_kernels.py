@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kleinwiman import kernels
+from kleinwiman import kernels, linalg
 from kleinwiman.fields import PrimeField, RationalField
 from kleinwiman.linalg import (kernel_certified, kernel_field, rank_field,
                                rref_field)
@@ -123,6 +123,45 @@ def test_rowspace_membership_mod():
     r, piv = kernels.rref_mod(a, p)
     assert kernels.in_rowspace_mod(r, piv, np.array([1, 3, 4]), p)
     assert not kernels.in_rowspace_mod(r, piv, np.array([0, 0, 1]), p)
+
+
+@pytest.mark.parametrize("p", [7, 4733])
+def test_linalg_entry_points_prime_field(p):
+    """linalg.kernel/rank/rref/in_rowspace over F_p against generic
+    elimination over the same field: zero rows, zero columns, full rank and
+    rank-deficient matrices, given as lists or as int64 arrays."""
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for nrows, ncols in ((0, 5), (4, 0), (0, 0), (6, 9), (9, 6), (12, 40)):
+        for deficient in (False, True):
+            a = rng.integers(0, p, (nrows, ncols)).astype(np.int64)
+            if deficient and nrows >= 2:
+                a[-1] = (2 * a[0] + 3 * a[1]) % p
+            rows = a.tolist()
+            oracle, oracle_pivots = rref_field(rows, field)
+            for given in (rows, a):
+                reduced, pivots = linalg.rref(given, ncols, field)
+                assert pivots == oracle_pivots
+                assert reduced.tolist() == oracle[:len(pivots)]
+                assert linalg.rank(given, ncols, field) == len(pivots)
+                assert linalg.kernel(given, ncols, field).tolist() \
+                    == kernel_field(rows, ncols, field)
+            inside = rng.integers(0, p, nrows) @ a % p
+            outside = rng.integers(0, p, ncols)
+            for vec in (inside, outside):
+                expected = rank_field(rows + [vec.tolist()], field) == len(pivots)
+                assert linalg.in_rowspace(reduced, pivots, vec, field) == expected
+        if nrows == 0:
+            assert linalg.kernel([], ncols, field).tolist() \
+                == np.eye(ncols, dtype=np.int64).tolist()
+
+
+def test_linalg_zero_rows_exact():
+    q = RationalField()
+    assert linalg.kernel([], 3, q) == [[q.one if i == j else q.zero
+                                        for j in range(3)] for i in range(3)]
+    assert linalg.rank([], 3, q) == 0
+    assert linalg.rref([], 3, q) == ([], [])
 
 
 def test_rational_rref_and_kernel():
