@@ -189,6 +189,10 @@ def cmd_fatideal(args):
     from kleinwiman.configs import build_config
     from kleinwiman.fatideals import PointSet, minimal_generators
 
+    if args.ledger_dmax is not None and (args.task != "resurgence"
+                                         or args.preset == "klein-char7"):
+        raise UsageError("--ledger-dmax applies only to fatideal resurgence "
+                         "for klein and wiman")
     field = _field_for(args.preset, args.field, default_prime=True)
     cfg = build_config(args.preset, None if args.preset == "klein-char7" else field)
     ps = PointSet.from_config(cfg)

@@ -6,7 +6,11 @@ from fractions import Fraction
 from itertools import product
 
 from kleinwiman.errors import EngineError
+from kleinwiman.fields import RationalField
+from kleinwiman.poly import Poly
 from kleinwiman.series import SeriesSpec, series_dim
+
+_Q = RationalField()
 
 # orbit sizes per class, fixing the intersection form H^2 = 1,
 # E_class^2 = -(orbit size)
@@ -173,51 +177,36 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
     return ledger
 
 
-def _poly_in_k(*coeffs):
-    """Little-endian polynomial in one variable over Q, for symbolic checks."""
-    return [Fraction(c) for c in coeffs]
+def _in_k(a, b):
+    """a + b k, a polynomial in one variable k over Q."""
+    return Poly(_Q, {(0,): _Q.coerce(a), (1,): _Q.coerce(b)}, 1, var_names=("k",))
 
 
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _dimension_count(preset, degree, mults):
+    """C(d + 2, 2) minus (orbit size) C(m + 1, 2) over the orbit classes, for
+    a degree d and multiplicities m that are polynomials in k."""
+    def choose2(f):
+        return (f * (f - _in_k(1, 0))).scale(Fraction(1, 2))
 
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    out = [x - y for x, y in zip(a, b)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _binom2(poly):
-    """C(f, 2) = f(f-1)/2 for a polynomial f in k."""
-    half = Fraction(1, 2)
-    return [c * half for c in _polymul(poly, _polysub(poly, [Fraction(1)]))]
+    count = choose2(degree + _in_k(2, 0))
+    for size, m in zip(CLASS_SIZES[preset], mults):
+        count = count - choose2(m + _in_k(1, 0)).scale(size)
+    return count
 
 
 def klein_upper_bound_identity():
     """The dimension count behind the 13/2 upper bound: the virtual dimension
-    of |D_k| is 7k+6, symbolically in k."""
-    lhs = _binom2(_poly_in_k(4, 28))
-    lhs = _polysub(lhs, [21 * c for c in _binom2(_poly_in_k(1, 2))])
-    lhs = _polysub(lhs, [28 * c for c in _binom2(_poly_in_k(1, 5))])
-    return lhs == _poly_in_k(6, 7)
+    of |D_k| = |(28k+2)H - 2k E4 - 5k E3| is 7k+6, symbolically in k."""
+    return (_dimension_count("klein", _in_k(2, 28), [_in_k(0, 2), _in_k(0, 5)])
+            == _in_k(6, 7))
 
 
 def wiman_upper_bound_identity():
-    """The analogous count for the 45-line configuration: 27k+28."""
-    lhs = _binom2(_poly_in_k(8, 36))
-    lhs = _polysub(lhs, [36 * c for c in _binom2(_poly_in_k(1, 1))])
-    lhs = _polysub(lhs, [45 * c for c in _binom2(_poly_in_k(1, 2))])
-    lhs = _polysub(lhs, [120 * c for c in _binom2(_poly_in_k(1, 3))])
-    return lhs == _poly_in_k(28, 27)
+    """The analogous count for the 45-line configuration: the class
+    (36k+6)H - k E5 - 2k E4 - 3k E3 has virtual dimension 27k+28."""
+    return (_dimension_count("wiman", _in_k(6, 36),
+                             [_in_k(0, 1), _in_k(0, 2), _in_k(0, 3)])
+            == _in_k(28, 27))
 
 
 def klein_lower_bound(k):

@@ -17,7 +17,7 @@ from kleinwiman import linalg
 from kleinwiman.errors import FatIdealError
 from kleinwiman.fields import PrimeField
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
-                             local_monomials, monomials_of_degree)
+                             local_monomials, monomials_of_degree, taylor_table)
 
 # regularity data imported from the reference results, never computed here:
 # reg(I^r) for r >= 2 is linear of the recorded shape, and the char-7 value
@@ -49,57 +49,33 @@ class PointSet:
 
 def point_conditions_matrix(pointset, m, d):
     """Vanishing-to-order-m conditions at every point, on the degree-d
-    monomial coefficients (columns ordered by monomials_of_degree)."""
+    monomial coefficients (columns ordered by monomials_of_degree).
+
+    Each point contributes one row per local monomial u^i v^j (in
+    local_monomials order): the coefficient of u^i v^j in the expansion of
+    each column monomial, the product of the two coordinates' Taylor table
+    entries.  Over F_p the result is one int64 array, otherwise a list of
+    rows.
+    """
     field = pointset.field
     cols = monomials_of_degree(3, d)
-    if isinstance(field, PrimeField):
-        return _conditions_modp(pointset, m, d, cols), cols
-    rows = []
-    for pt, chart in zip(pointset.points, pointset.charts):
-        for col_rows in _conditions_exact_point(field, pt, chart, m, d, cols):
-            rows.append(col_rows)
-    return rows, cols
-
-
-def _conditions_exact_point(field, pt, chart, m, d, cols):
     monos = local_monomials(m)
-    colvecs = []
-    for e in cols:
-        t = local_expand(Poly(field, {e: field.one}), pt, m, chart=chart)
-        colvecs.append([t.coeff(i, j) for (i, j) in monos])
-    return [list(row) for row in zip(*colvecs)]
-
-
-def _conditions_modp(pointset, m, d, cols):
-    p = pointset.field.p
-    monos = local_monomials(m)
-    ii = np.fromiter((i for i, _ in monos), dtype=np.int64)
-    jj = np.fromiter((j for _, j in monos), dtype=np.int64)
+    prime = isinstance(field, PrimeField)
+    ii, jj = [i for i, _ in monos], [j for _, j in monos]
     blocks = []
-    exps = np.array(cols, dtype=np.int64)
     for pt, chart in zip(pointset.points, pointset.charts):
-        locs = [i for i in range(3) if i != chart]
-        cu, cv = int(pt[locs[0]]), int(pt[locs[1]])
-        emax = int(exps.max())
-        # T[e, i] = C(e, i) * c^(e-i) for i < m
-        tu = _taylor_table(cu, emax, m, p)
-        tv = _taylor_table(cv, emax, m, p)
-        au = exps[:, locs[0]]
-        av = exps[:, locs[1]]
-        block = tu[au][:, :, None] * tv[av][:, None, :] % p
-        blocks.append(block[:, ii, jj].T)
-    return np.vstack(blocks)
-
-
-def _taylor_table(c, emax, m, p):
-    t = np.zeros((emax + 1, m), dtype=np.int64)
-    cpow = [1]
-    for _ in range(emax):
-        cpow.append(cpow[-1] * c % p)
-    for e in range(emax + 1):
-        for i in range(min(e, m - 1) + 1):
-            t[e, i] = comb(e, i) % p * cpow[e - i] % p
-    return t
+        lu, lv = (k for k in range(3) if k != chart)
+        au, av = [e[lu] for e in cols], [e[lv] for e in cols]
+        tu = taylor_table(field, pt[lu], d, m)
+        tv = taylor_table(field, pt[lv], d, m)
+        if prime:
+            bu = np.array(tu, dtype=np.int64)[au][:, ii]
+            bv = np.array(tv, dtype=np.int64)[av][:, jj]
+            blocks.append((bu * bv % field.p).T)
+        else:
+            blocks.extend([field.mul(tu[a][i], tv[b][j]) for a, b in zip(au, av)]
+                          for i, j in monos)
+    return (np.vstack(blocks) if prime else blocks), cols
 
 
 class GradedPiece:

@@ -34,7 +34,6 @@ KLEIN_RELATION = {
     (9, 1, 0): 2048,
 }
 
-KLEIN_CURVE_42 = {(0, 0, 3): 2, (1, 2, 1): -3, (2, 3, 0): 1}   # on (psi14, psi4 psi12^2 psi14, psi6 psi12^3)
 WIMAN_CURVE_90 = (4, -10, -20, 10, -5)
 
 
@@ -69,6 +68,16 @@ def expand_in_generators(weighted, generators):
     return weighted.substitute(list(generators))
 
 
+def _klein_psi(phi4, phi6, phi14):
+    """The normalized Klein invariants psi4, psi6, psi12, psi14 in terms of
+    phi4, phi6, phi14 (forms in S, or the weighted generator variables)."""
+    psi4 = _scaled(phi4, Fraction(2, 3))
+    psi6 = _scaled(phi6, 2)
+    return {4: psi4, 6: psi6, 12: _scaled(psi4 ** 3, 2) - psi6 ** 2,
+            14: _scaled(phi14, Fraction(1, 11))
+            - _scaled(phi4 ** 2 * phi6, Fraction(8, 33))}
+
+
 @lru_cache(maxsize=None)
 def klein_invariants(field):
     """Invariants of the 168-element group, normalized as in the incidence
@@ -79,21 +88,10 @@ def klein_invariants(field):
     phi6 = _scaled(hessian_det(phi4), Fraction(-1, 54))
     phi14 = _scaled(bordered_hessian_det(phi4, phi6), Fraction(1, 9))
     phi21 = _scaled(jacobian_det(phi4, phi6, phi14), Fraction(1, 14))
-    psi4 = _scaled(phi4, Fraction(2, 3))
-    psi6 = _scaled(phi6, 2)
-    psi12 = _scaled(psi4 ** 3, 2) - psi6 ** 2
-    psi14 = _scaled(phi14, Fraction(1, 11)) - _scaled(phi4 ** 2 * phi6, Fraction(8, 33))
-    v1, v2, v3 = _weighted_vars(field, KLEIN_WEIGHTS)
-    psi_in_phi = {
-        4: _scaled(v1, Fraction(2, 3)),
-        6: _scaled(v2, 2),
-        12: _scaled(v1 ** 3, Fraction(16, 27)) - _scaled(v2 ** 2, 4),
-        14: _scaled(v3, Fraction(1, 11)) - _scaled(v1 ** 2 * v2, Fraction(8, 33)),
-    }
     return InvariantSet("klein", field, config,
                         {4: phi4, 6: phi6, 14: phi14, 21: phi21},
-                        {4: psi4, 6: psi6, 12: psi12, 14: psi14},
-                        psi_in_phi)
+                        _klein_psi(phi4, phi6, phi14),
+                        _klein_psi(*_weighted_vars(field, KLEIN_WEIGHTS)))
 
 
 def _normalize_leading(f, degree, var=0):
@@ -103,6 +101,20 @@ def _normalize_leading(f, degree, var=0):
     if f.field.is_zero(c):
         raise EngineError(f"cannot normalize: no x^{degree} term")
     return f.scale(f.field.inv(c))
+
+
+def _wiman_psi(phi6, phi12, phi30):
+    """The normalized Wiman invariants psi6, psi12, psi24, psi30 in terms of
+    phi6, phi12, phi30 (forms in S, or the weighted generator variables)."""
+    psi6 = _scaled(phi6, 2)
+    psi12 = _scaled(phi6 ** 2 - phi12, 18)
+    psi24 = (psi6 ** 4 - _scaled(psi6 ** 2 * psi12, Fraction(1, 2))
+             + _scaled(psi12 ** 2, Fraction(1, 15)))
+    psi30 = _scaled(
+        _scaled(phi6 ** 5, 2) - _scaled(phi6 ** 3 * phi12, 11)
+        + _scaled(phi6 * phi12 ** 2, 36) - _scaled(phi30, 27),
+        Fraction(36, 25))
+    return {6: psi6, 12: psi12, 24: psi24, 30: psi30}
 
 
 @lru_cache(maxsize=None)
@@ -117,14 +129,8 @@ def wiman_invariants(field):
         raise EngineError("the degree-6 invariant should have unit x^6 coefficient")
     phi12 = _normalize_leading(hessian_det(phi6), 12)
     phi30 = _normalize_leading(bordered_hessian_det(phi6, phi12), 30)
-    psi6 = _scaled(phi6, 2)
-    psi12 = _scaled(phi6 ** 2 - phi12, 18)
-    psi24 = (psi6 ** 4 - _scaled(psi6 ** 2 * psi12, Fraction(1, 2))
-             + _scaled(psi12 ** 2, Fraction(1, 15)))
-    psi30 = _scaled(
-        _scaled(phi6 ** 5, 2) - _scaled(phi6 ** 3 * phi12, 11)
-        + _scaled(phi6 * phi12 ** 2, 36) - _scaled(phi30, 27),
-        Fraction(36, 25))
+    psi = _wiman_psi(phi6, phi12, phi30)
+    psi6, psi12 = psi[6], psi[12]
     # calibrate the square root of -15: the degree-12 conjugate factor built
     # with +s must vanish on the first triple orbit
     s = field.constant("s")
@@ -136,20 +142,11 @@ def wiman_invariants(field):
         if not field.is_zero(upsilon.evaluate(p3)):
             raise EngineError("neither square root of -15 matches the triple orbit")
     upsilon_bar = _upsilon(psi6, psi12, field.neg(s))
-    v1, v2, v3 = _weighted_vars(field, WIMAN_WEIGHTS)
-    p6 = _scaled(v1, 2)
-    p12 = _scaled(v1 ** 2 - v2, 18)
-    p24 = (p6 ** 4 - _scaled(p6 ** 2 * p12, Fraction(1, 2))
-           + _scaled(p12 ** 2, Fraction(1, 15)))
-    p30 = _scaled(_scaled(v1 ** 5, 2) - _scaled(v1 ** 3 * v2, 11)
-                  + _scaled(v1 * v2 ** 2, 36) - _scaled(v3, 27), Fraction(36, 25))
-    inv = InvariantSet("wiman", field, config,
-                       {6: phi6, 12: phi12, 30: phi30},
-                       {6: psi6, 12: psi12, 24: psi24, 30: psi30},
-                       {6: p6, 12: p12, 24: p24, 30: p30},
-                       extra={"s": s, "upsilon12": upsilon,
-                              "upsilon12_bar": upsilon_bar})
-    return inv
+    return InvariantSet("wiman", field, config,
+                        {6: phi6, 12: phi12, 30: phi30}, psi,
+                        _wiman_psi(*_weighted_vars(field, WIMAN_WEIGHTS)),
+                        extra={"s": s, "upsilon12": upsilon,
+                               "upsilon12_bar": upsilon_bar})
 
 
 def _upsilon(psi6, psi12, s):
@@ -249,21 +246,10 @@ def degree0_constant(num_factors, den_factors, point, cap=8):
             k = t.order_of_vanishing()
             if k is None:
                 raise EngineError("factor vanishes beyond the expansion cap")
-            lead = TruncPoly(field, k + 1, t.leading_form())
             for _ in range(e):
                 order += k
-                new = TruncPoly(field, order + 1)
-                for (i1, j1), c1 in form.terms.items():
-                    for (i2, j2), c2 in lead.terms.items():
-                        key = (i1 + i2, j1 + j2)
-                        v = field.mul(c1, c2)
-                        if key in new.terms:
-                            new.terms[key] = field.add(new.terms[key], v)
-                        else:
-                            new.terms[key] = v
-                new.terms = {k2: v for k2, v in new.terms.items()
-                             if not field.is_zero(v)}
-                form = new
+                form = (TruncPoly(field, order + 1, form.terms)
+                        * TruncPoly(field, order + 1, t.leading_form()))
         return order, form
 
     ord_n, form_n = leading(num_factors)
@@ -284,44 +270,46 @@ def degree0_constant(num_factors, den_factors, point, cap=8):
     return ratio
 
 
+def _klein_curve(p, field):
+    """2 psi14^3 - 3 psi4 psi12^2 psi14 + psi6 psi12^3 on p (degree -> psi),
+    local expansions or weighted polynomials alike."""
+    two = field.coerce(2)
+    three = field.coerce(3)
+    return ((p[14] ** 3).scale(two) - (p[4] * p[12] ** 2 * p[14]).scale(three)
+            + p[6] * p[12] ** 3)
+
+
 def klein_curve_local(inv, point, order):
     """Local expansion of the degree-42 combination tuned to the triple points."""
-    l = {d: local_expand(inv.psi[d], point, order) for d in (4, 6, 12, 14)}
-    two = inv.field.coerce(2)
-    three = inv.field.coerce(3)
-    return ((l[14] ** 3).scale(two) - (l[4] * l[12] ** 2 * l[14]).scale(three)
-            + l[6] * l[12] ** 3)
+    return _klein_curve({d: local_expand(inv.psi[d], point, order)
+                         for d in (4, 6, 12, 14)}, inv.field)
 
 
 def klein_curve_in_generators(inv):
     """The degree-42 combination as a weighted polynomial in the generators."""
-    p = inv.psi_in_phi
-    two = inv.field.coerce(2)
-    three = inv.field.coerce(3)
-    return (p[14] ** 3).scale(two) - (p[4] * p[12] ** 2 * p[14]).scale(three) \
-        + p[6] * p[12] ** 3
+    return _klein_curve(inv.psi_in_phi, inv.field)
+
+
+def _wiman_curve(p, field):
+    """The degree-90 combination with coefficients WIMAN_CURVE_90 on p
+    (degree -> psi), local expansions or weighted polynomials alike."""
+    c = [field.coerce(v) for v in WIMAN_CURVE_90]
+    return ((p[30] ** 3).scale(c[0]) + (p[6] * p[24] * p[30] ** 2).scale(c[1])
+            + (p[6] ** 2 * p[24] ** 2 * p[30]).scale(c[2])
+            + (p[12] * p[24] ** 2 * p[30]).scale(c[3])
+            + (p[6] * p[12] * p[24] ** 3).scale(c[4]))
 
 
 def wiman_curve_local(inv, point, order):
     """Local expansion of the degree-90 combination with coefficients
     (4, -10, -20, 10, -5)."""
-    l = {d: local_expand(inv.psi[d], point, order) for d in (6, 12, 24, 30)}
-    f = inv.field
-    c = [f.coerce(v) for v in WIMAN_CURVE_90]
-    return ((l[30] ** 3).scale(c[0]) + (l[6] * l[24] * l[30] ** 2).scale(c[1])
-            + (l[6] ** 2 * l[24] ** 2 * l[30]).scale(c[2])
-            + (l[12] * l[24] ** 2 * l[30]).scale(c[3])
-            + (l[6] * l[12] * l[24] ** 3).scale(c[4]))
+    return _wiman_curve({d: local_expand(inv.psi[d], point, order)
+                         for d in (6, 12, 24, 30)}, inv.field)
 
 
 def wiman_curve_in_generators(inv):
-    p = inv.psi_in_phi
-    f = inv.field
-    c = [f.coerce(v) for v in WIMAN_CURVE_90]
-    return ((p[30] ** 3).scale(c[0]) + (p[6] * p[24] * p[30] ** 2).scale(c[1])
-            + (p[6] ** 2 * p[24] ** 2 * p[30]).scale(c[2])
-            + (p[12] * p[24] ** 2 * p[30]).scale(c[3])
-            + (p[6] * p[12] * p[24] ** 3).scale(c[4]))
+    """The degree-90 combination as a weighted polynomial in the generators."""
+    return _wiman_curve(inv.psi_in_phi, inv.field)
 
 
 def wiman_multiplicity_matrix(inv):

@@ -1,8 +1,6 @@
 """Sparse multivariate polynomials over an exact field, with grading,
 ring maps, differential determinants and truncated local expansions."""
 
-from math import comb
-
 from kleinwiman.errors import FieldError
 
 DEFAULT_VARS = ("x", "y", "z")
@@ -499,6 +497,23 @@ def chart_for_point(field, point):
     raise ValueError("zero vector is not a projective point")
 
 
+def taylor_table(field, c, emax, m):
+    """Coefficients of (c + u)^e below order m, for e = 0 .. emax.
+
+    Row e holds C(e, i) * c^(e - i) at index i < m (zero for i > e).  The
+    rows follow Pascal's rule, row_e[i] = row_(e-1)[i-1] + c * row_(e-1)[i],
+    with field operations only; this is the one binomial expansion behind
+    every local expansion and every fat-point condition.
+    """
+    row = [field.one if i == 0 else field.zero for i in range(m)]
+    table = [row]
+    for _ in range(emax):
+        row = [field.add(row[i - 1], field.mul(c, row[i])) if i
+               else field.mul(c, row[0]) for i in range(m)]
+        table.append(row)
+    return table
+
+
 def local_expand(f, center, m, chart=None):
     """Recenter f at a projective point and truncate below total degree m.
 
@@ -516,34 +531,23 @@ def local_expand(f, center, m, chart=None):
     if field.is_zero(pt[chart]):
         raise ValueError("center lies on the hyperplane excluded by the chart")
     inv = field.inv(pt[chart])
-    pt = [field.mul(c, inv) for c in pt]
-    locals_ = [i for i in range(3) if i != chart]
-    a, b = pt[locals_[0]], pt[locals_[1]]
-
-    maxexp = 0
-    for e in f.terms:
-        maxexp = max(maxexp, e[locals_[0]], e[locals_[1]])
-    pow_a = [field.one]
-    pow_b = [field.one]
-    for _ in range(maxexp):
-        pow_a.append(field.mul(pow_a[-1], a))
-        pow_b.append(field.mul(pow_b[-1], b))
+    lu, lv = (i for i in range(3) if i != chart)
+    a, b = field.mul(pt[lu], inv), field.mul(pt[lv], inv)
+    tu = taylor_table(field, a, max((e[lu] for e in f.terms), default=0), m)
+    tv = taylor_table(field, b, max((e[lv] for e in f.terms), default=0), m)
 
     out = TruncPoly(field, m)
     acc = out.terms
     for e, c in f.terms.items():
-        eu, ev = e[locals_[0]], e[locals_[1]]
-        for i in range(min(eu, m - 1) + 1):
-            ca = field.mul(field.coerce(comb(eu, i)), pow_a[eu - i]) if eu else field.one
-            if field.is_zero(ca):
+        ru, rv = tu[e[lu]], tv[e[lv]]
+        for i in range(min(e[lu], m - 1) + 1):
+            if field.is_zero(ru[i]):
                 continue
-            cai = field.mul(c, ca)
-            for j in range(min(ev, m - 1 - i) + 1):
-                cb = (field.mul(field.coerce(comb(ev, j)), pow_b[ev - j])
-                      if ev else field.one)
-                if field.is_zero(cb):
+            cai = field.mul(c, ru[i])
+            for j in range(min(e[lv], m - 1 - i) + 1):
+                if field.is_zero(rv[j]):
                     continue
-                v = field.mul(cai, cb)
+                v = field.mul(cai, rv[j])
                 k = (i, j)
                 if k in acc:
                     acc[k] = field.add(acc[k], v)

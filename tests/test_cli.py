@@ -42,9 +42,12 @@ def test_usage_error_exit_code():
     ["negsearch", "--preset", "klein", "--dmax", "-5"],
     ["series", "--preset", "klein", "--d", "8", "--m3", "2", "--field", "modp:11"],
     ["fatideal", "alpha", "--preset", "klein-char7", "--dhint", "10"],
+    ["fatideal", "resurgence", "--preset", "klein-char7", "--ledger-dmax", "20"],
+    ["fatideal", "alpha", "--preset", "klein", "--ledger-dmax", "20"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
-        "field-lacks-preset-constants", "removed-dhint"])
+        "field-lacks-preset-constants", "removed-dhint",
+        "resurgence-char7-ledger", "alpha-ledger"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)
@@ -99,6 +102,13 @@ def test_invariants_verify_klein_modp():
     checks = rep["results"]["verification"]
     assert checks["degree42_relation"]["holds"]
     assert checks["image_of_triple_point"] == ["3", "4731", "4685"]
+
+
+@pytest.mark.parametrize("suite", ["klein-core", "wiman-core", "char7"])
+def test_golden_suites(suite):
+    code, rep = run_cli(["golden", "--suite", suite])
+    assert code == 0
+    assert rep["results"]["failed"] == 0 and rep["results"]["passed"] > 0
 
 
 def test_jsonable_fractions():

@@ -6,9 +6,11 @@ import pytest
 from kleinwiman.divisors import (DivisorClass, KLEIN_CURVE_42,
                                  KLEIN_LIMIT_CLASS, WIMAN_CURVE_90,
                                  WIMAN_NEF_CANDIDATE, combine, intersect,
-                                 klein_dk, klein_lower_bound, line_class,
+                                 klein_dk, klein_lower_bound,
+                                 klein_upper_bound_identity, line_class,
                                  negative_curve_search, self_int,
-                                 verify_divisor_identity, waldschmidt_bounds)
+                                 verify_divisor_identity, waldschmidt_bounds,
+                                 wiman_upper_bound_identity)
 from kleinwiman.errors import EngineError
 from kleinwiman.fields import preset_field
 from kleinwiman.series import SeriesSpec, series_basis
@@ -51,6 +53,7 @@ def test_divisor_identities():
                                    [(10, WIMAN_NEF_CANDIDATE)])
     assert verify_divisor_identity([(1, a)], [(1, a)])
     assert not verify_divisor_identity([(1, a)], [(2, a)])
+    assert klein_upper_bound_identity() and wiman_upper_bound_identity()
 
 
 def test_mismatched_configurations():

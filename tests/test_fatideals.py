@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kleinwiman.errors import FatIdealError
@@ -8,12 +9,13 @@ from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   containment_inequality_certificate,
                                   containment_report, jacobian_minor_generators,
                                   line_product, membership,
-                                  orbit_count_decompositions, power_piece,
-                                  resurgence_report, symbolic_piece,
+                                  orbit_count_decompositions, point_conditions_matrix,
+                                  power_piece, resurgence_report, symbolic_piece,
                                   vanishes_to_order)
 from kleinwiman.fields import RationalField
 from kleinwiman.groups import act_on_poly
-from kleinwiman.poly import Poly, chart_for_point, normalize_point
+from kleinwiman.poly import (Poly, chart_for_point, local_expand, local_monomials,
+                             monomials_of_degree, normalize_point)
 
 
 def test_symbolic_piece_dims_klein(klein_points_modp):
@@ -43,6 +45,42 @@ def _five_points(field, last):
 def five_points_zeta7(klein_exact):
     z = klein_exact.gen
     return _five_points(klein_exact, (klein_exact.one, z, klein_exact.mul(z, z)))
+
+
+@pytest.fixture(scope="module")
+def six_points_zeta7(klein_exact):
+    """Six points of P^2 over Q(zeta7), in all three charts."""
+    f = klein_exact
+    z = f.gen
+    z2, z3 = f.mul(z, z), f.pow(z, 3)
+    pts = [normalize_point(f, p) for p in (
+        (f.one, f.zero, f.zero), (z, f.one, f.zero), (z3, f.coerce(2), f.zero),
+        (f.zero, f.zero, f.coerce(3)), (f.one, z, z2),
+        (f.add(z, f.one), z3, f.coerce(5)))]
+    return PointSet("six-points", f, pts, [chart_for_point(f, p) for p in pts])
+
+
+@pytest.mark.parametrize("points", ["klein_points_modp", "six_points_zeta7"])
+@pytest.mark.parametrize("m, d", [(0, 3), (1, 0), (1, 4), (3, 5)])
+def test_point_conditions_match_local_expand(points, m, d, request):
+    """Each point's block of the condition matrix, against the expansion of
+    every column monomial by local_expand, read in local_monomials order."""
+    ps = request.getfixturevalue(points)
+    field = ps.field
+    mat, cols = point_conditions_matrix(ps, m, d)
+    assert cols == monomials_of_degree(3, d)
+    monos = local_monomials(m)
+    if isinstance(mat, np.ndarray):
+        assert mat.dtype == np.int64
+        assert mat.shape == (len(ps) * len(monos), len(cols))
+    else:
+        assert len(mat) == len(ps) * len(monos)
+        assert all(len(row) == len(cols) for row in mat)
+    for p, (pt, chart) in enumerate(zip(ps.points, ps.charts)):
+        block = mat[p * len(monos):(p + 1) * len(monos)]
+        for c, e in enumerate(cols):
+            t = local_expand(Poly(field, {e: field.one}), pt, m, chart=chart)
+            assert [row[c] for row in block] == [t.coeff(i, j) for i, j in monos]
 
 
 @pytest.fixture(scope="module")

@@ -136,6 +136,41 @@ def test_local_expand_multiplicative():
         assert lhs == rhs
 
 
+def _random_element(field, rng):
+    if field.kind == "prime":
+        return field.coerce(rng.randrange(field.p))
+    return field.coerce(tuple(rng.randint(-3, 3) for _ in range(field.deg)))
+
+
+@pytest.mark.parametrize("name", ["klein-mod4733", "klein-exact"])
+def test_local_expand_matches_translation(name):
+    """local_expand against the translate by Poly.substitute: the local
+    coordinates go to u + a and v + b, the chart coordinate to 1, and the
+    terms of total degree below m are kept."""
+    field = preset_field(name)
+    rng = random.Random(13)
+    u, v = (Poly.variable(field, i, 2, var_names=("u", "v")) for i in range(2))
+    one = Poly.constant(field, 1, 2, var_names=("u", "v"))
+    for chart in range(3):
+        for m in (1, 4, 7):
+            deg = rng.randint(0, 6)
+            mons = monomials_of_degree(3, deg)
+            f = Poly(field, {e: _random_element(field, rng)
+                             for e in rng.sample(mons, min(len(mons), 6))})
+            center = [_random_element(field, rng) for _ in range(3)]
+            if field.is_zero(center[chart]):
+                center[chart] = field.one
+            inv = field.inv(center[chart])
+            lu, lv = (k for k in range(3) if k != chart)
+            images = [None] * 3
+            images[chart] = one
+            images[lu] = u + one.scale(field.mul(center[lu], inv))
+            images[lv] = v + one.scale(field.mul(center[lv], inv))
+            want = {e: c for e, c in f.substitute(images).terms.items()
+                    if sum(e) < m}
+            assert local_expand(f, center, m, chart=chart).terms == want
+
+
 def test_multiplicity_of_line_product_at_triple_point(klein_inv_exact):
     assert multiplicity_at(klein_inv_exact.phi[21], (1, 1, 1), cap=5) == 3
 
