@@ -173,6 +173,9 @@ def cmd_negsearch(args):
 def cmd_waldschmidt(args):
     from kleinwiman.divisors import negative_curve_search, waldschmidt_bounds
 
+    if args.ledger_dmax is not None and args.preset != "klein":
+        raise UsageError("--ledger-dmax applies only to klein: the wiman bounds "
+                         "read no ledger")
     field = _field_for(args.preset, args.field, default_prime=True)
     ledger = None
     if args.ledger_dmax:
@@ -190,9 +193,9 @@ def cmd_fatideal(args):
     from kleinwiman.fatideals import PointSet, minimal_generators
 
     if args.ledger_dmax is not None and (args.task != "resurgence"
-                                         or args.preset == "klein-char7"):
+                                         or args.preset != "klein"):
         raise UsageError("--ledger-dmax applies only to fatideal resurgence "
-                         "for klein and wiman")
+                         "for klein")
     field = _field_for(args.preset, args.field, default_prime=True)
     cfg = build_config(args.preset, None if args.preset == "klein-char7" else field)
     ps = PointSet.from_config(cfg)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-# p**2 * m**2 (truncated products) and (PANEL + 1) * p**2 (the unblocked
+# m * p**2 (truncated products) and (PANEL + 1) * p**2 (the unblocked
 # elimination loop) must stay below 2**63 for the int64 accumulation; every
 # preset prime is tiny compared to this.
 MAX_PRIME = 1 << 20
@@ -164,20 +164,18 @@ def in_rowspace_mod(rref, pivots, v, p):
 
 
 def trunc_mul_mod(a, b, p):
-    """Multiply truncated bivariate polynomials mod p.
+    """Multiply truncated one-variable polynomials mod p, row by row.
 
-    a, b are (m, m) int64 arrays; entry [i, j] is the coefficient of x^i y^j,
-    zero whenever i + j >= m.  Returns the product truncated the same way.
-    Accumulates full int64 products, so p**2 * m**2 must stay below 2**63.
+    a, b are (lines, m) int64 arrays; entry [l, k] is the coefficient of t^k
+    on row l.  Returns the rows of products truncated below t^m.
+    Accumulates full int64 products, so m * p**2 must stay below 2**63.
     """
     _check_prime(p)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    m = a.shape[0]
-    out = np.zeros((m, m), dtype=np.int64)
-    for i, j in zip(*np.nonzero(a)):
-        out[i:, j:] += a[i, j] * b[: m - i, : m - j]
-    out %= p
-    for i in range(m):
-        out[i, m - i:] = 0
-    return out
+    lines, m = a.shape
+    # shifted[l, k, n] = b[l, n - k], zero for n < k
+    padded = np.zeros((lines, 2 * m - 1), dtype=np.int64)
+    padded[:, m - 1:] = b
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)[:, ::-1]
+    return np.einsum("lk,lkn->ln", a, shifted) % p

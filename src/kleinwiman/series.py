@@ -4,19 +4,31 @@ A series is the space of weighted polynomials in the fundamental invariants
 of a configuration whose expansions vanish to prescribed orders along the
 orbit classes of singular points.  Conditions are imposed at a single
 representative per orbit class (sufficient by invariance; cross-checked at
-random orbit points in the test suite), as truncated local expansions whose
-coefficients below the multiplicity must vanish.
+random orbit points in the test suite).
+
+The conditions are read on lines through the representative.  A form
+vanishes to order m there exactly when each homogeneous part h_k (k < m)
+of its local expansion in (u, v) is zero.  h_k is a binary form of degree
+k, so it is zero exactly when h_k(1, l) = 0 for the k + 1 slopes
+l = 0 .. k, and h_k(1, l) is the coefficient of t^k on the line
+(u, v) = (t, l t).  Per degree these m(m + 1)/2 rows are the coefficients
+of the expansion times an invertible Vandermonde matrix, so the row space,
+the kernel and its canonical basis are those of the coefficient rows.  On
+a line every form is a polynomial in t alone, and products are
+one-variable truncated products.  The slopes are distinct in F_p only
+when m <= p: a larger multiplicity over F_p is a usage error.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from kleinwiman import kernels, linalg
-from kleinwiman.errors import SeriesError
+from kleinwiman.errors import SeriesError, UsageError
 from kleinwiman.fields import PrimeField
 from kleinwiman.invariants import invariant_set
-from kleinwiman.poly import Poly, local_expand, local_monomials, weighted_basis
+from kleinwiman.poly import Poly, TruncPoly, local_expand, weighted_basis
 
 
 def cond(n, m):
@@ -74,120 +86,78 @@ def edim(spec):
     return max(base - used, 0)
 
 
-class _ModpLocalRing:
-    """Truncated local arithmetic on dense int64 arrays through the kernels."""
-
-    def __init__(self, field, order):
-        self.field = field
-        self.p = field.p
-        self.order = order
-
-    def from_trunc(self, t):
-        a = np.zeros((self.order, self.order), dtype=np.int64)
-        for (i, j), c in t.terms.items():
-            if i + j < self.order:
-                a[i, j] = c
-        return a
-
-    def one(self):
-        a = np.zeros((self.order, self.order), dtype=np.int64)
-        a[0, 0] = 1
-        return a
-
-    def mul(self, a, b):
-        return kernels.trunc_mul_mod(a, b, self.p)
-
-    def coeffs(self, a, monomials):
-        ii = np.fromiter((i for i, _ in monomials), dtype=np.int64)
-        jj = np.fromiter((j for _, j in monomials), dtype=np.int64)
-        return a[ii, jj]
-
-    def truncate(self, a, order):
-        out = a[:order, :order].copy()
-        for i in range(order):
-            out[i, order - i:] = 0
-        return out
-
-    def matrix(self, cols):
-        return np.array(cols, dtype=np.int64).T
+@lru_cache(maxsize=None)
+def _generator_expansion(preset, field, rep, i):
+    """Complete local expansion of fundamental invariant i at a point."""
+    w = series_weights(preset)[i]
+    return local_expand(invariant_set(preset, field).phi[w], rep, w + 1)
 
 
-class _ExactLocalRing:
-    """The same interface over TruncPoly for exact fields."""
+def _line_values(field, expansion, m):
+    """An expansion on the lines (u, v) = (t, l t), l = 0 .. m - 1, below t^m.
 
-    def __init__(self, field, order):
-        self.field = field
-        self.order = order
-
-    def from_trunc(self, t):
-        return t.copy_truncated(self.order)
-
-    def one(self):
-        from kleinwiman.poly import TruncPoly
-        return TruncPoly(self.field, self.order, {(0, 0): self.field.one})
-
-    def mul(self, a, b):
-        return a * b
-
-    def coeffs(self, a, monomials):
-        return [a.coeff(i, j) for i, j in monomials]
-
-    def truncate(self, a, order):
-        return a.copy_truncated(order)
-
-    def matrix(self, cols):
-        return [list(row) for row in zip(*cols)]
-
-
-_POWER_CACHE = {}
-
-
-def _generator_powers(preset, field, rep, gen_index, order, max_exp):
-    """Truncated powers of a fundamental invariant at a representative.
-
-    Cached per (field, preset, point, generator); the cache is regrown when a
-    larger truncation order or exponent is requested, and sliced down
-    otherwise (truncation of a product only ever needs the low-order part of
-    the factors).  The entry keeps its local ring: the one place where this
-    module decides between int64 arrays over F_p and exact TruncPoly.
+    Entry [l][k] is h_k(1, l), h_k the degree-k part of the expansion: an
+    (m, m) int64 array over F_p, one TruncPoly in u alone per line otherwise.
     """
-    key = (field.spec_key(), preset, rep, gen_index)
-    entry = _POWER_CACHE.get(key)
-    if entry is None or entry["order"] < order or len(entry["powers"]) <= max_exp:
-        inv = invariant_set(preset, field)
-        gens = [inv.phi[w] for w in series_weights(preset)]
-        grow_order = max(order, entry["order"] if entry else 0)
-        grow_exp = max(max_exp, len(entry["powers"]) - 1 if entry else 0)
-        ring = (_ModpLocalRing(field, grow_order) if isinstance(field, PrimeField)
-                else _ExactLocalRing(field, grow_order))
-        base = ring.from_trunc(local_expand(gens[gen_index], rep, grow_order))
-        powers = [ring.one()]
-        for _ in range(grow_exp):
-            powers.append(ring.mul(powers[-1], base))
-        entry = {"order": grow_order, "powers": powers, "ring": ring}
-        _POWER_CACHE[key] = entry
-    return entry
+    terms = [(i + j, j, c) for (i, j), c in expansion.terms.items() if i + j < m]
+    if isinstance(field, PrimeField):
+        p = field.p
+        powers = np.ones((m, 1 + max((j for _, j, _ in terms), default=0)),
+                         dtype=np.int64)
+        for j in range(1, powers.shape[1]):
+            powers[:, j] = powers[:, j - 1] * np.arange(m) % p
+        diag = np.zeros((m, powers.shape[1]), dtype=np.int64)
+        for k, j, c in terms:
+            diag[k, j] = c
+        return powers @ diag.T % p
+    lines = []
+    for slope in range(m):
+        row = [field.zero] * m
+        for k, j, c in terms:
+            row[k] = field.add(row[k], field.mul(c, field.coerce(slope ** j)))
+        lines.append(TruncPoly(field, m, {(k, 0): c for k, c in enumerate(row)}))
+    return lines
 
 
 def _condition_block(preset, field, rep, m, exps):
-    """Rows of vanishing conditions (below order m) at one representative."""
-    monomials = local_monomials(m)
-    caches = [_generator_powers(preset, field, rep, i, m, max(e[i] for e in exps))
-              for i in range(3)]
-    ring = caches[0]["ring"]
+    """Rows of vanishing conditions (below order m) at one representative.
 
-    def power(i, e):
-        return ring.truncate(caches[i]["powers"][e], m)
+    For each k < m, the t^k coefficients on the lines l = 0 .. k: the
+    degree-k part of the expansion is a binary form of degree k, zero
+    exactly when it vanishes at k + 1 distinct slopes.
+    """
+    if isinstance(field, PrimeField):
+        def mul(a, b):
+            return kernels.trunc_mul_mod(a, b, field.p)
+    else:
+        def mul(a, b):
+            return [x * y for x, y in zip(a, b)]
+    one = _line_values(field, TruncPoly(field, m, {(0, 0): field.one}), m)
+    powers = []
+    for i in range(3):
+        base = _line_values(field, _generator_expansion(preset, field, rep, i), m)
+        row = [one]
+        for _ in range(max(e[i] for e in exps)):
+            row.append(mul(row[-1], base))
+        powers.append(row)
 
-    cols = []
-    for (a, b, c) in exps:
-        prod = power(0, a)
+    def column(a, b, c):
+        prod = powers[0][a]
         if b:
-            prod = ring.mul(prod, power(1, b))
+            prod = mul(prod, powers[1][b])
         if c:
-            prod = ring.mul(prod, power(2, c))
-        cols.append(ring.coeffs(prod, monomials))
-    return ring.matrix(cols)
+            prod = mul(prod, powers[2][c])
+        return prod
+
+    rows = [(line, k) for k in range(m) for line in range(k + 1)]
+    if isinstance(field, PrimeField):
+        lines, degrees = np.array(rows).T
+        block = np.empty((len(rows), len(exps)), dtype=np.int64)
+        for n, e in enumerate(exps):
+            block[:, n] = column(*e)[lines, degrees]
+        return block
+    cols = [column(*e) for e in exps]
+    return [[col[line].coeff(k, 0) for col in cols] for line, k in rows]
 
 
 @dataclass
@@ -218,11 +188,15 @@ class SeriesBasis:
 def series_basis(spec, field):
     """Exact basis of the invariant series; empty when the degree is not
     representable in the weighted generator algebra."""
+    mults = spec.class_multiplicities()
+    if isinstance(field, PrimeField) and max(mults) > field.p:
+        raise UsageError(f"multiplicity {max(mults)} exceeds the characteristic "
+                         f"{field.p}: the conditions need that many distinct "
+                         "slopes in the field")
     exps = weighted_basis(series_weights(spec.preset), spec.d)
     if not exps:
         return SeriesBasis(spec, field, [], [])
     config = invariant_set(spec.preset, field).config
-    mults = spec.class_multiplicities()
     rows = []
     for cls, m in zip(config.classes, mults):
         if m > 0:

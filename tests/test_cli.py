@@ -44,10 +44,14 @@ def test_usage_error_exit_code():
     ["fatideal", "alpha", "--preset", "klein-char7", "--dhint", "10"],
     ["fatideal", "resurgence", "--preset", "klein-char7", "--ledger-dmax", "20"],
     ["fatideal", "alpha", "--preset", "klein", "--ledger-dmax", "20"],
+    ["waldschmidt", "--preset", "wiman", "--ledger-dmax", "36"],
+    ["fatideal", "resurgence", "--preset", "wiman", "--ledger-dmax", "36"],
+    ["series", "--preset", "wiman", "--field", "modp:19", "--d", "30", "--m3", "20"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
-        "resurgence-char7-ledger", "alpha-ledger"])
+        "resurgence-char7-ledger", "alpha-ledger", "waldschmidt-wiman-ledger",
+        "resurgence-wiman-ledger", "series-mult-above-p"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)

@@ -84,25 +84,28 @@ def test_rref_mod_periodic_cleanup():
 
 
 def test_trunc_mul_mod_matches_truncpoly():
+    """Row-wise products of one-variable polynomials against TruncPoly on
+    (k, 0) terms; the first two shapes are a single line and m = 1."""
     rng = np.random.default_rng(43)
-    for _ in range(25):
+    shapes = [(1, 9), (6, 1)] + [(int(rng.integers(1, 12)), int(rng.integers(2, 16)))
+                                 for _ in range(25)]
+    for lines, m in shapes:
         p = int(rng.choice([7, 4733]))
         field = PrimeField(p)
-        m = int(rng.integers(2, 16))
-        a = np.zeros((m, m), dtype=np.int64)
-        b = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            a[i, : m - i] = rng.integers(0, p, m - i)
-            b[i, : m - i] = rng.integers(0, p, m - i)
-        product = TruncPoly(field, m, _terms(a)) * TruncPoly(field, m, _terms(b))
-        expected = np.zeros((m, m), dtype=np.int64)
-        for (i, j), c in product.terms.items():
-            expected[i, j] = c
-        assert np.array_equal(kernels.trunc_mul_mod(a, b, p), expected)
+        a = rng.integers(0, p, (lines, m)) * (rng.random((lines, m)) < 0.7)
+        b = rng.integers(0, p, (lines, m)) * (rng.random((lines, m)) < 0.7)
+        expected = np.zeros((lines, m), dtype=np.int64)
+        for r in range(lines):
+            product = (TruncPoly(field, m, _terms(a[r]))
+                       * TruncPoly(field, m, _terms(b[r])))
+            for (k, _), c in product.terms.items():
+                expected[r, k] = c
+        got = kernels.trunc_mul_mod(a.astype(np.int64), b.astype(np.int64), p)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
-def _terms(a):
-    return {(int(i), int(j)): int(a[i, j]) for i, j in zip(*np.nonzero(a))}
+def _terms(row):
+    return {(int(k), 0): int(row[k]) for k in np.flatnonzero(row)}
 
 
 def test_kernel_mod_is_kernel():

@@ -1,11 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from kleinwiman.errors import SeriesError
-from kleinwiman.poly import local_expand
-from kleinwiman.series import (SeriesSpec, check_expected_dim, cond, dim_t,
-                               edim, series_basis, series_dim)
+from kleinwiman import linalg
+from kleinwiman.errors import SeriesError, UsageError
+from kleinwiman.fields import preset_field
+from kleinwiman.invariants import invariant_set
+from kleinwiman.poly import local_expand, local_monomials, weighted_basis
+from kleinwiman.series import (SeriesSpec, _condition_block, check_expected_dim,
+                               cond, dim_t, edim, series_basis, series_dim,
+                               series_weights)
 
 COND_TABLE = {  # multiplicities 1..8 for the three point types
     3: [1, 1, 2, 3, 4, 5, 7, 8],
@@ -159,3 +164,66 @@ def test_wiman_split_triple_multiplicities(wiman_modp):
     # asymmetric multiplicities are allowed behind the flag
     asym = series_dim(SeriesSpec("wiman", 90, m4=4, m3=8, m3b=0), wiman_modp)
     assert asym >= 1
+
+
+def _bivariate_rows(preset, field, rep, m, exps):
+    """Coefficient rows of the local expansions of the weighted monomials,
+    in local_monomials(m) order: the conditions the line rows replace."""
+    inv = invariant_set(preset, field)
+    gens = [local_expand(inv.phi[w], rep, m) for w in series_weights(preset)]
+    cols = []
+    for exp in exps:
+        prod = gens[0] ** exp[0] * gens[1] ** exp[1] * gens[2] ** exp[2]
+        cols.append([prod.coeff(i, j) for i, j in local_monomials(m)])
+    return [list(row) for row in zip(*cols)]
+
+
+LINE_ROW_CASES = [
+    ("klein", "klein_modp", 0, 18, 4),
+    ("klein", "klein_modp", 1, 42, 8),
+    ("klein", "klein_modp", 1, 60, 10),
+    ("klein", "klein_modp", (2, 3, 1), 60, 5),
+    ("wiman", "wiman_modp", 1, 90, 4),
+    ("wiman", "wiman_modp", 2, 90, 8),
+    ("wiman", "wiman_modp", 0, 60, 7),
+    ("wiman", "wiman_modp", (5, 7, 1), 84, 5),
+    ("klein", "klein_exact", 0, 18, 4),
+    ("klein", "klein_exact", 1, 42, 8),
+    ("klein", "klein_exact", (1, 2, 1), 48, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, fixture, where, d, m", LINE_ROW_CASES,
+    ids=[f"{fx.replace('_', '-')}-{'class%d' % w if isinstance(w, int) else 'general'}"
+         f"-d{d}-m{m}" for _, fx, w, d, m in LINE_ROW_CASES])
+def test_line_rows_match_bivariate_rows(preset, fixture, where, d, m, request):
+    """Rows on lines through a point span the same space as the coefficient
+    rows of the local expansion: equal shape and rank, and the same
+    canonical kernel.  `where` is an orbit class, whose representative has
+    a stabilizer that makes most rows redundant, or a general point, where
+    every row counts."""
+    field = request.getfixturevalue(fixture)
+    config = invariant_set(preset, field).config
+    rep = config.classes[where].representative if isinstance(where, int) \
+        else tuple(field.coerce(c) for c in where)
+    exps = weighted_basis(series_weights(preset), d)
+    lines = _condition_block(preset, field, rep, m, exps)
+    ref = _bivariate_rows(preset, field, rep, m, exps)
+    assert len(lines) == len(ref) == m * (m + 1) // 2
+    n = len(exps)
+    assert linalg.rank(lines, n, field) == linalg.rank(ref, n, field)
+    k_lines, k_ref = linalg.kernel(lines, n, field), linalg.kernel(ref, n, field)
+    assert 0 < len(k_ref) < n
+    assert np.array_equal(k_lines, k_ref) if isinstance(k_ref, np.ndarray) \
+        else k_lines == k_ref
+
+
+def test_multiplicity_above_characteristic_is_usage_error():
+    """The conditions need m distinct slopes: over F_p, m <= p."""
+    f29 = preset_field("modp", 29)
+    with pytest.raises(UsageError):
+        series_basis(SeriesSpec("klein", 12, m3=30), f29)
+    assert series_dim(SeriesSpec("klein", 12, m3=29), f29) == 0
+    with pytest.raises(UsageError):
+        series_basis(SeriesSpec("klein", 12, m4=30, m3=2), f29)
