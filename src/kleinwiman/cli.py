@@ -14,7 +14,7 @@ from fractions import Fraction
 from kleinwiman.errors import EngineError, UsageError
 from kleinwiman.fields import WIMAN_PRIME, parse_field_flag, preset_field
 
-SCHEMA = "kleinwiman-report/3"
+SCHEMA = "kleinwiman-report/4"
 
 
 def jsonable(v):
@@ -60,7 +60,7 @@ def _fmt_point(field, p):
 
 def cmd_config(args):
     from kleinwiman.configs import build_config, verify_orbit_decomposition
-    from kleinwiman.divisors import CLASS_SIZES, line_class
+    from kleinwiman.divisors import CLASS_LABELS, CLASS_SIZES, line_class
 
     field = _field_for(args.preset, args.field)
     cfg = build_config(args.preset, field)
@@ -76,8 +76,7 @@ def cmd_config(args):
         "intersection_form": {
             "H^2": 1,
             **{f"{lbl}^2": -s for lbl, s in
-               zip(("E5", "E4", "E3") if args.preset == "wiman" else ("E4", "E3"),
-                   CLASS_SIZES[args.preset])},
+               zip(CLASS_LABELS[args.preset], CLASS_SIZES[args.preset])},
         },
         "line_configuration_class": line_class(args.preset).as_text(),
         "source": "computed",
@@ -91,10 +90,7 @@ def cmd_config(args):
 
 
 def cmd_invariants(args):
-    from kleinwiman.invariants import (invariant_set, is_invariant,
-                                       stated_multiplicity_matrix,
-                                       verify_klein_relation,
-                                       wiman_multiplicity_matrix)
+    from kleinwiman.invariants import identity_checks, invariant_set, is_invariant
 
     field = _field_for(args.preset, args.field)
     inv = invariant_set(args.preset, field)
@@ -103,30 +99,13 @@ def cmd_invariants(args):
                "normalized": {str(d): f.text() for d, f in sorted(inv.psi.items())}}
     ok = True
     if args.verify:
-        checks = {}
-        checks["generators_fix_invariants"] = all(
-            is_invariant(inv.config, f) for f in inv.phi.values())
-        if args.preset == "klein":
-            rel = verify_klein_relation(inv)
-            checks["degree42_relation"] = {
-                "holds": rel["holds"], "rederived": rel["rederived"],
-                "coefficients": {str(k): v for k, v in rel["coefficients"].items()}}
-            p = tuple(field.coerce(1) for _ in range(3))
-            checks["image_of_triple_point"] = [
-                field.fmt(inv.phi[d].evaluate(p)) for d in (4, 6, 14)]
-            ok = rel["holds"] and checks["generators_fix_invariants"]
-        else:
-            ups = inv.extra["upsilon12"] * inv.extra["upsilon12_bar"]
-            checks["degree24_factorization"] = ups == inv.psi[24]
-            rows, s_used = wiman_multiplicity_matrix(inv)
-            checks["multiplicity_matrix_matches"] = (
-                rows == stated_multiplicity_matrix(field, s_used))
-            v = [field.coerce(c) for c in (4, -10, -20, 10, -5)]
-            checks["kernel_vector"] = all(
-                field.is_zero(field.sum([field.mul(rows[i][j], v[j])
-                                         for j in range(5)]))
-                for i in range(5))
-            ok = all(bool(x) for x in checks.values())
+        checks = {"generators_fix_invariants": all(is_invariant(inv.config, f)
+                                                   for f in inv.phi.values()),
+                  **identity_checks(inv)}
+        # a check is a flag or a dict with one; the image of the triple
+        # point is a reported value, not a check
+        ok = all(v["holds"] if isinstance(v, dict) else v
+                 for k, v in checks.items() if k != "image_of_triple_point")
         results["verification"] = checks
     return (0 if ok else 1), results
 
@@ -190,7 +169,8 @@ def cmd_waldschmidt(args):
 
 def cmd_fatideal(args):
     from kleinwiman.configs import build_config
-    from kleinwiman.fatideals import PointSet, minimal_generators
+    from kleinwiman.fatideals import (PointSet, minimal_generators,
+                                      resurgence_certificate)
 
     if args.ledger_dmax is not None and (args.task != "resurgence"
                                          or args.preset != "klein"):
@@ -224,84 +204,8 @@ def cmd_fatideal(args):
         rep["source"] = "computed (regularity constants: reference)"
         return 0, rep
     if args.task == "resurgence":
-        return cmd_resurgence(args, field, cfg, ps)
+        return resurgence_certificate(cfg, ps, field, args.ledger_dmax)
     raise UsageError(f"unknown fatideal task {args.task!r}")
-
-
-def cmd_resurgence(args, field, cfg, ps):
-    from kleinwiman.divisors import waldschmidt_bounds
-    from kleinwiman.fatideals import (alpha_symbolic, asymptotic_resurgence_bounds,
-                                      line_product, membership,
-                                      minimal_generators, power_piece,
-                                      resurgence_report, vanishes_to_order)
-    from kleinwiman.invariants import invariant_set, wiman_phi45
-
-    preset = args.preset
-    if preset == "klein-char7":
-        gens = minimal_generators(ps, 13)
-        f = line_product(cfg)
-        alpha8 = alpha_symbolic(ps, 8, cap=60)
-        alpha_hat = Fraction(alpha8, 8)
-        witness = {
-            "extreme_failure": {
-                "pair": [3, 2],
-                "element_degree": f.degree(),
-                "in_symbolic_cube": vanishes_to_order(f, ps, 3),
-                "in_square": membership(f, power_piece(gens, 2, 21)),
-            },
-            "literal_small_failure": {
-                "pair": [2, 3],
-                "witness_degree": alpha_symbolic(ps, 2),
-                "note": "any symbolic-square element below the cube of the "
-                        "ideal is a witness",
-            },
-        }
-        rep = resurgence_report(preset, ps, gens, alpha_hat,
-                                {"upper": "computed (alpha of the 8th symbolic "
-                                          "power is 50)",
-                                 "lower": "reference-constant"},
-                                witness_checks=witness)
-        rep["alpha_symbolic_8"] = alpha8
-        rep["alpha_hat"] = alpha_hat
-        rep["asymptotic_resurgence_bounds"] = asymptotic_resurgence_bounds(
-            gens.alpha, gens.omega, alpha_hat, alpha_hat)
-        ok = (not witness["extreme_failure"]["in_square"]
-              and witness["extreme_failure"]["in_symbolic_cube"])
-        return (0 if ok else 1), rep
-    # characteristic-zero presets
-    depth = 13 if preset == "klein" else 29
-    gens = minimal_generators(ps, depth)
-    inv = invariant_set(preset, field)
-    f = inv.phi[21] if preset == "klein" else wiman_phi45(inv)
-    d = f.degree()
-    w = waldschmidt_bounds(preset, field, curve_only=(preset == "klein"))
-    alpha_hat_lower = w["lower"]
-    alpha_hat_upper = w["upper"]
-    witness = {
-        "extreme_failure": {
-            "pair": [3, 2],
-            "element_degree": d,
-            "in_symbolic_cube": vanishes_to_order(f, ps, 3),
-            "in_square": membership(f, power_piece(gens, 2, d)),
-        },
-    }
-    rep = resurgence_report(preset, ps, gens, alpha_hat_lower,
-                            {"lower": "computed (nef certificate)",
-                             "upper": "computed (dimension count)"},
-                            witness_checks=witness)
-    rep["alpha_hat_bounds"] = {"lower": alpha_hat_lower, "upper": alpha_hat_upper}
-    if args.ledger_dmax:
-        from kleinwiman.divisors import negative_curve_search
-        ledger = negative_curve_search(preset, field, args.ledger_dmax)
-        w2 = waldschmidt_bounds(preset, field, ledger=ledger,
-                                ledger_dmax=args.ledger_dmax)
-        rep["alpha_hat_bounds"]["lower"] = w2["lower"]
-        alpha_hat_lower = w2["lower"]
-    rep["asymptotic_resurgence_bounds"] = asymptotic_resurgence_bounds(
-        gens.alpha, gens.omega, alpha_hat_lower, alpha_hat_upper)
-    ok = (not witness["extreme_failure"]["in_square"]
-          and witness["extreme_failure"]["in_symbolic_cube"])
-    return (0 if ok else 1), rep
 
 
 def cmd_golden(args):

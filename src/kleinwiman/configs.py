@@ -82,10 +82,6 @@ class LineConfiguration:
     def class_sizes(self):
         return [c.size for c in self.classes]
 
-    def line_class_multiplicities(self):
-        """Multiplicity vector of the divisor of the whole line configuration."""
-        return [c.multiplicity for c in self.classes]
-
     def all_points(self):
         out = []
         for cls in self.classes:
@@ -263,12 +259,12 @@ def build_config(preset, field=None):
     raise ConfigError(f"unknown configuration preset {preset!r}")
 
 
-def verify_orbit_decomposition(config, group=None, check_special=False):
+def verify_orbit_decomposition(config, check_special=False):
     """Audit the classification: multiplicities, pairwise coverage, orbit
     structure, and (over prime fields, on request) the special orbits cut out
     by pairs of fundamental invariants."""
     field = config.field
-    group = group or config.group
+    group = config.group
     report = {"preset": config.preset, "classes": [], "ok": True}
     coeffs = [line_coeffs(line) for line in config.lines]
     classified = set()

@@ -14,6 +14,7 @@ from math import comb
 import numpy as np
 
 from kleinwiman import linalg
+from kleinwiman.divisors import negative_curve_search, waldschmidt_bounds
 from kleinwiman.errors import FatIdealError
 from kleinwiman.fields import PrimeField
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
@@ -322,7 +323,7 @@ def orbit_count_decompositions(sizes, total):
     return out
 
 
-def containment_report(pointset, m, r, d_max, gens=None, gen_depth=None):
+def containment_report(pointset, m, r, d_max, gens=None):
     """Two-route containment certificate for symbolic power m inside ordinary
     power r.
 
@@ -333,7 +334,7 @@ def containment_report(pointset, m, r, d_max, gens=None, gen_depth=None):
     """
     if gens is None:
         a1 = alpha_symbolic(pointset, 1, cap=d_max)
-        depth = gen_depth or max(a1 + 2, d_max - (r - 1) * a1)
+        depth = max(a1 + 2, d_max - (r - 1) * a1)
         gens = minimal_generators(pointset, depth)
     alpha1 = gens.alpha
     report = {"preset": pointset.preset, "m": m, "r": r, "d_max": d_max,
@@ -395,37 +396,85 @@ def containment_inequality_certificate(alpha_hat_lower, reg_linear, r_min):
             "holds": slope >= 0 and value >= 0}
 
 
-def resurgence_report(preset, pointset, gens, alpha_hat_lower,
-                      alpha_hat_source, witness_checks=None):
-    """Assemble the resurgence certificates: the extreme containment failure,
-    the linear inequality closing every ratio above 3/2, and the asymptotic
-    bounds alpha/alpha_hat <= rho_hat <= omega/alpha_hat."""
-    alpha1 = gens.alpha
-    omega1 = gens.omega
-    reg = REGULARITY[preset]
-    r_min = 8 if preset == "klein-char7" else 2
-    ineq = containment_inequality_certificate(alpha_hat_lower, reg["linear"], r_min)
+def extreme_failure(pointset, gens, f):
+    """The (3, 2) containment failure witnessed by the form f: it vanishes to
+    order 3 at every point (local expansion) and lies outside the square of
+    the ideal (membership in the degree-deg f piece of I^2)."""
+    d = f.degree()
+    return {"pair": [3, 2], "element_degree": d,
+            "in_symbolic_cube": vanishes_to_order(f, pointset, 3),
+            "in_square": membership(f, power_piece(gens, 2, d))}
+
+
+def resurgence_certificate(config, pointset, field, ledger_dmax=None):
+    """The resurgence certificates of a preset, as (exit code, report):
+
+    - the extreme containment failure (3, 2), witnessed by the product of the
+      lines; exit code 1 when it does not re-check;
+    - the linear inequality closing every ratio m/r > 3/2, from the lower
+      bound on alpha_hat and the recorded regularity; FatIdealError when it
+      fails;
+    - the asymptotic bounds alpha/alpha_hat <= rho_hat <= omega/alpha_hat.
+
+    Only the source of the alpha_hat bounds depends on the preset: in
+    characteristic 7 both ends are alpha(I^(8))/8, and the inequality starts
+    at r = 8; otherwise they are the nef certificates of
+    divisors.waldschmidt_bounds, and with ledger_dmax the lower end is the
+    larger of the curve and the ledger certificates.
+    """
+    preset = config.preset
+    f = line_product(config)
+    # the square of the ideal in degree d needs the generators through d - alpha
+    gens = minimal_generators(pointset, f.degree() - alpha_symbolic(pointset, 1))
+    certificates = {"extreme_failure": extreme_failure(pointset, gens, f)}
+    if preset == "klein-char7":
+        alpha8 = alpha_symbolic(pointset, 8, cap=60)
+        lower = upper = Fraction(alpha8, 8)
+        r_min = 8
+        source = {"upper": f"computed (alpha of the 8th symbolic power is {alpha8})",
+                  "lower": "reference-constant"}
+        certificates["literal_small_failure"] = {
+            "pair": [2, 3],
+            "witness_degree": alpha_symbolic(pointset, 2),
+            "note": "any symbolic-square element below the cube of the ideal "
+                    "is a witness",
+        }
+        extra = {"alpha_symbolic_8": alpha8, "alpha_hat": lower,
+                 "small_r_note": "ratios with 2 <= r <= 7 rely on degreewise "
+                                 "checks; caps are recorded with each run"}
+    else:
+        w = waldschmidt_bounds(preset, field)
+        lower, upper = w["lower"], w["upper"]
+        if ledger_dmax is not None:
+            ledger = negative_curve_search(preset, field, ledger_dmax)
+            lower = max(lower, waldschmidt_bounds(preset, field, ledger=ledger,
+                                                  ledger_dmax=ledger_dmax)["lower"])
+        r_min = 2
+        source = {"lower": "computed (nef certificate)",
+                  "upper": "computed (dimension count)"}
+        extra = {"alpha_hat_bounds": {"lower": lower, "upper": upper}}
+    ineq = containment_inequality_certificate(lower, REGULARITY[preset]["linear"],
+                                              r_min)
+    if not ineq["holds"]:
+        raise FatIdealError("resurgence inequality certificate failed")
     report = {
         "preset": preset,
-        "alpha": alpha1,
-        "omega": omega1,
-        "alpha_hat_lower": Fraction(alpha_hat_lower),
-        "alpha_hat_source": alpha_hat_source,
+        "alpha": gens.alpha,
+        "omega": gens.omega,
+        "alpha_hat_lower": lower,
+        "alpha_hat_source": source,
         "resurgence": Fraction(3, 2),
         "inequality_certificate": ineq,
         "r1_note": "ratios with r = 1 are closed by the trivial containment "
                    "of every symbolic power in the ideal itself",
-        "certificates": {},
+        "certificates": certificates,
+        "asymptotic_resurgence_bounds": asymptotic_resurgence_bounds(
+            gens.alpha, gens.omega, lower, upper),
+        **extra,
     }
-    if preset == "klein-char7":
-        report["small_r_note"] = (
-            "ratios with 2 <= r <= 7 rely on degreewise checks; "
-            "caps are recorded with each run")
-    if witness_checks:
-        report["certificates"].update(witness_checks)
-    if not ineq["holds"]:
-        raise FatIdealError("resurgence inequality certificate failed")
-    return report
+    failure = certificates["extreme_failure"]
+    ok = failure["in_symbolic_cube"] and not failure["in_square"]
+    return (0 if ok else 1), report
 
 
 def asymptotic_resurgence_bounds(alpha1, omega1, alpha_hat_lower, alpha_hat_upper):

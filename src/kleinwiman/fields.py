@@ -339,12 +339,12 @@ class SimpleExtension(Field):
 
     kind = "extension"
 
-    def __init__(self, minpoly, gen_name="w", name=None, check_irreducible=True):
+    def __init__(self, minpoly, gen_name="w", name=None):
         super().__init__()
         self.minpoly = tuple(Fraction(c) for c in minpoly)
         if self.minpoly[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
-        if check_irreducible and not is_irreducible_monic_int(self.minpoly):
+        if not is_irreducible_monic_int(self.minpoly):
             raise FieldError("minimal polynomial is reducible over Q")
         self.deg = len(self.minpoly) - 1
         self.gen_name = gen_name

@@ -14,6 +14,14 @@ def _check_true(name, got, detail=""):
     return {"name": name, "pass": bool(got), "detail": detail or f"got {got}"}
 
 
+def _extreme_failure_checks(failure):
+    """The pass/fail lines of fatideals.extreme_failure."""
+    return [_check_true("line product in symbolic cube",
+                        failure["in_symbolic_cube"]),
+            _check_true("line product outside the square",
+                        not failure["in_square"])]
+
+
 def _guard(fn):
     try:
         return fn()
@@ -26,13 +34,13 @@ def klein_core_checks():
     from kleinwiman.divisors import (klein_dk, line_class, negative_curve_search,
                                      self_int, verify_divisor_identity,
                                      waldschmidt_bounds, DivisorClass)
-    from kleinwiman.fatideals import (PointSet, jacobian_minor_generators,
+    from kleinwiman.fatideals import (PointSet, extreme_failure,
+                                      jacobian_minor_generators, line_product,
                                       membership, minimal_generators,
-                                      power_piece, symbolic_piece,
-                                      vanishes_to_order)
+                                      symbolic_piece)
     from kleinwiman.groups import stabilizer_order
-    from kleinwiman.invariants import (degree0_constant, klein_curve_local,
-                                       klein_invariants, verify_klein_relation)
+    from kleinwiman.invariants import (degree0_constant, identity_checks,
+                                       klein_curve_local, klein_invariants)
     from kleinwiman.poly import hessian_det
     from kleinwiman.series import SeriesSpec, dim_t, edim, series_dim
 
@@ -52,11 +60,10 @@ def klein_core_checks():
     out.append(_check_true("hessian normalization",
                            hessian_det(inv.phi[4]) == inv.phi[6].scale(KE.coerce(-54)),
                            "H of the quartic is -54 times the sextic"))
-    p = (1, 1, 1)
-    out.append(_check("invariant image of [1:1:1]",
-                      [KE.fmt(inv.phi[d].evaluate(p)) for d in (4, 6, 14)],
+    ids = identity_checks(inv)
+    out.append(_check("invariant image of [1:1:1]", ids["image_of_triple_point"],
                       ["3", "-2", "-48"]))
-    rel = verify_klein_relation(inv)
+    rel = ids["degree42_relation"]
     out.append(_check_true("degree-42 relation", rel["holds"],
                            f"rederived={rel['rederived']}"))
     from kleinwiman.configs import line_coeffs, points_on_line
@@ -71,6 +78,7 @@ def klein_core_checks():
     out.append(_check("dim T_42(-8E3)",
                       series_dim(SeriesSpec("klein", 42, m3=8), KE), 1))
     out.append(_check("edim T_42(-8E3)", edim(SeriesSpec("klein", 42, m3=8)), 1))
+    p = (1, 1, 1)
     c1 = degree0_constant([(inv.psi[4], 1), (inv.psi[12], 2)],
                           [(inv.psi[14], 2)], p)
     c2 = degree0_constant([(inv.psi[6], 1), (inv.psi[12], 1)],
@@ -103,10 +111,8 @@ def klein_core_checks():
     sp8 = symbolic_piece(ps, 1, 8)
     out.append(_check_true("minors span the degree-8 piece",
                            sp8.dim == 3 and all(membership(m, sp8) for m in minors)))
-    out.append(_check_true("line product in symbolic cube",
-                           vanishes_to_order(invp.phi[21], ps, 3)))
-    out.append(_check_true("line product outside the square",
-                           not membership(invp.phi[21], power_piece(gens, 2, 21))))
+    out.extend(_extreme_failure_checks(extreme_failure(ps, gens,
+                                                      line_product(cfgp))))
     return out
 
 
@@ -115,13 +121,12 @@ def wiman_core_checks():
     from kleinwiman.divisors import (DivisorClass, line_class, self_int,
                                      verify_divisor_identity, waldschmidt_bounds,
                                      WIMAN_NEF_CANDIDATE)
-    from kleinwiman.fatideals import (PointSet, jacobian_minor_generators,
+    from kleinwiman.fatideals import (PointSet, extreme_failure,
+                                      jacobian_minor_generators, line_product,
                                       membership, minimal_generators,
-                                      power_piece, symbolic_piece,
-                                      vanishes_to_order)
-    from kleinwiman.invariants import (stated_multiplicity_matrix,
-                                       wiman_curve_local, wiman_invariants,
-                                       wiman_multiplicity_matrix, wiman_phi45)
+                                      symbolic_piece)
+    from kleinwiman.invariants import (identity_checks, wiman_curve_local,
+                                       wiman_invariants)
     from kleinwiman.series import SeriesSpec, dim_t, edim, series_dim
 
     out = []
@@ -132,17 +137,11 @@ def wiman_core_checks():
     out.append(_check("valentiner group order", cfg.group.order, 1080))
     out.append(_check("projective group order", cfg.group.projective_order, 360))
     inv = wiman_invariants(Wp)
-    out.append(_check_true("degree-24 factorization",
-                           inv.extra["upsilon12"] * inv.extra["upsilon12_bar"]
-                           == inv.psi[24]))
-    rows, s_used = wiman_multiplicity_matrix(inv)
+    ids = identity_checks(inv)
+    out.append(_check_true("degree-24 factorization", ids["degree24_factorization"]))
     out.append(_check_true("multiplicity matrix matches",
-                           rows == stated_multiplicity_matrix(Wp, s_used)))
-    v = [Wp.coerce(c) for c in (4, -10, -20, 10, -5)]
-    out.append(_check_true("matrix kernel vector",
-                           all(Wp.is_zero(Wp.sum([Wp.mul(rows[i][j], v[j])
-                                                  for j in range(5)]))
-                               for i in range(5))))
+                           ids["multiplicity_matrix_matches"]))
+    out.append(_check_true("matrix kernel vector", ids["kernel_vector"]))
     out.append(_check("dim T_90", dim_t("wiman", 90), 18))
     spec = SeriesSpec("wiman", 90, m4=4, m3=8)
     out.append(_check("dim T_90(-4E4-8E3)", series_dim(spec, Wp), 1))
@@ -165,7 +164,7 @@ def wiman_core_checks():
     wb = waldschmidt_bounds("wiman", Wp)
     out.append(_check("waldschmidt exact value", wb["exact"], Fraction(27, 2)))
     ps = PointSet.from_config(cfg)
-    gens = minimal_generators(ps, 18)
+    gens = minimal_generators(ps, 29)
     out.append(_check("minimal generators by degree",
                       {d: len(v) for d, v in gens.by_degree.items()}, {16: 3}))
     minors = jacobian_minor_generators(inv.phi[6], inv.phi[12])
@@ -173,22 +172,17 @@ def wiman_core_checks():
     out.append(_check_true("minors span the degree-16 piece",
                            sp16.dim == 3 and all(membership(m, sp16)
                                                  for m in minors)))
-    f45 = wiman_phi45(inv)
-    gens29 = minimal_generators(ps, 29)
-    out.append(_check_true("line product in symbolic cube",
-                           vanishes_to_order(f45, ps, 3)))
-    out.append(_check_true("line product outside the square",
-                           not membership(f45, power_piece(gens29, 2, 45))))
+    out.extend(_extreme_failure_checks(extreme_failure(ps, gens,
+                                                      line_product(cfg))))
     return out
 
 
 def char7_checks():
     from kleinwiman.configs import build_klein_char7
     from kleinwiman.fatideals import (PointSet, alpha_symbolic,
-                                      containment_report, line_product,
-                                      membership, minimal_generators,
-                                      power_piece, symbolic_piece,
-                                      vanishes_to_order)
+                                      asymptotic_resurgence_bounds,
+                                      containment_report, extreme_failure,
+                                      line_product, minimal_generators)
 
     out = []
     cfg = build_klein_char7()
@@ -199,11 +193,8 @@ def char7_checks():
     out.append(_check("alpha of the ideal", alpha_symbolic(ps, 1), 8))
     gens = minimal_generators(ps, 13)
     out.append(_check("omega of the ideal", gens.omega, 9))
-    F = line_product(cfg)
-    out.append(_check_true("line product in symbolic cube",
-                           vanishes_to_order(F, ps, 3)))
-    out.append(_check_true("line product outside the square",
-                           not membership(F, power_piece(gens, 2, 21))))
+    out.extend(_extreme_failure_checks(extreme_failure(ps, gens,
+                                                      line_product(cfg))))
     rep23 = containment_report(ps, 2, 3, 20, gens=gens)
     out.append(_check("(2,3) failure witness degree", rep23.get("witness_degree"),
                       16))
@@ -212,8 +203,10 @@ def char7_checks():
                       21))
     a8 = alpha_symbolic(ps, 8, cap=55)
     out.append(_check("alpha of the 8th symbolic power", a8, 50))
+    bounds = asymptotic_resurgence_bounds(gens.alpha, gens.omega,
+                                          Fraction(a8, 8), Fraction(a8, 8))
     out.append(_check("asymptotic resurgence bounds",
-                      [str(Fraction(8 * 8, 50)), str(Fraction(9 * 8, 50))],
+                      [str(bounds["lower"]), str(bounds["upper"])],
                       ["32/25", "36/25"]))
     return out
 

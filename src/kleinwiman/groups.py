@@ -8,12 +8,11 @@ class GroupElement:
     """3x3 invertible matrix over a field, acting on points by matrix-vector
     product and on polynomials by substituting the rows into the variables."""
 
-    __slots__ = ("field", "m", "_key")
+    __slots__ = ("field", "m")
 
     def __init__(self, field, entries):
         self.field = field
         self.m = tuple(tuple(field.coerce(v) for v in row) for row in entries)
-        self._key = None
 
     @classmethod
     def identity(cls, field):
@@ -21,9 +20,7 @@ class GroupElement:
         return cls(field, ((one, zero, zero), (zero, one, zero), (zero, zero, one)))
 
     def key(self):
-        if self._key is None:
-            self._key = self.m
-        return self._key
+        return self.m
 
     def projective_key(self):
         """Entries scaled so the first nonzero entry is 1."""
@@ -50,7 +47,6 @@ class GroupElement:
         out = GroupElement.__new__(GroupElement)
         out.field = f
         out.m = tuple(rows)
-        out._key = None
         return out
 
     def matvec(self, v):
@@ -128,21 +124,19 @@ class FiniteGroup:
         return len(self.elements)
 
 
-def generate_group(gens, expected_order=None, cap=None, projective=False,
-                   field=None):
+def generate_group(gens, expected_order=None, projective=False):
     """Breadth-first closure of the generators under multiplication.
 
-    Raises GroupError when the closure exceeds the cap (10x the expected
-    order by default) or when a declared order is not matched.
+    Raises GroupError when the closure exceeds 10x the expected order
+    (100000 elements when none is declared) or does not match it.
     """
     if not gens:
         raise GroupError("need at least one generator")
-    field = field or gens[0].field
+    field = gens[0].field
     for g in gens:
         if field.is_zero(g.det()):
             raise GroupError("generator is not invertible")
-    if cap is None:
-        cap = 10 * expected_order if expected_order else 100000
+    cap = 10 * expected_order if expected_order else 100000
     ident = GroupElement.identity(field)
     seen = {ident.key(): ident}
     frontier = [ident]
@@ -312,10 +306,10 @@ def valentiner_generators(field):
     return [r1, r2, r3, r4]
 
 
-def klein_group(field, expected_order=168):
-    return generate_group(klein_generators(field), expected_order=expected_order)
+def klein_group(field):
+    return generate_group(klein_generators(field), expected_order=168)
 
 
-def valentiner_group(field, expected_order=1080):
-    return generate_group(valentiner_generators(field),
-                          expected_order=expected_order, projective=True)
+def valentiner_group(field):
+    return generate_group(valentiner_generators(field), expected_order=1080,
+                          projective=True)

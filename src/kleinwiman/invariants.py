@@ -51,9 +51,6 @@ class InvariantSet:
     def weights(self):
         return KLEIN_WEIGHTS if self.preset == "klein" else WIMAN_WEIGHTS
 
-    def line_product(self):
-        return self.phi[21] if self.preset == "klein" else self.phi[45]
-
 
 def _scaled(f, fr):
     return f.scale(f.field.embed_rational(Fraction(fr)))
@@ -61,11 +58,6 @@ def _scaled(f, fr):
 
 def _weighted_vars(field, weights):
     return [Poly.variable(field, i, 3, weights, T_VARS) for i in range(3)]
-
-
-def expand_in_generators(weighted, generators):
-    """Expand a weighted polynomial (in v1, v2, v3) into S via the generators."""
-    return weighted.substitute(list(generators))
 
 
 def _klein_psi(phi4, phi6, phi14):
@@ -155,11 +147,11 @@ def _upsilon(psi6, psi12, s):
     return psi6 ** 2 - psi12.scale(c)
 
 
+@lru_cache(maxsize=None)
 def wiman_phi45(inv):
-    """The degree-45 product of lines (expensive over the exact field, cached)."""
-    if 45 not in inv.phi:
-        inv.phi[45] = jacobian_det(inv.phi[6], inv.phi[12], inv.phi[30])
-    return inv.phi[45]
+    """The degree-45 product of lines (expensive over the exact field, cached
+    per invariant set; inv.phi keeps the three generators only)."""
+    return jacobian_det(inv.phi[6], inv.phi[12], inv.phi[30])
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +166,35 @@ def invariant_set(preset, field):
 def is_invariant(config, f):
     """Exact check that every group generator fixes f."""
     return all(act_on_poly(g, f) == f for g in config.group.gens)
+
+
+def identity_checks(inv):
+    """The identities the invariants of one preset satisfy.  Klein: the
+    degree-42 relation and the image of the triple point [1:1:1] under
+    (phi4, phi6, phi14).  Wiman: the factorization of psi24 into the
+    conjugate degree-12 forms, the frozen multiplicity matrix, and its
+    kernel vector WIMAN_CURVE_90."""
+    field = inv.field
+    if inv.preset == "klein":
+        rel = verify_klein_relation(inv)
+        p = (field.one,) * 3
+        return {
+            "degree42_relation": {
+                "holds": rel["holds"], "rederived": rel["rederived"],
+                "coefficients": {str(k): v for k, v in rel["coefficients"].items()}},
+            "image_of_triple_point": [field.fmt(inv.phi[d].evaluate(p))
+                                      for d in (4, 6, 14)],
+        }
+    rows, s_used = wiman_multiplicity_matrix(inv)
+    v = [field.coerce(c) for c in WIMAN_CURVE_90]
+    return {
+        "degree24_factorization": (inv.extra["upsilon12"] * inv.extra["upsilon12_bar"]
+                                   == inv.psi[24]),
+        "multiplicity_matrix_matches": rows == stated_multiplicity_matrix(field, s_used),
+        "kernel_vector": all(field.is_zero(field.sum([field.mul(a, b)
+                                                      for a, b in zip(row, v)]))
+                             for row in rows),
+    }
 
 
 def verify_klein_relation(inv):
@@ -226,7 +247,7 @@ def solve_klein_relation(inv):
     return sol
 
 
-def degree0_constant(num_factors, den_factors, point, cap=8):
+def degree0_constant(num_factors, den_factors, point):
     """Ratio of the leading local-expansion forms of two invariant monomials.
 
     num_factors / den_factors: lists of (Poly, exponent).  Both products must
@@ -234,7 +255,8 @@ def degree0_constant(num_factors, den_factors, point, cap=8):
     forms at the point is a scalar when the two forms are proportional, which
     is exactly the situation this helper is specified for.  Returns 0 when
     the numerator vanishes to strictly higher order; raises when the
-    denominator does.
+    denominator does.  Every factor is expanded to order 8, so its order of
+    vanishing at the point must be below 8.
     """
     field = num_factors[0][0].field
 
@@ -242,7 +264,7 @@ def degree0_constant(num_factors, den_factors, point, cap=8):
         order = 0
         form = TruncPoly(field, 1, {(0, 0): field.one})
         for f, e in factors:
-            t = local_expand(f, point, cap)
+            t = local_expand(f, point, 8)
             k = t.order_of_vanishing()
             if k is None:
                 raise EngineError("factor vanishes beyond the expansion cap")
@@ -334,8 +356,6 @@ def wiman_multiplicity_matrix(inv):
         c = degree0_constant([(psi[12], 1), (psi[24], 2)], [(psi[30], 2)], pt)
         d = degree0_constant([(psi[12], 1), (psi[24], 1)],
                              [(psi[6], 1), (psi[30], 1)], pt)
-        three = field.coerce(3)
-        two = field.coerce(2)
         r1 = [field.coerce(30), field.mul(field.coerce(20), a),
               field.mul(field.coerce(10), b), field.mul(field.coerce(10), c),
               field.zero]

@@ -259,16 +259,6 @@ class Poly:
             acc = acc + term
         return acc
 
-    def map_coefficients(self, func, new_field):
-        """Apply func to every coefficient, landing in new_field."""
-        out = {}
-        for e, c in self.terms.items():
-            v = func(c)
-            if not new_field.is_zero(v):
-                out[e] = v
-        return Poly(new_field, out, self.nvars, self.weights, self.var_names,
-                    _normalized=True)
-
     # -- normal forms and text ----------------------------------------------
 
     def canonical_scale(self):
@@ -380,13 +370,6 @@ class TruncPoly:
             for (i, j), c in terms.items():
                 if i + j < order and not field.is_zero(c):
                     self.terms[(i, j)] = c
-
-    def copy_truncated(self, order):
-        t = TruncPoly(self.field, order)
-        for (i, j), c in self.terms.items():
-            if i + j < order:
-                t.terms[(i, j)] = c
-        return t
 
     def __add__(self, other):
         f = self.field

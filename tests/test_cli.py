@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -68,7 +69,6 @@ def test_reports_deterministic():
 
 
 def test_waldschmidt_command():
-    from fractions import Fraction
     code, rep = run_cli(["waldschmidt", "--preset", "wiman"])
     assert code == 0
     assert rep["results"]["exact"] == Fraction(27, 2)
@@ -99,6 +99,43 @@ def test_fatideal_alpha_command():
     assert code == 1
 
 
+@pytest.mark.parametrize("preset, degree, bounds", [
+    ("klein-char7", 21, ["32/25", "36/25"]),
+    ("klein", 21, ["16/13", "36/29"]),
+    ("wiman", 45, ["32/27", "32/27"]),
+], ids=["klein-char7", "klein", "wiman"])
+def test_resurgence_command(preset, degree, bounds):
+    code, rep = run_cli(["fatideal", "resurgence", "--preset", preset])
+    assert code == 0
+    results = jsonable(rep["results"])
+    assert results["resurgence"] == "3/2"
+    assert results["certificates"]["extreme_failure"] == {
+        "pair": [3, 2], "element_degree": degree,
+        "in_symbolic_cube": True, "in_square": False}
+    asym = results["asymptotic_resurgence_bounds"]
+    assert [asym["lower"], asym["upper"]] == bounds
+    if preset == "klein-char7":
+        assert results["alpha_symbolic_8"] == 50
+        assert results["certificates"]["literal_small_failure"][
+            "witness_degree"] == 16
+
+
+def test_resurgence_ledger_consistent():
+    """One lower bound on alpha_hat throughout the report: the larger of the
+    curve certificate, 58/9, and the ledger certificate, 103/16 at degree 60."""
+    from kleinwiman.fatideals import containment_inequality_certificate
+
+    code, rep = run_cli(["fatideal", "resurgence", "--preset", "klein",
+                         "--ledger-dmax", "60"])
+    assert code == 0
+    results = rep["results"]
+    assert results["alpha_hat_lower"] == Fraction(58, 9)
+    assert results["alpha_hat_bounds"]["lower"] == Fraction(58, 9)
+    assert results["inequality_certificate"] == \
+        containment_inequality_certificate(Fraction(58, 9), (8, 6), 2)
+    assert results["asymptotic_resurgence_bounds"]["upper"] == Fraction(36, 29)
+
+
 def test_invariants_verify_klein_modp():
     code, rep = run_cli(["invariants", "--preset", "klein",
                          "--field", "modp:4733", "--verify"])
@@ -116,7 +153,6 @@ def test_golden_suites(suite):
 
 
 def test_jsonable_fractions():
-    from fractions import Fraction
     assert jsonable(Fraction(3, 2)) == "3/2"
     assert jsonable(Fraction(4, 2)) == 2
     assert jsonable({1: Fraction(1, 3)}) == {"1": "1/3"}

@@ -10,8 +10,8 @@ from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   containment_report, jacobian_minor_generators,
                                   line_product, membership,
                                   orbit_count_decompositions, point_conditions_matrix,
-                                  power_piece, resurgence_report, symbolic_piece,
-                                  vanishes_to_order)
+                                  power_piece, resurgence_certificate,
+                                  symbolic_piece, vanishes_to_order)
 from kleinwiman.fields import RationalField
 from kleinwiman.groups import act_on_poly
 from kleinwiman.poly import (Poly, chart_for_point, local_expand, local_monomials,
@@ -249,10 +249,14 @@ def test_inequality_certificates():
     assert not containment_inequality_certificate(Fraction(5, 1), (8, 6), 2)["holds"]
 
 
-def test_resurgence_report_char7(char7_points, char7_gens):
-    rep = resurgence_report("klein-char7", char7_points, char7_gens,
-                            Fraction(25, 4), {"lower": "reference-constant"})
+def test_resurgence_report_char7(char7_config, char7_points):
+    code, rep = resurgence_certificate(char7_config, char7_points,
+                                       char7_config.field)
+    assert code == 0
     assert rep["resurgence"] == Fraction(3, 2)
+    assert rep["alpha_hat"] == rep["alpha_hat_lower"] == Fraction(25, 4)
+    assert rep["inequality_certificate"] == containment_inequality_certificate(
+        Fraction(25, 4), (9, 6), 8)
     assert rep["inequality_certificate"]["holds"]
     assert "small_r_note" in rep
 
