@@ -52,6 +52,15 @@ def _field_for(preset, flag, default_prime=False):
     return parse_field_flag(flag, preset)
 
 
+def _check_klein_ledger_dmax(ledger_dmax):
+    from kleinwiman.divisors import KLEIN_LEDGER_MIN_DMAX
+
+    if ledger_dmax is not None and ledger_dmax < KLEIN_LEDGER_MIN_DMAX:
+        raise UsageError(f"--ledger-dmax must be >= {KLEIN_LEDGER_MIN_DMAX}: the "
+                         f"klein ledger bound needs a k >= 1 with 28k + 2 <= "
+                         f"{ledger_dmax}")
+
+
 def _fmt_point(field, p):
     return [field.fmt(c) for c in p]
 
@@ -155,6 +164,7 @@ def cmd_waldschmidt(args):
     if args.ledger_dmax is not None and args.preset != "klein":
         raise UsageError("--ledger-dmax applies only to klein: the wiman bounds "
                          "read no ledger")
+    _check_klein_ledger_dmax(args.ledger_dmax)
     field = _field_for(args.preset, args.field, default_prime=True)
     ledger = None
     if args.ledger_dmax:
@@ -176,8 +186,9 @@ def cmd_fatideal(args):
                                          or args.preset != "klein"):
         raise UsageError("--ledger-dmax applies only to fatideal resurgence "
                          "for klein")
+    _check_klein_ledger_dmax(args.ledger_dmax)
     field = _field_for(args.preset, args.field, default_prime=True)
-    cfg = build_config(args.preset, None if args.preset == "klein-char7" else field)
+    cfg = build_config(args.preset, field)
     ps = PointSet.from_config(cfg)
     if args.task == "alpha":
         from kleinwiman.fatideals import certified_alpha

@@ -215,6 +215,11 @@ def klein_lower_bound(k):
     return (91 * k + 24) / (14 * k + 4)
 
 
+# the ledger certifies D_k for the k with 28k + 2 <= its horizon, and k >= 1
+# needs a horizon of at least 30
+KLEIN_LEDGER_MIN_DMAX = 30
+
+
 def waldschmidt_bounds(preset, field=None, ledger=None, ledger_dmax=None,
                        curve_only=False):
     """Certified bounds on the Waldschmidt constant of the singular points.

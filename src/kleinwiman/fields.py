@@ -663,9 +663,10 @@ def parse_field_flag(text, preset):
     """Resolve a CLI --field value ('exact', 'mod4733' or 'modp:<p>') for a
     preset family.  A malformed value, a p that is not an odd prime below
     the mod-p kernels' MAX_PRIME, or a field that lacks a constant the
-    preset is built from, is a UsageError."""
+    preset is built from, is a UsageError.  The klein-char7 model lives over
+    F_7 alone, so any other field is a UsageError there too."""
     if text in (None, "exact"):
-        if preset.startswith("klein-char7"):
+        if preset == "klein-char7":
             return preset_field("klein-mod7")
         return preset_field("wiman-exact" if preset == "wiman" else "klein-exact")
     if text == "mod4733":
@@ -681,6 +682,11 @@ def parse_field_flag(text, preset):
             field = preset_field("modp", p)
         except FieldError as e:
             raise UsageError(str(e)) from None
+    if preset == "klein-char7":
+        if field.p != 7:
+            raise UsageError(f"the klein-char7 configuration is defined over "
+                             f"F7, not {field.name}")
+        return preset_field("klein-mod7")
     problem = hosting_problem(field, preset)
     if problem:
         raise UsageError(problem)

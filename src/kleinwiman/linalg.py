@@ -1,10 +1,15 @@
 """Exact linear algebra: RREF and kernels over Q, generic fields, and
 number-field matrices via a certified rational-kernel + mod-p-rank sandwich.
 
-Everything here is deterministic: fixed pivot scan order, reduced row echelon
-normal forms, kernel bases indexed by free columns in increasing order.
+Kernels over Q are multimodular (`kernel_rational`): mod-p kernels at primes
+below kernels.MAX_PRIME, combined by CRT, rationally reconstructed and
+checked exactly in integers; no Fraction elimination.  Everything here is
+deterministic: fixed pivot scan order, reduced row echelon normal forms,
+kernel bases indexed by free columns in increasing order.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +94,124 @@ def reduce_against_rref(rref_rows, pivots, vec, field):
     return v
 
 
+# -- kernels over Q by CRT and rational reconstruction ----------------------
+
+def _primes_below(n):
+    """The primes below n, counting down."""
+    while n > 2:
+        n -= 1
+        if all(n % q for q in range(2, math.isqrt(n) + 1)):
+            yield n
+
+
+def _integer_rows(rows):
+    """Each nonzero rational row scaled to coprime integers: the kernel is
+    unchanged."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*ints)
+        if g:
+            out.append([v // g for v in ints])
+    return out
+
+
+def _prime_budget(a, ncols):
+    """Primes that always suffice.  Every kernel entry is a ratio of two
+    minors of order rank <= ncols, each at most H, the product of the ncols
+    largest row norms (Hadamard).  Reconstruction needs a modulus above 2H^2,
+    and a prime that changes the pivot set divides one nonzero minor, so at
+    most log H / 19 primes (each above 2^19) are unlucky."""
+    bits = sorted(((sum(v * v for v in row).bit_length() + 1) // 2 for row in a),
+                  reverse=True)
+    return (3 * sum(bits[:ncols]) + 1) // 19 + 2
+
+
+def _rational_reconstruction(u, m, bound):
+    """The n/d = u mod m with |n|, d <= bound (Wang's half extended Euclid),
+    or None.  Unique when 2 bound^2 < m."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _reconstruct(residues, m):
+    bound = math.isqrt(m // 2)
+    basis = []
+    for row in residues.tolist():
+        v = []
+        for u in row:
+            x = _rational_reconstruction(u, m, bound)
+            if x is None:
+                return None
+            v.append(x)
+        basis.append(v)
+    return basis
+
+
+def _annihilates(a, basis):
+    """A v = 0 for every v in the basis, exactly in Python integers."""
+    if not basis:
+        return True
+    scaled = []
+    for v in basis:
+        den = math.lcm(*(x.denominator for x in v))
+        scaled.append([x.numerator * (den // x.denominator) for x in v])
+    return not a.dot(np.array(scaled, dtype=object).T).any()
+
+
+def kernel_rational(rows, ncols):
+    """Right-kernel basis of a rational matrix: the basis kernel_field gives
+    over Q, computed without Fraction elimination.
+
+    The rows are cleared of denominators; at each prime below MAX_PRIME
+    `kernels.kernel_mod` gives the canonical basis, whose free columns fix
+    the pivot set.  Primes sharing the best pivot set (highest rank, then
+    lexicographically smallest pivots) are combined by CRT, and a strictly
+    better set restarts the combination.  Each combination is rationally
+    reconstructed and returned once A v = 0 holds exactly.
+
+    That check makes the answer kernel_field's: a mod-p basis vector v_f is 1
+    at its free column f, 0 at the other free columns and nonzero elsewhere
+    only at pivot columns c < f.  If A v_f = 0, column f is a combination of
+    earlier columns, so every free column at p is free over Q; the kernel
+    mod p is no smaller than over Q, so the free sets are equal, and the
+    basis with that pattern is unique.  Raises FieldError when the prime
+    budget runs out.
+    """
+    ints = _integer_rows(rows)
+    if not ints:
+        return [[Fraction(int(j == f)) for j in range(ncols)]
+                for f in range(ncols)]
+    a = np.array(ints, dtype=object)
+    best = None
+    budget = _prime_budget(ints, ncols)
+    for p in itertools.islice(_primes_below(kernels.MAX_PRIME), budget):
+        basis = kernels.kernel_mod((a % p).astype(np.int64), p)
+        # each canonical basis vector ends at its free column
+        free = {int(np.flatnonzero(v)[-1]) for v in basis}
+        key = (len(free), [c for c in range(ncols) if c not in free])
+        if best is None or key < best:
+            best, residues, modulus = key, basis.astype(object), p
+        elif key == best:
+            step = (basis - (residues % p).astype(np.int64)) % p \
+                * pow(modulus, -1, p) % p
+            residues = residues + modulus * step.astype(object)
+            modulus *= p
+        else:
+            continue
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None and _annihilates(a, candidate):
+            return candidate
+    raise FieldError("prime budget exhausted for the rational kernel")
+
+
 # -- number-field kernels with a certificate --------------------------------
 
 def expand_extension_rows(rows, field):
@@ -136,38 +259,38 @@ def reduce_matrix_mod_partner(rows, field):
 def kernel_certified(rows, ncols, field):
     """Exact right kernel of a matrix over Q or a simple extension of Q.
 
-    For extension fields the rank of the matrix reduced at the partner prime
-    comes first: rank_p = ncols proves the kernel empty.  Otherwise the
-    kernel is computed inside Q^n (fast) and certified complete by
-    dim_Q(kernel over Q) <= dim(kernel) <= ncols - rank_p.  When the two
-    ends meet, the rational basis spans the kernel.  Otherwise falls back to
-    generic elimination over the extension field.
+    Over Q, and for a matrix over the extension whose entries are all
+    rational, this is kernel_rational: a rational basis of the kernel over Q
+    is a basis over any extension.  Otherwise the rank of the matrix reduced
+    at the partner prime comes first: rank_p = ncols proves the kernel
+    empty.  Then the kernel is computed inside Q^n by kernel_rational on the
+    expanded rational rows, and certified complete by
+    dim_Q(kernel over Q) <= dim(kernel) <= ncols - rank_p.  When the two ends
+    meet, the rational basis spans the kernel.  Otherwise, or when a prime
+    budget runs out, falls back to generic elimination over the extension.
 
     Returns the basis rows, with entries in `field` (rational values when the
     certificate closed).
     """
     if isinstance(field, RationalField):
-        return kernel_field(rows, ncols, field)
+        return kernel_rational(rows, ncols)
     if not isinstance(field, SimpleExtension):
         raise FieldError("kernel_certified expects Q or a simple extension")
     if not rows:
         return kernel_field(rows, ncols, field)
-    # all-rational matrices need no certificate: a rational basis of the
-    # kernel over Q is a basis over any extension
-    if all(all(field.coerce(v)[1:] == (Fraction(0),) * (field.deg - 1) for v in row)
-           for row in rows):
-        qrows = [[field.coerce(v)[0] for v in row] for row in rows]
-        basis = kernel_field(qrows, ncols, RationalField())
-        return [[field.embed_rational(c) for c in v] for v in basis]
     try:
+        if all(all(field.coerce(v)[1:] == (Fraction(0),) * (field.deg - 1)
+                   for v in row) for row in rows):
+            qbasis = kernel_rational([[field.coerce(v)[0] for v in row]
+                                      for row in rows], ncols)
+            return [[field.embed_rational(c) for c in v] for v in qbasis]
         reduced, p = reduce_matrix_mod_partner(rows, field)
         rank_p = kernels.rank_mod(reduced, p)
         if rank_p == ncols:
             # rank can only drop under reduction, so full rank at p is full
             # rank over the field: the kernel is empty
             return []
-        expanded = expand_extension_rows(rows, field)
-        qbasis = kernel_field(expanded, ncols, RationalField())
+        qbasis = kernel_rational(expand_extension_rows(rows, field), ncols)
         if len(qbasis) == ncols - rank_p:
             return [[field.embed_rational(c) for c in v] for v in qbasis]
     except FieldError:

@@ -26,6 +26,15 @@ def test_config_show_char7_counts():
     assert rep["results"]["num_lines"] == 21 and sizes == [21, 28]
 
 
+@pytest.mark.parametrize("flag", ["exact", "modp:7"])
+def test_char7_field_flags(flag):
+    """The char-7 model is over F_7 whichever way that field is named."""
+    code, rep = run_cli(["config", "show", "--preset", "klein-char7",
+                         "--field", flag])
+    assert code == 0 and rep["results"]["field"] == "F7"
+    assert [c["size"] for c in rep["results"]["classes"]] == [21, 28]
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["series", "--preset", "nonsense", "--d", "10"])
     assert code == 2
@@ -48,11 +57,18 @@ def test_usage_error_exit_code():
     ["waldschmidt", "--preset", "wiman", "--ledger-dmax", "36"],
     ["fatideal", "resurgence", "--preset", "wiman", "--ledger-dmax", "36"],
     ["series", "--preset", "wiman", "--field", "modp:19", "--d", "30", "--m3", "20"],
+    ["fatideal", "generators", "--preset", "klein-char7", "--field", "modp:4733",
+     "--depth", "9"],
+    ["config", "show", "--preset", "klein-char7", "--field", "mod4733"],
+    ["fatideal", "resurgence", "--preset", "klein", "--ledger-dmax", "20"],
+    ["waldschmidt", "--preset", "klein", "--ledger-dmax", "20"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
         "resurgence-char7-ledger", "alpha-ledger", "waldschmidt-wiman-ledger",
-        "resurgence-wiman-ledger", "series-mult-above-p"])
+        "resurgence-wiman-ledger", "series-mult-above-p", "char7-other-field",
+        "char7-config-other-field", "resurgence-klein-ledger-below-30",
+        "waldschmidt-klein-ledger-below-30"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)

@@ -282,6 +282,18 @@ def test_exact_symbolic_piece_order_zero(klein_points_exact):
     assert sp.dim == len(sp.monomials) == 28
 
 
+def test_certified_alpha_exact_klein(klein_points_exact):
+    """The exact route over Q(zeta7): alpha(I) = 8, the degree-7 conditions
+    have full column rank 36, and the witness re-checks."""
+    cert = certified_alpha(klein_points_exact, 1)
+    assert cert["alpha"] == 8
+    assert cert["empty_below"] == {"degree": 7, "rank": 36, "columns": 36}
+    witness = cert["witness"]
+    assert witness["degree"] == 8 and witness["order"] == 1
+    assert witness["form"].degree() == 8
+    assert vanishes_to_order(witness["form"], klein_points_exact, 1)
+
+
 def test_conditions_exact_vs_modp_dim(klein_points_exact, klein_points_modp):
     for (m, d) in ((1, 8), (1, 9), (2, 12)):
         assert symbolic_piece(klein_points_exact, m, d).dim \

@@ -1,10 +1,14 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from kleinwiman import kernels, linalg
+from kleinwiman.errors import FieldError
 from kleinwiman.fields import PrimeField, RationalField
-from kleinwiman.linalg import (kernel_certified, kernel_field, rank_field,
-                               rref_field)
+from kleinwiman.linalg import (kernel_certified, kernel_field, kernel_rational,
+                               rank_field, rref_field)
 from kleinwiman.poly import TruncPoly
 
 
@@ -211,6 +215,106 @@ def test_certified_kernel_rational_matrix(klein_exact):
     rows = [[f.coerce(1), f.coerce(2), f.coerce(3)]]
     basis = kernel_certified(rows, 3, f)
     assert len(basis) == 2
+
+
+def _random_rational_rows(rng, nrows, ncols, size):
+    return [[Fraction(rng.randint(-size, size), rng.randint(1, size))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _primes_used(monkeypatch):
+    """Record the prime of every kernels.kernel_mod call."""
+    used = []
+    kernel_mod = kernels.kernel_mod
+
+    def recording(a, p):
+        used.append(p)
+        return kernel_mod(a, p)
+
+    monkeypatch.setattr(kernels, "kernel_mod", recording)
+    return used
+
+
+def test_kernel_rational_matches_field():
+    """The multimodular kernel equals Fraction Gauss-Jordan over Q on seeded
+    random matrices: dependent rows, zero rows, an empty kernel (full
+    column rank) and a full kernel (no rows, or only zero rows)."""
+    q = RationalField()
+    rng = random.Random(48)
+    cases = [([], 4), (_fractions([[0] * 5] * 3), 5),
+             (_fractions([[1, 2], [3, 4], [5, 7]]), 2)]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _random_rational_rows(rng, nrows, ncols, 9)
+        if nrows >= 3 and rng.random() < 0.5:   # a dependent row
+            rows[-1] = [2 * a - Fraction(1, 3) * b for a, b in zip(rows[0], rows[1])]
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, nrows), [Fraction(0)] * ncols)
+        cases.append((rows, ncols))
+    kinds = set()
+    for rows, ncols in cases:
+        expected = kernel_field(rows, ncols, q)
+        assert kernel_rational(rows, ncols) == expected
+        assert linalg.kernel(rows, ncols, q) == expected
+        kinds.add(0 if not expected else 2 if len(expected) == ncols else 1)
+    assert kinds == {0, 1, 2}
+
+
+def test_kernel_rational_several_primes(monkeypatch):
+    """Kernel entries above 2^10 need more than one prime below MAX_PRIME.
+    The first one-row case is built so that at the first prime alone the
+    entry reconstructs to the wrong 3/5: the exact check rejects it."""
+    used = _primes_used(monkeypatch)
+    q = RationalField()
+    p = next(linalg._primes_below(kernels.MAX_PRIME))
+    d = 2 ** 15 + 3
+    n = 3 * d * pow(5, -1, p) % p          # n/d = 3/5 mod p
+    rng = random.Random(49)
+    big = [_fractions([[d, -n]]), _random_rational_rows(rng, 4, 7, 2 ** 13)]
+    for rows in big:
+        del used[:]
+        basis = kernel_rational(rows, len(rows[0]))
+        assert basis == kernel_field(rows, len(rows[0]), q) and basis
+        assert len(used) > 1 and used[0] == p
+        assert any(abs(x.numerator) > 2 ** 10 and x.denominator > 2 ** 10
+                   for v in basis for x in v)
+    assert kernel_rational(big[0], 2) == [[Fraction(n, d), 1]] != [[Fraction(3, 5), 1]]
+
+
+def test_kernel_rational_unlucky_first_prime(monkeypatch):
+    """An entry equal to the first prime: modulo it the rank drops, or the
+    pivots move right, and the next prime's better pivot set restarts the
+    combination."""
+    used = _primes_used(monkeypatch)
+    q = RationalField()
+    p = next(linalg._primes_below(kernels.MAX_PRIME))
+    rank_drop = _fractions([[1, p, 1], [1, 0, 1]])
+    pivots_move = _fractions([[p, 0, 1], [0, 1, 1]])
+    assert kernels.rank_mod(np.array([[1, p, 1], [1, 0, 1]]), p) == 1 \
+        < rank_field(rank_drop, q)
+    for rows in (rank_drop, pivots_move):
+        del used[:]
+        assert kernel_rational(rows, 3) == kernel_field(rows, 3, q)
+        assert used[0] == p and len(used) > 1
+    assert kernel_rational(pivots_move, 3) == [[Fraction(-1, p), -1, 1]]
+
+
+def test_kernel_rational_budget(monkeypatch, klein_exact):
+    """With too few primes kernel_rational raises FieldError, and
+    kernel_certified falls back to elimination over the extension."""
+    monkeypatch.setattr(linalg, "_prime_budget", lambda a, ncols: 1)
+    d, n = 2 ** 15 + 3, 2 ** 17 + 1
+    with pytest.raises(FieldError):
+        kernel_rational([[d, n]], 2)
+    f = klein_exact
+    rows = [[f.coerce(d), f.coerce(n)]]
+    assert kernel_certified(rows, 2, f) == kernel_field(rows, 2, f) \
+        == [[f.coerce(Fraction(-n, d)), f.one]]
 
 
 def test_prime_cap():
