@@ -165,7 +165,8 @@ def _elem_sort_key(field, e):
 
 
 def reynolds(group, f):
-    """Group average of f; requires |G| invertible in the field."""
+    """Group average of f; requires |G| invertible in the field.  The engine
+    takes invariants from invariants.fixed_forms; this is their oracle."""
     n = group.order
     field = f.field
     try:

@@ -10,11 +10,12 @@ factor the degree-24 invariant).
 from fractions import Fraction
 from functools import lru_cache
 
+from kleinwiman import linalg
 from kleinwiman.configs import build_klein, build_wiman
 from kleinwiman.errors import ConfigError, EngineError
-from kleinwiman.groups import act_on_poly, reynolds
+from kleinwiman.groups import act_on_poly
 from kleinwiman.poly import (Poly, TruncPoly, bordered_hessian_det, hessian_det,
-                             jacobian_det, local_expand)
+                             jacobian_det, local_expand, monomials_of_degree)
 
 KLEIN_WEIGHTS = (4, 6, 14)
 WIMAN_WEIGHTS = (6, 12, 30)
@@ -95,6 +96,20 @@ def _normalize_leading(f, degree, var=0):
     return f.scale(f.field.inv(c))
 
 
+def fixed_forms(gens, degree):
+    """Basis of the forms of the given degree that every generator fixes: the
+    kernel of the stacked (g - 1) on the monomials of that degree."""
+    field = gens[0].field
+    monos = monomials_of_degree(3, degree)
+    rows = []
+    for g in gens:
+        images = [act_on_poly(g, Poly(field, {e: field.one})) for e in monos]
+        rows.extend([field.sub(im.coeff(e), field.one if i == j else field.zero)
+                     for j, im in enumerate(images)] for i, e in enumerate(monos))
+    return [Poly.from_coeff_vector(field, v, monos)
+            for v in linalg.kernel(rows, len(monos), field)]
+
+
 def _wiman_psi(phi6, phi12, phi30):
     """The normalized Wiman invariants psi6, psi12, psi24, psi30 in terms of
     phi6, phi12, phi30 (forms in S, or the weighted generator variables)."""
@@ -114,11 +129,10 @@ def wiman_invariants(field):
     """Invariants of the Valentiner group, with the normalized set tuned to
     the quadruple point [0:0:1] and the two triple-point orbits."""
     config = build_wiman(field)
-    group = config.group
-    x = Poly.variable(field, 0)
-    phi6 = reynolds(group, x ** 6).scale(field.coerce(16))
-    if phi6.coeff((6, 0, 0)) != field.one:
-        raise EngineError("the degree-6 invariant should have unit x^6 coefficient")
+    sextics = fixed_forms(config.group.gens, 6)
+    if len(sextics) != 1:
+        raise EngineError(f"expected one invariant sextic, found {len(sextics)}")
+    phi6 = _normalize_leading(sextics[0], 6)
     phi12 = _normalize_leading(hessian_det(phi6), 12)
     phi30 = _normalize_leading(bordered_hessian_det(phi6, phi12), 30)
     psi = _wiman_psi(phi6, phi12, phi30)

@@ -3,9 +3,12 @@ number-field matrices via a certified rational-kernel + mod-p-rank sandwich.
 
 Kernels over Q are multimodular (`kernel_rational`): mod-p kernels at primes
 below kernels.MAX_PRIME, combined by CRT, rationally reconstructed and
-checked exactly in integers; no Fraction elimination.  Everything here is
-deterministic: fixed pivot scan order, reduced row echelon normal forms,
-kernel bases indexed by free columns in increasing order.
+checked exactly in integers; no Fraction elimination.  A matrix over a
+simple extension is read once, into integer rows of coordinates that serve
+both the rank at the partner prime and the rational kernel
+(`kernel_certified`).  Everything here is deterministic: fixed pivot scan
+order, reduced row echelon normal forms, kernel bases indexed by free
+columns in increasing order.
 """
 
 import itertools
@@ -104,13 +107,18 @@ def _primes_below(n):
             yield n
 
 
+def _cleared(xs):
+    """(den, [den x for x in xs]): den is the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 def _integer_rows(rows):
     """Each nonzero rational row scaled to coprime integers: the kernel is
     unchanged."""
     out = []
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints = _cleared(row)[1]
         g = math.gcd(*ints)
         if g:
             out.append([v // g for v in ints])
@@ -159,10 +167,7 @@ def _annihilates(a, basis):
     """A v = 0 for every v in the basis, exactly in Python integers."""
     if not basis:
         return True
-    scaled = []
-    for v in basis:
-        den = math.lcm(*(x.denominator for x in v))
-        scaled.append([x.numerator * (den // x.denominator) for x in v])
+    scaled = [_cleared(v)[1] for v in basis]
     return not a.dot(np.array(scaled, dtype=object).T).any()
 
 
@@ -214,60 +219,21 @@ def kernel_rational(rows, ncols):
 
 # -- number-field kernels with a certificate --------------------------------
 
-def expand_extension_rows(rows, field):
-    """Turn each row over a simple extension into deg(field) rational rows.
-
-    A rational vector is in the kernel of the original matrix iff it is in
-    the kernel of the expanded matrix.
-    """
-    out = []
-    for row in rows:
-        columns = [field.coerce(v) for v in row]
-        for k in range(field.deg):
-            out.append([c[k] for c in columns])
-    return out
-
-
-def reduce_matrix_mod_partner(rows, field):
-    """Reduce an extension-field matrix modulo the field's partner prime.
-
-    Returns (int matrix, p).  Raises FieldError when a denominator dies mod p
-    (the certificate is then unavailable and callers fall back).
-    """
-    p = getattr(field, "partner_prime", None)
-    g = getattr(field, "partner_gen_image", None)
-    if p is None:
-        raise FieldError(f"{field.name} has no partner prime")
-    gp = PrimeField(p)
-    gpow = [1]
-    for _ in range(field.deg - 1):
-        gpow.append(gpow[-1] * g % p)
-    out = []
-    for row in rows:
-        outrow = []
-        for v in row:
-            v = field.coerce(v)
-            acc = 0
-            for c, gi in zip(v, gpow):
-                if c:
-                    acc = (acc + gp.embed_rational(c) * gi) % p
-            outrow.append(acc)
-        out.append(outrow)
-    return out, p
-
-
 def kernel_certified(rows, ncols, field):
     """Exact right kernel of a matrix over Q or a simple extension of Q.
 
-    Over Q, and for a matrix over the extension whose entries are all
-    rational, this is kernel_rational: a rational basis of the kernel over Q
-    is a basis over any extension.  Otherwise the rank of the matrix reduced
-    at the partner prime comes first: rank_p = ncols proves the kernel
-    empty.  Then the kernel is computed inside Q^n by kernel_rational on the
-    expanded rational rows, and certified complete by
-    dim_Q(kernel over Q) <= dim(kernel) <= ncols - rank_p.  When the two ends
-    meet, the rational basis spans the kernel.  Otherwise, or when a prime
-    budget runs out, falls back to generic elimination over the extension.
+    Over Q this is kernel_rational.  Over an extension each entry is coerced
+    once, and each row is scaled by the common denominator of its
+    coordinates into deg integer rows, row k holding the g^k coordinates.
+    Those rows give the image at the partner prime p, sum_k g(p)^k row_k,
+    and rank_p = ncols there proves the kernel empty.  They are also the
+    rational rows whose kernel inside Q^n is the rational part of the
+    kernel, found by kernel_rational and certified complete by
+    dim_Q(kernel over Q) <= dim(kernel) <= ncols - rank_p: when the two ends
+    meet, the rational basis spans the kernel.  A rational matrix gets its
+    basis the same way, its other coordinate rows being zero.  Otherwise, or
+    when a denominator dies mod p or a prime budget runs out, falls back to
+    generic elimination over the extension.
 
     Returns the basis rows, with entries in `field` (rational values when the
     certificate closed).
@@ -276,25 +242,30 @@ def kernel_certified(rows, ncols, field):
         return kernel_rational(rows, ncols)
     if not isinstance(field, SimpleExtension):
         raise FieldError("kernel_certified expects Q or a simple extension")
-    if not rows:
-        return kernel_field(rows, ncols, field)
-    try:
-        if all(all(field.coerce(v)[1:] == (Fraction(0),) * (field.deg - 1)
-                   for v in row) for row in rows):
-            qbasis = kernel_rational([[field.coerce(v)[0] for v in row]
-                                      for row in rows], ncols)
-            return [[field.embed_rational(c) for c in v] for v in qbasis]
-        reduced, p = reduce_matrix_mod_partner(rows, field)
-        rank_p = kernels.rank_mod(reduced, p)
-        if rank_p == ncols:
-            # rank can only drop under reduction, so full rank at p is full
-            # rank over the field: the kernel is empty
-            return []
-        qbasis = kernel_rational(expand_extension_rows(rows, field), ncols)
-        if len(qbasis) == ncols - rank_p:
-            return [[field.embed_rational(c) for c in v] for v in qbasis]
-    except FieldError:
-        pass
+    p = getattr(field, "partner_prime", None)
+    if rows and p is not None:
+        try:
+            deg = field.deg
+            ints = []
+            for row in rows:
+                den, flat = _cleared([c for v in row for c in field.coerce(v)])
+                if den % p == 0:
+                    raise FieldError(f"a denominator of the matrix vanishes mod {p}")
+                ints.extend(flat[k::deg] for k in range(deg))
+            gpow = [pow(field.partner_gen_image, k, p) for k in range(deg)]
+            blocks = (np.array(ints, dtype=object) % p).astype(np.int64)
+            image = np.einsum("ikj,k->ij", blocks.reshape(len(rows), deg, ncols),
+                              np.array(gpow, dtype=np.int64)) % p
+            rank_p = kernels.rank_mod(image, p)
+            if rank_p == ncols:
+                # rank can only drop under reduction, so full rank at p is
+                # full rank over the field: the kernel is empty
+                return []
+            qbasis = kernel_rational(ints, ncols)
+            if len(qbasis) == ncols - rank_p:
+                return [[field.embed_rational(c) for c in v] for v in qbasis]
+        except FieldError:
+            pass
     return kernel_field(rows, ncols, field)
 
 

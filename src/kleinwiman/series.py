@@ -119,8 +119,10 @@ def _line_values(field, expansion, m):
     return lines
 
 
-def _condition_block(preset, field, rep, m, exps):
-    """Rows of vanishing conditions (below order m) at one representative.
+def _condition_block(preset, field, rep, m, exps, out=None):
+    """Rows of vanishing conditions (below order m) at one representative:
+    an int64 array over F_p, written into `out` when given, a list of rows
+    otherwise.
 
     For each k < m, the t^k coefficients on the lines l = 0 .. k: the
     degree-k part of the expansion is a binary form of degree k, zero
@@ -152,10 +154,11 @@ def _condition_block(preset, field, rep, m, exps):
     rows = [(line, k) for k in range(m) for line in range(k + 1)]
     if isinstance(field, PrimeField):
         lines, degrees = np.array(rows).T
-        block = np.empty((len(rows), len(exps)), dtype=np.int64)
+        if out is None:
+            out = np.empty((len(rows), len(exps)), dtype=np.int64)
         for n, e in enumerate(exps):
-            block[:, n] = column(*e)[lines, degrees]
-        return block
+            out[:, n] = column(*e)[lines, degrees]
+        return out
     cols = [column(*e) for e in exps]
     return [[col[line].coeff(k, 0) for col in cols] for line, k in rows]
 
@@ -197,11 +200,19 @@ def series_basis(spec, field):
     if not exps:
         return SeriesBasis(spec, field, [], [])
     config = invariant_set(spec.preset, field).config
-    rows = []
-    for cls, m in zip(config.classes, mults):
-        if m > 0:
-            rows.extend(_condition_block(spec.preset, field, cls.representative,
-                                         m, exps))
+    reps = [(cls.representative, m) for cls, m in zip(config.classes, mults) if m > 0]
+    if isinstance(field, PrimeField):
+        # one array, filled block by block, that linalg.kernel takes as it is
+        rows = np.empty((sum(m * (m + 1) // 2 for _, m in reps), len(exps)),
+                        dtype=np.int64)
+        start = 0
+        for rep, m in reps:
+            end = start + m * (m + 1) // 2
+            _condition_block(spec.preset, field, rep, m, exps, rows[start:end])
+            start = end
+    else:
+        rows = [row for rep, m in reps
+                for row in _condition_block(spec.preset, field, rep, m, exps)]
     return SeriesBasis(spec, field, exps, linalg.kernel(rows, len(exps), field))
 
 

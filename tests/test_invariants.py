@@ -6,8 +6,9 @@ import pytest
 from kleinwiman.configs import line_coeffs
 from kleinwiman.errors import EngineError
 from kleinwiman.fields import SimpleExtension
+from kleinwiman.groups import klein_group, reynolds, valentiner_group
 from kleinwiman.invariants import (KLEIN_RELATION, degree0_constant,
-                                   invariant_set, is_invariant,
+                                   fixed_forms, invariant_set, is_invariant,
                                    klein_curve_in_generators,
                                    klein_curve_local, solve_klein_relation,
                                    stated_multiplicity_matrix,
@@ -24,6 +25,23 @@ def test_klein_fundamental_values(klein_inv_exact):
         == ["3", "-2", "-48"]
     assert f.is_zero(klein_inv_exact.psi[12].evaluate(p))
     assert f.is_zero(klein_inv_exact.psi[14].evaluate(p))
+
+
+def test_fixed_forms_match_reynolds(klein_exact, wiman_modp):
+    """The forms every generator fixes are the group averages: the Klein
+    quartic over Q(zeta7) and the Wiman sextic over F_4951, each the one
+    invariant of its degree.  No quadric is invariant."""
+    for group, seed in ((klein_group(klein_exact), (3, 1, 0)),
+                        (valentiner_group(wiman_modp), (6, 0, 0))):
+        field = group.field
+        forms = fixed_forms(group.gens, sum(seed))
+        average = reynolds(group, Poly(field, {seed: field.one}))
+        assert len(forms) == 1 and not average.is_zero()
+        assert forms[0].canonical_scale() == average.canonical_scale()
+        assert fixed_forms(group.gens, 2) == []
+    x, y, z = (Poly.variable(klein_exact, i) for i in range(3))
+    assert fixed_forms(klein_group(klein_exact).gens, 4)[0].canonical_scale() \
+        == x ** 3 * y + y ** 3 * z + z ** 3 * x
 
 
 def test_klein_line_product_vanishes_on_lines(klein_inv_exact):

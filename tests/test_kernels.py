@@ -215,6 +215,79 @@ def test_certified_kernel_rational_matrix(klein_exact):
     rows = [[f.coerce(1), f.coerce(2), f.coerce(3)]]
     basis = kernel_certified(rows, 3, f)
     assert len(basis) == 2
+    assert basis == kernel_field(rows, 3, f)
+
+
+def _fallbacks(monkeypatch):
+    """Count the kernel_certified calls that fall back to kernel_field."""
+    calls = []
+    kernel_field_ = linalg.kernel_field
+
+    def counting(rows, ncols, field):
+        calls.append(len(rows))
+        return kernel_field_(rows, ncols, field)
+
+    monkeypatch.setattr(linalg, "kernel_field", counting)
+    return calls
+
+
+def test_certified_kernel_denominator_at_partner_prime(klein_exact, monkeypatch):
+    """An entry whose denominator is the partner prime 4733 has no image
+    there: kernel_certified falls back to elimination over the extension."""
+    f = klein_exact
+    w = f.gen
+    rows = [[f.one, f.mul(w, f.coerce(Fraction(1, 4733))), f.coerce(2)],
+            [f.coerce(Fraction(3, 4733)), f.coerce(3), f.add(w, f.one)]]
+    expected = kernel_field(rows, 3, f)
+    fallbacks = _fallbacks(monkeypatch)
+    assert kernel_certified(rows, 3, f) == expected and len(expected) == 1
+    assert fallbacks == [2]
+
+
+def _random_extension_element(rng, field):
+    """Fractional coordinates, some of them zero; never a rational element."""
+    return tuple(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                 if k == 1 or rng.random() < 0.6 else Fraction(0)
+                 for k in range(field.deg))
+
+
+def test_certified_kernel_random_wiman(wiman_exact, monkeypatch):
+    """Seeded random matrices over Q(sqrt5, omega) with fractional
+    coordinates.  Where some columns are rational combinations of the others
+    the kernel has a rational basis and the certificate closes; a generic
+    wide matrix has no rational kernel and falls back; a generic square one
+    ends at full rank.  Each answer equals kernel_field."""
+    f = wiman_exact
+    rng = random.Random(50)
+    fallbacks = _fallbacks(monkeypatch)
+    for case in range(12):
+        ncols = rng.randint(2, 6)
+        kind = case % 3
+        if kind == 0:    # rational kernel of dimension k
+            k = rng.randint(1, ncols - 1)
+            nrows = rng.randint(ncols - k, ncols + 1)
+            rows = [[_random_extension_element(rng, f) for _ in range(ncols - k)]
+                    for _ in range(nrows)]
+            coeffs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                       for _ in range(ncols - k)] for _ in range(k)]
+            for row in rows:
+                row += [f.sum([f.mul(f.embed_rational(c), x) for c, x in zip(cs, row)])
+                        for cs in coeffs]
+        else:            # generic: wide (no rational kernel) or square
+            nrows = rng.randint(1, ncols - 1) if kind == 1 else ncols
+            rows = [[_random_extension_element(rng, f) for _ in range(ncols)]
+                    for _ in range(nrows)]
+        expected = kernel_field(rows, ncols, f)
+        before = len(fallbacks)
+        assert kernel_certified(rows, ncols, f) == expected
+        fell_back = len(fallbacks) > before
+        if kind == 0:
+            assert not fell_back and len(expected) == k
+            assert all(c[1:] == f.zero[1:] for v in expected for c in v)
+        elif kind == 1:
+            assert fell_back and len(expected) == ncols - nrows
+        else:
+            assert not fell_back and expected == []
 
 
 def _random_rational_rows(rng, nrows, ncols, size):
