@@ -19,7 +19,7 @@ SCHEMA = "kleinwiman-report/4"
 
 def jsonable(v):
     from kleinwiman.divisors import DivisorClass
-    from kleinwiman.poly import Poly, TruncPoly
+    from kleinwiman.poly import Poly
 
     if isinstance(v, Fraction):
         return str(v) if v.denominator != 1 else int(v)
@@ -27,8 +27,6 @@ def jsonable(v):
         return v.as_text()
     if isinstance(v, Poly):
         return v.text()
-    if isinstance(v, TruncPoly):
-        return {f"{i},{j}": jsonable(c) for (i, j), c in sorted(v.terms.items())}
     if isinstance(v, dict):
         return {str(k): jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

@@ -1,11 +1,13 @@
 """Exact coefficient fields: prime fields, the rationals, and simple extensions.
 
 Elements are stored as lightweight raw representations (int mod p, Fraction,
-or tuple of Fractions in the power basis of the generator) and manipulated
-through the owning Field object; FieldElement is a thin operator wrapper for
-callers who want infix arithmetic.
+or, in a simple extension, Coords: integer coordinates in the power basis of
+the generator over one positive common denominator) and manipulated through
+the owning Field object; FieldElement is a thin operator wrapper for callers
+who want infix arithmetic.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -109,6 +111,18 @@ def _is_irreducible_mod(coeffs, p):
     return not any(minus_x(frob(x, n)))
 
 
+def _integer_coefficients(coeffs, what):
+    """The coefficients as ints; a FieldError names `what` when one is not an
+    integer."""
+    out = []
+    for c in coeffs:
+        fr = Fraction(c)
+        if fr.denominator != 1:
+            raise FieldError(f"{what} coefficients must be integers, got {fr}")
+        out.append(fr.numerator)
+    return out
+
+
 def is_irreducible_monic_int(coeffs):
     """Irreducibility over Q for a monic integer polynomial of degree <= 6.
 
@@ -118,7 +132,7 @@ def is_irreducible_monic_int(coeffs):
     with constant term dividing the input's constant term and coefficients
     within the Mignotte bound.
     """
-    coeffs = [int(c) for c in coeffs]
+    coeffs = _integer_coefficients(coeffs, "irreducibility test")
     deg = len(coeffs) - 1
     if coeffs[-1] != 1:
         raise FieldError("irreducibility test expects a monic integer polynomial")
@@ -334,39 +348,66 @@ class RationalField(Field):
         return str(a)
 
 
+class Coords(tuple):
+    """An element of a SimpleExtension of degree n: the integers
+    (a_0, ..., a_{n-1}, den) standing for sum_i (a_i / den) g^i, in canonical
+    form (den > 0 and gcd(a_0, ..., a_{n-1}, den) = 1), so that equal elements
+    are equal tuples with equal hashes."""
+
+    __slots__ = ()
+
+
+def _canonical(nums):
+    """Coords of integer numerators followed by a positive denominator,
+    divided by their gcd."""
+    if nums[-1] != 1:
+        g = math.gcd(*nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+    return Coords(nums)
+
+
 class SimpleExtension(Field):
-    """Q[g]/(minpoly) for a monic irreducible minpoly of degree <= 6."""
+    """Q[g]/(minpoly) for a monic irreducible integer minpoly of degree <= 6.
+
+    Elements are Coords; products are integer convolutions reduced by the
+    integer table of g^k, k = deg .. 2 deg - 2, and one gcd normalisation.
+    """
 
     kind = "extension"
 
     def __init__(self, minpoly, gen_name="w", name=None):
         super().__init__()
-        self.minpoly = tuple(Fraction(c) for c in minpoly)
+        self.minpoly = tuple(_integer_coefficients(minpoly, "minimal polynomial"))
         if self.minpoly[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
         if not is_irreducible_monic_int(self.minpoly):
             raise FieldError("minimal polynomial is reducible over Q")
-        self.deg = len(self.minpoly) - 1
+        self.deg = deg = len(self.minpoly) - 1
         self.gen_name = gen_name
         self.name = name or f"Q({gen_name})"
-        self.zero = (Fraction(0),) * self.deg
-        self.one = tuple([Fraction(1)] + [Fraction(0)] * (self.deg - 1))
-        self.gen = tuple(Fraction(1 if i == 1 else 0) for i in range(self.deg))
-        # reduction table: g^k for k = deg .. 2 deg - 2 in the power basis
-        self._red = []
+        self.zero = Coords([0] * deg + [1])
+        self.one = self.embed_rational(1)
+        self.gen = Coords([int(i == 1) for i in range(deg)] + [1])
+        # reduction table: g^k for k = deg .. 2 deg - 2 in the power basis,
+        # kept as the (index, coefficient) pairs with a nonzero coefficient
         row = [-c for c in self.minpoly[:-1]]
-        self._red.append(tuple(row))
-        for _ in range(self.deg - 2):
-            row = [Fraction(0)] + row[:-1]
-            for i in range(self.deg):
-                row[i] += self._red[-1][-1] * self._red[0][i]
-            row = row[: self.deg]
-            self._red.append(tuple(row))
+        rows = [row]
+        for _ in range(deg - 2):
+            top = row[-1]
+            row = [0] + row[:-1]
+            row = [r + top * c for r, c in zip(row, rows[0])]
+            rows.append(row)
+        self._red = [[(i, c) for i, c in enumerate(r) if c] for r in rows]
 
     def spec_key(self):
         return ("extension", self.minpoly)
 
     def coerce(self, x):
+        if type(x) is Coords:
+            if len(x) != self.deg + 1:
+                raise FieldError("element from a different field")
+            return x
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise FieldError("element from a different field")
@@ -374,72 +415,106 @@ class SimpleExtension(Field):
         if isinstance(x, tuple):
             if len(x) != self.deg:
                 raise FieldError("wrong coefficient vector length")
-            return tuple(Fraction(c) for c in x)
-        return self.embed_rational(Fraction(x))
+            coords = [Fraction(c) for c in x]
+            den = math.lcm(*(c.denominator for c in coords))
+            return _canonical([c.numerator * (den // c.denominator)
+                               for c in coords] + [den])
+        return self.embed_rational(x)
 
     def embed_rational(self, fr):
-        return tuple([Fraction(fr)] + [Fraction(0)] * (self.deg - 1))
+        fr = Fraction(fr)
+        return Coords([fr.numerator] + [0] * (self.deg - 1) + [fr.denominator])
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            nums = [x + y for x, y in zip(a, b)]
+            nums[-1] = da
+        else:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            nums = [x * sa + y * sb for x, y in zip(a, b)]
+            nums[-1] = da * sa
+        return _canonical(nums)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            nums = [x - y for x, y in zip(a, b)]
+            nums[-1] = da
+        else:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            nums = [x * sa - y * sb for x, y in zip(a, b)]
+            nums[-1] = da * sa
+        return _canonical(nums)
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        nums = [-x for x in a]
+        nums[-1] = a[-1]
+        return Coords(nums)
 
     def mul(self, a, b):
         deg = self.deg
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a):
+        prod = [0] * (2 * deg - 1)
+        terms = [(j, y) for j, y in enumerate(b[:deg]) if y]
+        for i in range(deg):
+            x = a[i]
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        out = prod[:deg]
+                for j, y in terms:
+                    prod[i + j] += x * y
         for k in range(deg, 2 * deg - 1):
             c = prod[k]
             if c:
-                red = self._red[k - deg]
-                for i in range(deg):
-                    if red[i]:
-                        out[i] += c * red[i]
-        return tuple(out)
+                for i, r in self._red[k - deg]:
+                    prod[i] += c * r
+        del prod[deg:]
+        prod.append(a[deg] * b[deg])
+        return _canonical(prod)
 
     def inv(self, a):
-        if all(c == 0 for c in a):
+        if self.is_zero(a):
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        # extended euclid on (minpoly, a) over Q[x]
-        r0, r1 = list(self.minpoly), list(a)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            qt = [Fraction(0)] * (len(q) + len(t1) - 1)
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, tc in enumerate(t1):
-                        qt[i + j] += qc * tc
-            t2 = [x - y for x, y in
-                  zip(t0 + [Fraction(0)] * max(0, len(qt) - len(t0)),
-                      qt + [Fraction(0)] * max(0, len(t0) - len(qt)))]
-            r0, r1, t0, t1 = r1, r, t1, t2
-        if not r1:
-            raise ZeroDivisionError("element is not invertible")
-        scale = 1 / r1[0]
-        out = [c * scale for c in t1][: self.deg]
-        out += [Fraction(0)] * (self.deg - len(out))
-        return tuple(out)
+        # a = b / den with b integral: solve M x = e_0 for the matrix M of
+        # multiplication by b (column j holds b g^j) by fraction-free
+        # Gauss-Jordan elimination, which ends at D I | D x with D = +-det M;
+        # then 1/a = den x
+        deg = self.deg
+        col = list(a[:deg])
+        cols = [col]
+        for _ in range(deg - 1):
+            top = col[-1]
+            col = [-top * c for c in self.minpoly[:1]] + [
+                x - top * c for x, c in zip(col, self.minpoly[1:-1])]
+            cols.append(col)
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(deg)]
+        prev = 1
+        for k in range(deg):
+            p = next(i for i in range(k, deg) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            pk = pivot[k]
+            for i in range(deg):
+                if i != k:
+                    row = rows[i]
+                    f = row[k]
+                    rows[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
+            prev = pk
+        den = a[deg] if prev > 0 else -a[deg]
+        return _canonical([den * row[deg] for row in rows] + [abs(prev)])
+
+    def coordinates(self, a):
+        """The rational coordinates of `a` in the power basis."""
+        return tuple(Fraction(n, a[-1]) for n in a[:-1])
 
     def sort_key(self, a):
-        return tuple(a)
+        return self.coordinates(a)
 
     def fmt(self, a):
+        coords = self.coordinates(a)
         terms = []
         for i in range(self.deg - 1, -1, -1):
-            c = a[i]
+            c = coords[i]
             if not c:
                 continue
             if i == 0:
@@ -558,8 +633,7 @@ def _check_partner_embedding(f):
     p, g = f.partner_prime, f.partner_gen_image
     acc, gp = 0, 1
     for c in f.minpoly:
-        fr = Fraction(c)
-        acc = (acc + fr.numerator * pow(fr.denominator, p - 2, p) * gp) % p
+        acc = (acc + c * gp) % p
         gp = gp * g % p
     assert acc == 0, "partner generator image is not a root mod p"
 

@@ -223,7 +223,9 @@ def orbit_of_poly(group, f):
                     seen[k] = r
                     new.append(r)
         frontier = new
-    return sorted(seen.values(), key=lambda poly: poly.key())
+    field = f.field
+    return sorted(seen.values(), key=lambda poly: tuple(
+        (e, field.sort_key(c)) for e, c in sorted(poly.terms.items())))
 
 
 def gradient_identity_holds(field, samples=5, seed=0):

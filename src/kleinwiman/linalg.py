@@ -49,14 +49,19 @@ def rref_field(rows, field):
         if i != r:
             m[r], m[i] = m[i], m[r]
         inv = field.inv(m[r][c])
-        m[r] = [field.mul(v, inv) for v in m[r]]
+        row_r = m[r]
+        # only the pivot row's nonzero columns change the other rows
+        support = [j for j, v in enumerate(row_r) if not field.is_zero(v)]
+        for j in support:
+            row_r[j] = field.mul(row_r[j], inv)
         for i in range(nrows):
             if i == r:
                 continue
-            f = m[i][c]
+            row = m[i]
+            f = row[c]
             if not field.is_zero(f):
-                row_r = m[r]
-                m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], row_r)]
+                for j in support:
+                    row[j] = field.sub(row[j], field.mul(f, row_r[j]))
         pivots.append(c)
         r += 1
     return m, pivots
@@ -222,9 +227,9 @@ def kernel_rational(rows, ncols):
 def kernel_certified(rows, ncols, field):
     """Exact right kernel of a matrix over Q or a simple extension of Q.
 
-    Over Q this is kernel_rational.  Over an extension each entry is coerced
-    once, and each row is scaled by the common denominator of its
-    coordinates into deg integer rows, row k holding the g^k coordinates.
+    Over Q this is kernel_rational.  Over an extension each row is scaled by
+    the common denominator of its entries into deg integer rows, row k
+    holding the g^k numerators of the entries' Coords.
     Those rows give the image at the partner prime p, sum_k g(p)^k row_k,
     and rank_p = ncols there proves the kernel empty.  They are also the
     rational rows whose kernel inside Q^n is the rational part of the
@@ -248,10 +253,13 @@ def kernel_certified(rows, ncols, field):
             deg = field.deg
             ints = []
             for row in rows:
-                den, flat = _cleared([c for v in row for c in field.coerce(v)])
+                coords = [field.coerce(v) for v in row]
+                den = math.lcm(*(v[deg] for v in coords))
                 if den % p == 0:
                     raise FieldError(f"a denominator of the matrix vanishes mod {p}")
-                ints.extend(flat[k::deg] for k in range(deg))
+                scales = [den // v[deg] for v in coords]
+                ints.extend([v[k] * s for v, s in zip(coords, scales)]
+                            for k in range(deg))
             gpow = [pow(field.partner_gen_image, k, p) for k in range(deg)]
             blocks = (np.array(ints, dtype=object) % p).astype(np.int64)
             image = np.einsum("ikj,k->ij", blocks.reshape(len(rows), deg, ncols),

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kleinwiman.configs import (build_config, build_klein, line_coeffs,
@@ -6,6 +8,11 @@ from kleinwiman.configs import (build_config, build_klein, line_coeffs,
 from kleinwiman.errors import ConfigError
 from kleinwiman.fields import preset_field
 from kleinwiman.groups import act_on_point
+
+# sha256 of the newline-joined texts of the 45 Wiman lines over Q(sqrt5, omega)
+# in the order build_config returns them (the order of `config show`)
+WIMAN_EXACT_LINES_SHA256 = (
+    "7c5ff97fbae62f211270e0c518ac12975041cf182ea2e3abeabc812c2409c087")
 
 
 def test_klein_counts(klein_config_exact):
@@ -119,3 +126,11 @@ def test_build_config_dispatch():
     assert build_config("klein-char7").preset == "klein-char7"
     with pytest.raises(ConfigError):
         build_config("fermat")
+
+
+def test_wiman_exact_line_order():
+    """The orbit of lines is sorted by the field's sort_key on each
+    coefficient, so the order does not depend on how elements are stored."""
+    cfg = build_config("wiman", preset_field("wiman-exact"))
+    text = "\n".join(line.text() for line in cfg.lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == WIMAN_EXACT_LINES_SHA256

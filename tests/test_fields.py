@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -97,7 +98,8 @@ def test_canonical_form_idempotent(klein_exact, wiman_exact):
         assert f.coerce(x) == x
         # products reduce fully: degree below the extension degree
         y = f.mul(f.pow(f.gen, f.deg - 1), f.gen)
-        assert len(y) == f.deg
+        assert len(f.coordinates(y)) == f.deg
+        assert y == f.coerce(tuple(-c for c in f.minpoly[:-1]))
 
 
 def test_division_errors(klein_modp):
@@ -155,3 +157,195 @@ def test_prime_field_embed_rational():
     assert f.embed_rational(Fraction(1, 2)) == 4
     with pytest.raises(FieldError):
         f.embed_rational(Fraction(1, 7))
+
+
+def test_non_integral_minimal_polynomial_rejected():
+    """x^2 + 1/2 is irreducible; it is refused for its coefficients, not
+    reported as reducible."""
+    with pytest.raises(FieldError, match="must be integers"):
+        SimpleExtension((Fraction(1, 2), 0, 1))
+    with pytest.raises(FieldError, match="must be integers"):
+        is_irreducible_monic_int((Fraction(1, 2), 0, 1))
+
+
+class _FractionTuples:
+    """Reference arithmetic of Q[g]/(minpoly) on tuples of Fractions in the
+    power basis: schoolbook products reduced by the table of g^k, inverses
+    by the extended Euclidean algorithm over Q[x]."""
+
+    def __init__(self, field):
+        self.field = field
+        self.deg = deg = field.deg
+        self.minpoly = [Fraction(c) for c in field.minpoly]
+        self.zero = (Fraction(0),) * deg
+        self.one = (Fraction(1),) + (Fraction(0),) * (deg - 1)
+        red = [[-c for c in self.minpoly[:-1]]]
+        for _ in range(deg - 2):
+            top = red[-1][-1]
+            red.append([(red[-1][i - 1] if i else 0) + top * red[0][i]
+                        for i in range(deg)])
+        self.red = red
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        deg = self.deg
+        prod = [Fraction(0)] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        out = prod[:deg]
+        for k in range(deg, 2 * deg - 1):
+            for i in range(deg):
+                out[i] += prod[k] * self.red[k - deg][i]
+        return tuple(out)
+
+    def inv(self, a):
+        def trim(p):
+            p = list(p)
+            while p and p[-1] == 0:
+                p.pop()
+            return p
+
+        def divmod_(num, den):
+            num, quot = list(num), [Fraction(0)] * max(1, len(num) - len(den) + 1)
+            for i in range(len(num) - len(den), -1, -1):
+                c = num[i + len(den) - 1] / den[-1]
+                quot[i] = c
+                for j, d in enumerate(den):
+                    num[i + j] -= c * d
+            return quot, trim(num)
+
+        def sub_mul(t0, q, t1):
+            out = [Fraction(0)] * max(len(t0), len(q) + len(t1) - 1)
+            for i, c in enumerate(t0):
+                out[i] += c
+            for i, x in enumerate(q):
+                for j, y in enumerate(t1):
+                    out[i + j] -= x * y
+            return out
+
+        r0, r1 = self.minpoly, trim(a)
+        t0, t1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = divmod_(r0, r1)
+            r0, r1, t0, t1 = r1, r, t1, sub_mul(t0, q, t1)
+        out = [c / r1[0] for c in t1][:self.deg]
+        return tuple(out + [Fraction(0)] * (self.deg - len(out)))
+
+    def pow(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        acc = self.one
+        for _ in range(n):
+            acc = self.mul(acc, a)
+        return acc
+
+    def fmt(self, a):
+        name = self.field.gen_name
+        terms = []
+        for i in range(self.deg - 1, -1, -1):
+            c = a[i]
+            if not c:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                g = name if i == 1 else f"{name}^{i}"
+                terms.append(g if c == 1 else f"-{g}" if c == -1 else f"{c}*{g}")
+        if not terms:
+            return "0"
+        return terms[0] + "".join(t if t.startswith("-") else "+" + t
+                                  for t in terms[1:])
+
+
+def _oracle_fields():
+    return [preset_field("klein-exact"), preset_field("wiman-exact"),
+            SimpleExtension((15, 0, 1), gen_name="s", name="Q(sqrt-15)")]
+
+
+def _random_coordinates(rng, deg):
+    return tuple(Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7, 12]))
+                 if rng.random() < 0.7 else Fraction(0) for _ in range(deg))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_integer_coordinates_match_fraction_reference(index):
+    """Seeded random elements: every operation on the integer coordinates
+    agrees with the Fraction-tuple reference, results are in canonical form
+    (equal values give equal representations and hashes), and fmt and
+    sort_key give what the reference gives."""
+    f = _oracle_fields()[index]
+    ref = _FractionTuples(f)
+    rng = random.Random(20261018 + index)
+    vals = [_random_coordinates(rng, f.deg) for _ in range(40)]
+    vals += [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),)
+             + (Fraction(0),) * (f.deg - 1) for _ in range(8)]
+    vals.append(ref.zero)
+
+    def check(rep, expected):
+        assert f.coordinates(rep) == expected
+        assert f.coerce(expected) == rep
+        assert rep[-1] > 0 and math.gcd(*rep) == 1
+        assert f.fmt(rep) == ref.fmt(expected)
+        assert f.sort_key(rep) == expected
+
+    reps = [f.coerce(v) for v in vals]
+    for r, v in zip(reps, vals):
+        check(r, v)
+        check(f.neg(r), ref.neg(v))
+    for _ in range(700):
+        i, j = rng.randrange(len(vals)), rng.randrange(len(vals))
+        a, b, ra, rb = reps[i], reps[j], vals[i], vals[j]
+        check(f.mul(a, b), ref.mul(ra, rb))
+        check(f.add(a, b), ref.add(ra, rb))
+        check(f.sub(a, b), ref.sub(ra, rb))
+        # equal values reached along different routes: equal reps and hashes
+        assert f.add(f.sub(a, b), b) == a
+        assert hash(f.element(f.add(f.sub(a, b), b))) == hash(f.element(a))
+    for r, v in zip(reps[:20], vals[:20]):
+        if v == ref.zero:
+            continue
+        check(f.inv(r), ref.inv(v))
+        n = rng.randint(-3, 6)
+        check(f.pow(r, n), ref.pow(v, n))
+        b = reps[rng.randrange(len(reps))]
+        check(f.div(b, r), ref.mul(f.coordinates(b), ref.inv(v)))
+        assert f.mul(f.div(b, r), r) == b
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero)
+    assert f.spec_key() == ("extension", tuple(ref.minpoly))
+    assert hash(f.spec_key()) == hash(("extension", tuple(ref.minpoly)))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_extension_coerce_inputs(index):
+    f = _oracle_fields()[index]
+    zeros = (Fraction(0),) * (f.deg - 1)
+    for x in (0, 1, -7, 10 ** 30, Fraction(-3, 4), Fraction(6, 8)):
+        rep = f.coerce(x)
+        assert f.coordinates(rep) == (Fraction(x),) + zeros
+        assert rep == f.embed_rational(x)
+    coords = tuple(Fraction(k - 2, 2 * k + 1) for k in range(f.deg))
+    rep = f.coerce(coords)
+    assert f.coordinates(rep) == coords
+    assert f.coerce(rep) is rep
+    elem = f.element(coords)
+    assert f.coerce(elem) == rep and elem == coords
+    assert f.element(Fraction(1, 2)) + f.element(Fraction(1, 2)) == 1
+    with pytest.raises(FieldError):
+        f.coerce(coords + (Fraction(1),))
+    with pytest.raises(FieldError):
+        f.coerce(coords[:-1])
+    with pytest.raises(FieldError):
+        f.coerce(preset_field("rational").element(1))
+    other = next(g for g in _oracle_fields() if g.deg != f.deg)
+    with pytest.raises(FieldError):
+        f.coerce(other.one)
