@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 
 from kleinwiman.errors import EngineError, UsageError
-from kleinwiman.fields import WIMAN_PRIME, parse_field_flag, preset_field
+from kleinwiman.fields import (WIMAN_PRIME, PrimeField, parse_field_flag,
+                               preset_field)
 
 SCHEMA = "kleinwiman-report/4"
 
@@ -70,6 +71,15 @@ def cmd_config(args):
     from kleinwiman.divisors import CLASS_LABELS, CLASS_SIZES, line_class
 
     field = _field_for(args.preset, args.field)
+    if args.special:
+        if not args.verify:
+            raise UsageError("--special is part of the audit: it needs --verify")
+        if args.preset == "klein-char7":
+            raise UsageError("--special: no special orbits are recorded for "
+                             "klein-char7")
+        if not isinstance(field, PrimeField):
+            raise UsageError("--special: the special-orbit scan runs over a "
+                             "prime field (--field modp:<p>)")
     cfg = build_config(args.preset, field)
     results = {
         "field": field.name,
@@ -162,6 +172,12 @@ def cmd_waldschmidt(args):
     if args.ledger_dmax is not None and args.preset != "klein":
         raise UsageError("--ledger-dmax applies only to klein: the wiman bounds "
                          "read no ledger")
+    if args.curve_only and args.preset != "klein":
+        raise UsageError("--curve-only applies only to klein: the wiman bounds "
+                         "have one certificate")
+    if args.curve_only and args.ledger_dmax is not None:
+        raise UsageError("--curve-only and --ledger-dmax choose different "
+                         "klein lower bounds: give one")
     _check_klein_ledger_dmax(args.ledger_dmax)
     field = _field_for(args.preset, args.field, default_prime=True)
     ledger = None

@@ -116,8 +116,7 @@ def _pick_representative(field, points):
     for p in points:
         if not field.is_zero(p[2]):
             return p
-    # never happens for the shipped presets; fall back to a per-point chart
-    return points[0]
+    raise ConfigError("no point of the class lies off the line z = 0")
 
 
 def _make_class(field, mult, label, points, rep=None):

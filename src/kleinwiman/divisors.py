@@ -4,6 +4,7 @@ search, and Waldschmidt-constant certificates."""
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from kleinwiman.errors import EngineError
 from kleinwiman.fields import RationalField
@@ -134,6 +135,11 @@ SEARCH_PLANS = {
 }
 
 
+def solved_multiplicity(r, s):
+    """The least m >= 0 with r - s m^2 < 0: the search's solved multiplicity."""
+    return isqrt(r // s) + 1 if r >= 0 else 0
+
+
 def negative_curve_search(preset, field, d_max, log=None, progress=None):
     """Effective invariant classes of negative self-intersection meeting all
     previously found ones nonnegatively.
@@ -148,24 +154,22 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
     if preset not in SEARCH_PLANS:
         raise EngineError(f"no negative-curve search plan for preset {preset!r}")
     start, step, bounds = SEARCH_PLANS[preset]
+    sizes = CLASS_SIZES[preset]
     solved = bounds.index(None)
     iterated = [i for i, q in enumerate(bounds) if q is not None]
     keys = ["m" + label[1:] for label in CLASS_LABELS[preset]]
     ledger = [line_class(preset)]
     for d in range(start, d_max + 1, step):
-        for values in product(*(range(d // bounds[i] + 1) for i in iterated)):
-            mults = [0] * len(bounds)
-            for i, v in zip(iterated, values):
-                mults[i] = v
-            while self_int(DivisorClass.make(preset, d, *mults)) >= 0:
-                mults[solved] += 1
+        for values in product(*(range(d // q + 1) for q in bounds if q)):
+            mults = list(values)
+            r = d * d - sum(sizes[i] * m * m for i, m in zip(iterated, mults))
+            mults.insert(solved, solved_multiplicity(r, sizes[solved]))
             cand = DivisorClass.make(preset, d, *mults)
             if any(intersect(cand, old) < 0 for old in ledger):
                 continue
-            lowered = (DivisorClass.make(preset, d, *(m - (j == i)
-                                                     for j, m in enumerate(mults)))
-                       for i in iterated if mults[i])
-            if any(self_int(c) < 0 for c in lowered):
+            q = self_int(cand)   # lowering m_i by one adds s_i (2 m_i - 1) to q
+            if any(q + sizes[i] * (2 * mults[i] - 1) < 0
+                   for i in iterated if mults[i]):
                 continue
             dim = series_dim(SeriesSpec(preset, d, **dict(zip(keys, mults))), field)
             if log is not None:

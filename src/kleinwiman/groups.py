@@ -65,10 +65,6 @@ class GroupElement:
                        f.zero),
                    mul(m[0][1], sub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0]))))
 
-    def row_forms(self, var_names=None):
-        return [Poly.linear_form(self.field, row, var_names=var_names)
-                for row in self.m]
-
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.m == other.m
 
@@ -81,9 +77,7 @@ class GroupElement:
 
 def act_on_poly(g, f):
     """Substitute the linear forms given by g's matrix rows into f."""
-    if f.field != g.field:
-        raise FieldError("mismatched field specs")
-    return f.substitute(g.row_forms(var_names=f.var_names))
+    return f.substitute([Poly.linear_form(g.field, row, f.var_names) for row in g.m])
 
 
 def act_on_point(g, p):

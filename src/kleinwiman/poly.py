@@ -128,9 +128,12 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
+        return self._plus(other.terms)
+
+    def _plus(self, terms):
         f = self.field
         out = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, c in terms.items():
             if e in out:
                 s = f.add(out[e], c)
                 if f.is_zero(s):
@@ -159,7 +162,7 @@ class Poly:
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
+                e = tuple([i + j for i, j in zip(e1, e2)])
                 prod = f.mul(c1, c2)
                 if e in out:
                     out[e] = f.add(out[e], prod)
@@ -232,32 +235,29 @@ class Poly:
         return acc
 
     def substitute(self, images):
-        """Ring map: send variable i to images[i] (a Poly); exact expansion."""
+        """Ring map: send variable i to images[i] (a Poly), expanded by Horner's
+        rule one variable at a time, so every product is by one image."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        tgt = images[0]
-        f = tgt.field
-        cache = {}
-
-        def img_pow(i, k):
-            if (i, k) not in cache:
-                if k == 0:
-                    cache[(i, k)] = Poly.constant(f, f.one, tgt.nvars, tgt.weights,
-                                                  tgt.var_names)
-                else:
-                    cache[(i, k)] = img_pow(i, k - 1) * images[i]
-            return cache[(i, k)]
-
-        if f != self.field:
+        zero = images[0]._new({}, normalized=True)
+        if zero.field != self.field:
             raise FieldError("substitution images live in a different field")
-        acc = Poly.zero(f, tgt.nvars, tgt.weights, tgt.var_names)
-        for e, c in self.terms.items():
-            term = Poly.constant(f, c, tgt.nvars, tgt.weights, tgt.var_names)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * img_pow(i, k)
-            acc = acc + term
-        return acc
+
+        def horner(terms, i):
+            # terms maps the exponents of variables i, i + 1, ... to coefficients
+            if i == self.nvars:
+                return {(0,) * zero.nvars: terms[()]}
+            slices = {}
+            for e, c in terms.items():
+                slices.setdefault(e[0], {})[e[1:]] = c
+            acc = zero
+            for k in range(max(slices, default=-1), -1, -1):
+                acc = acc * images[i]
+                if k in slices:
+                    acc = acc._plus(horner(slices[k], i + 1))
+            return acc.terms
+
+        return zero._new(horner(self.terms, 0), normalized=True)
 
     # -- normal forms and text ----------------------------------------------
 

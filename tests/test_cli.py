@@ -62,13 +62,20 @@ def test_usage_error_exit_code():
     ["config", "show", "--preset", "klein-char7", "--field", "mod4733"],
     ["fatideal", "resurgence", "--preset", "klein", "--ledger-dmax", "20"],
     ["waldschmidt", "--preset", "klein", "--ledger-dmax", "20"],
+    ["config", "show", "--preset", "klein", "--field", "modp:2311", "--special"],
+    ["config", "show", "--preset", "klein", "--verify", "--special"],
+    ["config", "show", "--preset", "klein-char7", "--verify", "--special"],
+    ["waldschmidt", "--preset", "klein", "--curve-only", "--ledger-dmax", "60"],
+    ["waldschmidt", "--preset", "wiman", "--curve-only"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
         "resurgence-char7-ledger", "alpha-ledger", "waldschmidt-wiman-ledger",
         "resurgence-wiman-ledger", "series-mult-above-p", "char7-other-field",
         "char7-config-other-field", "resurgence-klein-ledger-below-30",
-        "waldschmidt-klein-ledger-below-30"])
+        "waldschmidt-klein-ledger-below-30", "special-without-verify",
+        "special-exact-field", "special-char7", "curve-only-with-ledger",
+        "curve-only-wiman"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)

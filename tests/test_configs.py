@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from kleinwiman.configs import (build_config, build_klein, line_coeffs,
-                                point_on_line, projective_zero_locus,
+from kleinwiman.configs import (_pick_representative, build_config, build_klein,
+                                line_coeffs, point_on_line, projective_zero_locus,
                                 verify_orbit_decomposition)
 from kleinwiman.errors import ConfigError
 from kleinwiman.fields import preset_field
@@ -120,6 +120,14 @@ def test_zero_locus_scan_counts(klein_inv_modp):
     f = klein_inv_modp.field
     assert all(f.is_zero(klein_inv_modp.phi[4].evaluate(p)) for p in locus[:20])
     assert len(locus) > 4000
+
+
+def test_representative_off_the_line_z0(klein_modp):
+    """A class whose points all lie on z = 0 has no representative in the
+    chart z = 1: an error, not a silent fallback to its first point."""
+    assert _pick_representative(klein_modp, [(1, 0, 0), (2, 1, 1)]) == (2, 1, 1)
+    with pytest.raises(ConfigError, match="off the line z = 0"):
+        _pick_representative(klein_modp, [(1, 0, 0), (3, 1, 0)])
 
 
 def test_build_config_dispatch():

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from kleinwiman.divisors import (DivisorClass, KLEIN_CURVE_42,
-                                 KLEIN_LIMIT_CLASS, WIMAN_CURVE_90,
+from kleinwiman.divisors import (CLASS_SIZES, DivisorClass, KLEIN_CURVE_42,
+                                 KLEIN_LIMIT_CLASS, SEARCH_PLANS, WIMAN_CURVE_90,
                                  WIMAN_NEF_CANDIDATE, combine, intersect,
                                  klein_dk, klein_lower_bound,
                                  klein_upper_bound_identity, line_class,
                                  negative_curve_search, self_int,
-                                 verify_divisor_identity, waldschmidt_bounds,
-                                 wiman_upper_bound_identity)
+                                 solved_multiplicity, verify_divisor_identity,
+                                 waldschmidt_bounds, wiman_upper_bound_identity)
 from kleinwiman.errors import EngineError
 from kleinwiman.fields import preset_field
 from kleinwiman.series import SeriesSpec, series_basis
@@ -70,6 +70,37 @@ def test_negsearch_needs_a_plan():
     """klein-char7 has no search plan; it used to run the Wiman loop."""
     with pytest.raises(EngineError, match="no negative-curve search plan"):
         negative_curve_search("klein-char7", preset_field("klein-mod7"), 12)
+
+
+@pytest.mark.parametrize("preset, edge_cases", [
+    ("klein", [(7, 1), (14, 2), (4, 1)]),
+    ("wiman", [(9, 1, 0), (6, 1, 0), (6, 0, 1)]),
+], ids=["klein", "wiman"])
+def test_search_closed_form(preset, edge_cases):
+    """The search's closed forms against self_int, at random degrees up to 804
+    and random iterated multiplicities in the search's ranges, plus the edge
+    cases r = s k^2, r = 0 and r < 0 (r: the square at m = 0): the solved
+    multiplicity is the least with a negative square, found by a brute loop,
+    and q + s_i (2 m_i - 1) is the square of each class with m_i one lower."""
+    _, _, bounds = SEARCH_PLANS[preset]
+    sizes = CLASS_SIZES[preset]
+    solved = bounds.index(None)
+    rng = random.Random(804)
+    cases = [(d, *(rng.randint(0, d // q) for q in bounds if q))
+             for d in (rng.randint(1, 804) for _ in range(40))]
+    for d, *values in edge_cases + cases:
+        mults = list(values)
+        mults.insert(solved, 0)
+        m = solved_multiplicity(self_int(DivisorClass.make(preset, d, *mults)),
+                                sizes[solved])
+        while self_int(DivisorClass.make(preset, d, *mults)) >= 0:
+            mults[solved] += 1
+        assert m == mults[solved], (d, values)
+        q = self_int(DivisorClass.make(preset, d, *mults))
+        for i, mi in enumerate(mults):
+            lowered = DivisorClass.make(preset, d, *(mj - (j == i)
+                                                     for j, mj in enumerate(mults)))
+            assert q + sizes[i] * (2 * mi - 1) == self_int(lowered)
 
 
 def test_negsearch_to_60(klein_modp):

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from kleinwiman.errors import FieldError
 from kleinwiman.fields import RationalField, preset_field
+from kleinwiman.groups import valentiner_generators
 from kleinwiman.poly import (Poly, bordered_hessian_det, hessian_det,
                              jacobian_det, local_expand, monomials_of_degree,
                              multiplicity_at, normalize_point, weighted_basis)
@@ -194,3 +197,68 @@ def test_normalize_point():
     assert normalize_point(f, (3, 0, 0)) == (1, 0, 0)
     with pytest.raises(ValueError):
         normalize_point(f, (0, 0, 0))
+
+
+def _term_by_term(f, images):
+    """The substitution written out: sum of c * prod images[i] ** e_i."""
+    tgt = images[0]
+    acc = Poly.zero(tgt.field, tgt.nvars, tgt.weights, tgt.var_names)
+    for e, c in f.terms.items():
+        term = Poly.constant(tgt.field, c, tgt.nvars, tgt.weights, tgt.var_names)
+        for image, k in zip(images, e):
+            term = term * image ** k
+        acc = acc + term
+    return acc
+
+
+def _sample(field, rng):
+    if field.kind == "rational":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return _random_element(field, rng)
+
+
+@pytest.mark.parametrize("name", ["klein-mod4733", "rational", "klein-exact",
+                                  "wiman-exact"])
+def test_substitute_matches_term_by_term(name):
+    """Poly.substitute (Horner's rule) against the term-by-term expansion:
+    dense linear images (the Valentiner generator r3 over Q(sqrt5, omega)),
+    affine images in two variables, the Klein invariants as images of the
+    weighted generators, and the zero and constant polynomials."""
+    field = Q if name == "rational" else preset_field(name)
+    rng = random.Random(30)
+    if name == "wiman-exact":
+        dense = [Poly.linear_form(field, row) for row in valentiner_generators(field)[2].m]
+    else:
+        dense = [Poly.linear_form(field, [_sample(field, rng) for _ in range(3)])
+                 for _ in range(3)]
+    u, v = (Poly.variable(field, i, 2, var_names=("u", "v")) for i in range(2))
+    one = Poly.constant(field, 1, 2, var_names=("u", "v"))
+    affine = [u + one.scale(_sample(field, rng)), v + one.scale(_sample(field, rng)), one]
+    x, y, z = _xyz(field)
+    phi4 = x ** 3 * y + y ** 3 * z + z ** 3 * x
+    phi6 = x * y ** 5 + y * z ** 5 + z * x ** 5 - (x ** 2 * y ** 2 * z ** 2).scale(5)
+    invariants = [phi4, phi6, bordered_hessian_det(phi4, phi6)]
+    weights, names = (4, 6, 14), ("v1", "v2", "v3")
+    mons = [e for deg in range(7) for e in monomials_of_degree(3, deg)]
+    cases = []
+    for images in (dense, affine):
+        for _ in range(3):
+            f = Poly(field, {e: _sample(field, rng) for e in rng.sample(mons, 8)})
+            cases.append((f, images))
+    wmons = weighted_basis(weights, 18) + weighted_basis(weights, 28)
+    cases.append((Poly(field, {e: _sample(field, rng) for e in wmons}, 3, weights,
+                       names), invariants))
+    c = _sample(field, rng)
+    cases += [(Poly.zero(field), dense), (Poly.constant(field, c), dense),
+              (Poly.constant(field, c, 3, weights, names), invariants)]
+    for f, images in cases:
+        got = f.substitute(images)
+        assert got == _term_by_term(f, images)
+        assert (got.nvars, got.weights, got.var_names) \
+            == (images[0].nvars, images[0].weights, images[0].var_names)
+    assert Poly.zero(field).substitute(dense).is_zero()
+    assert Poly.constant(field, c).substitute(affine) == Poly.constant(
+        field, c, 2, var_names=("u", "v"))
+    other = Q if name != "rational" else preset_field("klein-mod4733")
+    with pytest.raises(FieldError):
+        Poly.variable(other, 0).substitute(dense)
