@@ -136,7 +136,8 @@ SEARCH_PLANS = {
 
 
 def solved_multiplicity(r, s):
-    """The least m >= 0 with r - s m^2 < 0: the search's solved multiplicity."""
+    """The least m >= 0 with r - s m^2 < 0: the search's solved multiplicity,
+    where r is the square of the class with that multiplicity 0."""
     return isqrt(r // s) + 1 if r >= 0 else 0
 
 
@@ -167,8 +168,8 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
             cand = DivisorClass.make(preset, d, *mults)
             if any(intersect(cand, old) < 0 for old in ledger):
                 continue
-            q = self_int(cand)   # lowering m_i by one adds s_i (2 m_i - 1) to q
-            if any(q + sizes[i] * (2 * mults[i] - 1) < 0
+            square = self_int(cand)   # m_i one lower adds s_i (2 m_i - 1) to it
+            if any(square + sizes[i] * (2 * mults[i] - 1) < 0
                    for i in iterated if mults[i]):
                 continue
             dim = series_dim(SeriesSpec(preset, d, **dict(zip(keys, mults))), field)
