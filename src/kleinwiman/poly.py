@@ -164,11 +164,10 @@ class Poly:
             for e2, c2 in b.items():
                 e = tuple([i + j for i, j in zip(e1, e2)])
                 prod = f.mul(c1, c2)
-                if e in out:
-                    out[e] = f.add(out[e], prod)
-                else:
-                    out[e] = prod
-        return self._new(out)
+                old = out.get(e)
+                out[e] = prod if old is None else f.add(old, prod)
+        return self._new({e: c for e, c in out.items() if not f.is_zero(c)},
+                         normalized=True)
 
     def __rmul__(self, other):
         return self.scale(other)
