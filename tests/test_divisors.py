@@ -81,7 +81,8 @@ def test_search_closed_form(preset, edge_cases):
     and random iterated multiplicities in the search's ranges, plus the edge
     cases r = s k^2, r = 0 and r < 0 (r: the square at m = 0): the solved
     multiplicity is the least with a negative square, found by a brute loop,
-    and q + s_i (2 m_i - 1) is the square of each class with m_i one lower."""
+    and square + s_i (2 m_i - 1) is the square of each class with m_i one
+    lower."""
     _, _, bounds = SEARCH_PLANS[preset]
     sizes = CLASS_SIZES[preset]
     solved = bounds.index(None)
@@ -96,11 +97,11 @@ def test_search_closed_form(preset, edge_cases):
         while self_int(DivisorClass.make(preset, d, *mults)) >= 0:
             mults[solved] += 1
         assert m == mults[solved], (d, values)
-        q = self_int(DivisorClass.make(preset, d, *mults))
+        square = self_int(DivisorClass.make(preset, d, *mults))
         for i, mi in enumerate(mults):
             lowered = DivisorClass.make(preset, d, *(mj - (j == i)
                                                      for j, mj in enumerate(mults)))
-            assert q + sizes[i] * (2 * mi - 1) == self_int(lowered)
+            assert square + sizes[i] * (2 * mi - 1) == self_int(lowered)
 
 
 def test_negsearch_to_60(klein_modp):
