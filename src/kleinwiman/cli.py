@@ -64,6 +64,11 @@ def _fmt_point(field, p):
     return [field.fmt(c) for c in p]
 
 
+def _progress(msg):
+    """Progress lines of the long tasks go to standard error, unbuffered."""
+    print(msg, file=sys.stderr, flush=True)
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_config(args):
@@ -148,12 +153,8 @@ def cmd_negsearch(args):
 
     field = _field_for(args.preset, args.field, default_prime=True)
     log = []
-
-    def progress(msg):
-        print(msg, file=sys.stderr, flush=True)
-
     ledger = negative_curve_search(args.preset, field, args.dmax, log=log,
-                                   progress=progress)
+                                   progress=_progress)
     results = {"field": field.name, "dmax": args.dmax,
                "ledger": [c.as_text() for c in ledger],
                "candidates_tried": len(log), "source": "computed"}
@@ -207,10 +208,7 @@ def cmd_fatideal(args):
     if args.task == "alpha":
         from kleinwiman.fatideals import certified_alpha
 
-        def progress(msg):
-            print(msg, file=sys.stderr, flush=True)
-
-        cert = certified_alpha(ps, args.m, cap=args.cap, progress=progress)
+        cert = certified_alpha(ps, args.m, cap=args.cap, progress=_progress)
         return 0, {"field": field.name, "m": args.m, **cert,
                    "source": "computed"}
     if args.task == "generators":

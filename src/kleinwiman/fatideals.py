@@ -9,6 +9,7 @@ the matrices here have one block of rows per point.
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -133,35 +134,19 @@ def vanishes_to_order(f, pointset, m):
     return True
 
 
-def certified_alpha(pointset, m, cap=120, progress=None):
-    """Least degree alpha with a nonzero piece of the m-th symbolic power
-    (m >= 1), with the two certificates that fix it:
-
-    - "empty_below": the conditions have full column rank in degree alpha - 1;
-    - "witness": a nonzero form of degree alpha, re-checked by local expansion
-      to vanish to order m at every point.
-
-    A nonzero piece stays nonzero one degree up (multiply by a linear form),
-    so alpha is found by bisection on emptiness, which is full column rank
-    of the conditions: no kernel is computed for it.  The lower end m - 1 is
-    empty without elimination (a nonzero form of degree d has order at most
-    d at a point).  The upper end is the least degree whose monomials
-    outnumber the conditions, where the piece cannot be empty; when that
-    lies beyond `cap`, the upper end is `cap`, checked with one rank.
-    A failed certificate raises FatIdealError.
-    """
+def _alpha_piece(pointset, m, cap, progress):
+    """certified_alpha's certificate, and the degree-alpha piece that its
+    witness is read from."""
     if m < 1:
         raise FatIdealError(f"alpha needs a multiplicity m >= 1, got {m}")
-    ranks = {}
+    pieces = {}
 
     def empty(d):
-        mat, cols = point_conditions_matrix(pointset, m, d)
-        ncols = len(cols)
-        rank = linalg.rank(mat, ncols, pointset.field)
-        ranks[d] = (rank, ncols)
+        piece = pieces[d] = symbolic_piece(pointset, m, d)
+        ncols = len(piece.monomials)
         if progress is not None:
-            progress(f"degree {d}: rank {rank} of {ncols} columns")
-        return rank == ncols
+            progress(f"degree {d}: rank {ncols - piece.dim} of {ncols} columns")
+        return piece.dim == 0
 
     conditions = len(pointset) * comb(m + 1, 2)
     lo, hi = m - 1, m
@@ -178,20 +163,41 @@ def certified_alpha(pointset, m, cap=120, progress=None):
             lo = mid
         else:
             hi = mid
-    if lo not in ranks:
+    if lo not in pieces:
         empty(lo)
-    rank, ncols = ranks[lo]
-    if rank != ncols:
+    if pieces[lo].dim:
         raise FatIdealError(f"degree {lo} conditions lost full rank")
-    piece = symbolic_piece(pointset, m, hi)
+    piece = pieces[hi] if hi in pieces else symbolic_piece(pointset, m, hi)
     form = piece.basis_polys()[0] if piece.dim else None
     if form is None or not vanishes_to_order(form, pointset, m):
         raise FatIdealError(
             f"no form of degree {hi} vanishing to order {m} re-checks")
+    ncols = len(pieces[lo].monomials)
     return {"alpha": hi,
-            "empty_below": {"degree": lo, "rank": rank, "columns": ncols},
+            "empty_below": {"degree": lo, "rank": ncols, "columns": ncols},
             "witness": {"degree": hi, "order": m, "form": form,
-                        "check": "local expansion at every point"}}
+                        "check": "local expansion at every point"}}, piece
+
+
+def certified_alpha(pointset, m, cap=120, progress=None):
+    """Least degree alpha with a nonzero piece of the m-th symbolic power
+    (m >= 1), with the two certificates that fix it:
+
+    - "empty_below": the conditions have full column rank in degree alpha - 1;
+    - "witness": a nonzero form of degree alpha, re-checked by local expansion
+      to vanish to order m at every point.
+
+    A nonzero piece stays nonzero one degree up (multiply by a linear form),
+    so alpha is found by bisection on emptiness: each probe builds its piece,
+    and dimension 0 is full column rank of the conditions.  The witness is
+    the first basis form of the last nonempty probe.  The lower end m - 1 is
+    empty without elimination (a nonzero form of degree d has order at most
+    d at a point).  The upper end is the least degree whose monomials
+    outnumber the conditions, where the piece cannot be empty; when that
+    lies beyond `cap`, the upper end is `cap`, probed once.
+    A failed certificate raises FatIdealError.
+    """
+    return _alpha_piece(pointset, m, cap, progress)[0]
 
 
 def alpha_symbolic(pointset, m, cap=120, progress=None):
@@ -214,9 +220,6 @@ class GeneratorSet:
     def omega(self):
         return max(self.by_degree) if self.by_degree else None
 
-    def count(self):
-        return sum(len(v) for v in self.by_degree.values())
-
     def all_generators(self):
         return [g for d in sorted(self.by_degree) for g in self.by_degree[d]]
 
@@ -237,16 +240,16 @@ def minimal_generators(pointset, up_to_degree):
                 g = f * Poly.variable(field, v)
                 products.append(g.coeff_vector(cols))
         span = GradedPiece(d, field, cols, products)
+        basis = piece.basis_polys()
         new = []
-        for f in piece.basis_polys():
-            vec = f.coeff_vector(cols)
+        for f, vec in zip(basis, piece.rows):
             if not span.contains_vector(vec):
                 new.append(f)
                 span = GradedPiece(d, field, cols, list(span.rows) + [vec])
         if new:
             gens.by_degree[d] = new
         gens.complete_through = d
-        prev_basis = piece.basis_polys()
+        prev_basis = basis
     return gens
 
 
@@ -274,15 +277,7 @@ def power_piece(gens, r, d):
     cols = monomials_of_degree(3, d)
     rows = []
     products = {(): Poly.constant(field, field.one)}
-
-    def multiset_products(start, left, acc_key):
-        if left == 0:
-            yield acc_key
-            return
-        for i in range(start, len(flat)):
-            yield from multiset_products(i, left - 1, acc_key + (i,))
-
-    for key in multiset_products(0, r, ()):
+    for key in combinations_with_replacement(range(len(flat)), r):
         degsum = sum(flat[i].degree() for i in key)
         if degsum > d:
             continue
@@ -329,6 +324,8 @@ def containment_report(pointset, m, r, d_max, gens=None):
 
     Route (a): degreewise verification through d_max (certifies only those
     degrees unless d_max dominates the symbolic power's generator degrees).
+    The loop starts from the alpha certificate's piece; every piece from
+    there on is nonzero, and below r * alpha(I) the power's piece is empty.
     Route (b): the regularity inequality, using the recorded regularity
     constants together with this module's computed least degrees.
     """
@@ -336,12 +333,12 @@ def containment_report(pointset, m, r, d_max, gens=None):
         a1 = alpha_symbolic(pointset, 1, cap=d_max)
         depth = max(a1 + 2, d_max - (r - 1) * a1)
         gens = minimal_generators(pointset, depth)
-    alpha1 = gens.alpha
     report = {"preset": pointset.preset, "m": m, "r": r, "d_max": d_max,
               "degree_cap_caveat": (
                   f"degreewise route certifies degrees <= {d_max} only")}
     try:
-        a_m = alpha_symbolic(pointset, m, cap=d_max)
+        cert, sym = _alpha_piece(pointset, m, d_max, None)
+        a_m = cert["alpha"]
     except FatIdealError:
         a_m = None
     report["alpha_symbolic"] = a_m
@@ -349,18 +346,13 @@ def containment_report(pointset, m, r, d_max, gens=None):
     checked = []
     if a_m is not None:
         for d in range(a_m, d_max + 1):
-            sym = symbolic_piece(pointset, m, d)
-            if sym.dim == 0:
-                continue
-            if d < r * alpha1:
-                pow_rows = None
-            else:
-                pow_rows = power_piece(gens, r, d)
-            for i, f in enumerate(sym.basis_polys()):
-                inside = (pow_rows is not None
-                          and pow_rows.contains_vector(f.coeff_vector(sym.monomials)))
-                if not inside:
-                    witness = {"degree": d, "basis_index": i, "element": f}
+            if d > a_m:
+                sym = symbolic_piece(pointset, m, d)
+            power = power_piece(gens, r, d)
+            for i, row in enumerate(sym.rows):
+                if not power.contains_vector(row):
+                    witness = {"degree": d, "basis_index": i,
+                               "element": sym.basis_polys()[i]}
                     break
             checked.append(d)
             if witness:

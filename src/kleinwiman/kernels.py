@@ -141,16 +141,13 @@ def kernel_mod(a, p):
     the solved pivot entries elsewhere, and free columns are taken in
     increasing order.
     """
-    a = np.asarray(a, dtype=np.int64)
-    cols = a.shape[1]
     r, pivots = rref_mod(a, p)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-r[i, f]) % p
+    free = np.ones(r.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[:len(pivots), free].T % p
     return basis
 
 

@@ -122,6 +122,19 @@ def test_fatideal_alpha_command():
     assert code == 1
 
 
+def test_fatideal_alpha_progress(capsys):
+    """One stderr line per probed degree of the bisection; the upper end 16
+    is alpha without a probe, so it has no line."""
+    code, rep = run_cli(["fatideal", "alpha", "--preset", "klein-char7",
+                         "--m", "2"])
+    assert code == 0 and rep["results"]["alpha"] == 16
+    assert capsys.readouterr().err == (
+        "degree 8: rank 45 of 45 columns\n"
+        "degree 12: rank 91 of 91 columns\n"
+        "degree 14: rank 120 of 120 columns\n"
+        "degree 15: rank 136 of 136 columns\n")
+
+
 @pytest.mark.parametrize("preset, degree, bounds", [
     ("klein-char7", 21, ["32/25", "36/25"]),
     ("klein", 21, ["16/13", "36/29"]),

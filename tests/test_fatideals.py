@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kleinwiman import fatideals, linalg
 from kleinwiman.errors import FatIdealError
 from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   asymptotic_resurgence_bounds, certified_alpha,
@@ -112,8 +113,33 @@ def test_alpha_bisection_matches_scan(points, m, request):
     assert below["degree"] == alpha - 1
     assert below["rank"] == below["columns"] == len(
         symbolic_piece(ps, 0, alpha - 1).monomials)
+    # the bisection reads emptiness from the pieces; rank the conditions
+    # independently: full column rank below alpha, less at alpha
+    mat, cols = point_conditions_matrix(ps, m, alpha - 1)
+    assert linalg.rank(mat, len(cols), ps.field) == len(cols)
+    mat, cols = point_conditions_matrix(ps, m, alpha)
+    assert linalg.rank(mat, len(cols), ps.field) < len(cols)
     assert cert["witness"]["degree"] == alpha
     assert vanishes_to_order(cert["witness"]["form"], ps, m)
+
+
+def test_each_piece_built_once(char7_points, char7_gens, monkeypatch):
+    """Neither the alpha certificate nor the containment loop, which starts
+    from the certificate's degree-alpha piece, builds a (m, d) piece twice."""
+    built = []
+    conditions = fatideals.point_conditions_matrix
+
+    def counting(pointset, m, d):
+        built.append((m, d))
+        return conditions(pointset, m, d)
+
+    monkeypatch.setattr(fatideals, "point_conditions_matrix", counting)
+    assert certified_alpha(char7_points, 6)["alpha"] == 42
+    assert (6, 42) in built and len(built) == len(set(built))
+    built.clear()
+    rep = containment_report(char7_points, 2, 3, 20, gens=char7_gens)
+    assert rep["witness_degree"] == 16
+    assert (2, 16) in built and len(built) == len(set(built))
 
 
 def test_alpha_cap_below_alpha(char7_points):
@@ -175,6 +201,8 @@ def test_wiman_minors(wiman_points_modp, wiman_inv_modp):
 
 def test_power_piece_dims(klein_points_modp, klein_gens_modp):
     assert power_piece(klein_gens_modp, 2, 16).dim == 6
+    # below r * alpha(I) no product of r generators fits
+    assert power_piece(klein_gens_modp, 2, 15).dim == 0
     # the r = 1 piece is the ideal itself, degree by degree
     for d in (8, 9, 10):
         assert power_piece(klein_gens_modp, 1, d).dim \
