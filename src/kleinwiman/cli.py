@@ -65,7 +65,6 @@ def _fmt_point(field, p):
 
 
 def _progress(msg):
-    """Progress lines of the long tasks go to standard error, unbuffered."""
     print(msg, file=sys.stderr, flush=True)
 
 
