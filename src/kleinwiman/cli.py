@@ -134,6 +134,8 @@ def cmd_invariants(args):
 def cmd_series(args):
     from kleinwiman.series import SeriesSpec, edim, series_basis
 
+    if args.preset == "klein" and (args.m5 or args.m3b is not None):
+        raise UsageError("klein series take only --m4 and --m3")
     field = _field_for(args.preset, args.field,
                        default_prime=(args.preset == "wiman"))
     spec = SeriesSpec(args.preset, args.d, m5=args.m5, m4=args.m4, m3=args.m3,

@@ -329,10 +329,6 @@ def containment_report(pointset, m, r, d_max, gens=None):
     Route (b): the regularity inequality, using the recorded regularity
     constants together with this module's computed least degrees.
     """
-    if gens is None:
-        a1 = alpha_symbolic(pointset, 1, cap=d_max)
-        depth = max(a1 + 2, d_max - (r - 1) * a1)
-        gens = minimal_generators(pointset, depth)
     report = {"preset": pointset.preset, "m": m, "r": r, "d_max": d_max,
               "degree_cap_caveat": (
                   f"degreewise route certifies degrees <= {d_max} only")}
@@ -345,6 +341,11 @@ def containment_report(pointset, m, r, d_max, gens=None):
     witness = None
     checked = []
     if a_m is not None:
+        if gens is None:
+            # I^(m) lies in I, so alpha(I) <= a_m <= d_max
+            a1 = alpha_symbolic(pointset, 1, cap=d_max)
+            depth = max(a1 + 2, d_max - (r - 1) * a1)
+            gens = minimal_generators(pointset, depth)
         for d in range(a_m, d_max + 1):
             if d > a_m:
                 sym = symbolic_piece(pointset, m, d)

@@ -7,6 +7,7 @@ the owning Field object; FieldElement is a thin operator wrapper for callers
 who want infix arithmetic.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -18,97 +19,9 @@ KLEIN_PRIME = 4733   # 7 has exact multiplicative order 7 mod 4733
 WIMAN_PRIME = 4951   # smallest preset prime with sqrt(5), omega and sqrt(-15)
 
 
-def _poly_divmod(num, den):
-    """Divide coefficient lists (little-endian, Fraction) over Q."""
-    num = list(num)
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(0, len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] / lead
-        quot[i - deg_d] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i - deg_d + j] -= c * d
-    rem = num[:deg_d]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _polymul_mod(a, b, f, p):
-    """Product of coefficient lists mod (f, p), f monic."""
-    n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i in range(n):
-                prod[k - n + i] = (prod[k - n + i] - c * f[i]) % p
-    out = prod[:n]
-    out += [0] * (n - len(out))
-    return out
-
-
-def _poly_gcd_mod(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while any(b):
-        while b and b[-1] % p == 0:
-            b.pop()
-        if not b:
-            break
-        inv = pow(b[-1], p - 2, p)
-        for i in range(len(a) - 1, len(b) - 2, -1):
-            c = a[i] * inv % p
-            if c:
-                for j in range(len(b)):
-                    a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - c * b[j]) % p
-        a, b = b, a[: len(b) - 1]
-    while a and a[-1] % p == 0:
-        a.pop()
-    return a
-
-
-def _is_irreducible_mod(coeffs, p):
-    """Rabin test for a monic polynomial over F_p."""
-    f = [c % p for c in coeffs]
-    n = len(f) - 1
-    if f[-1] != 1:
-        return False
-
-    def frob(e, times):
-        # e -> e^(p^times) mod f by repeated powering
-        for _ in range(times):
-            acc = [1]
-            base = list(e)
-            k = p
-            while k:
-                if k & 1:
-                    acc = _polymul_mod(acc, base, f, p)
-                base = _polymul_mod(base, base, f, p)
-                k >>= 1
-            e = acc
-        return e
-
-    def minus_x(e):
-        h = list(e) + [0] * max(0, 2 - len(e))
-        h[1] = (h[1] - 1) % p
-        return h
-
-    x = [0, 1]
-    primes = {q for q in range(2, n + 1) if n % q == 0 and
-              all(q % r for r in range(2, q))}
-    for q in primes:
-        g = _poly_gcd_mod(minus_x(frob(x, n // q)), f, p)
-        if len(g) != 1:
-            return False
-    return not any(minus_x(frob(x, n)))
+def is_prime(n):
+    """Primality of an integer by trial division."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def _integer_coefficients(coeffs, what):
@@ -123,14 +36,60 @@ def _integer_coefficients(coeffs, what):
     return out
 
 
-def is_irreducible_monic_int(coeffs):
-    """Irreducibility over Q for a monic integer polynomial of degree <= 6.
+def _divisors(n):
+    """The positive and negative divisors of a nonzero integer."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    pos = small + [n // d for d in reversed(small) if d * d != n]
+    return [s * d for d in pos for s in (1, -1)]
 
-    Tries a mod-p certificate first (irreducible mod p with p not dividing
-    the discriminant data implies irreducible over Q); falls back to a finite
-    trial factorization, valid because monic rational factors are integral
-    with constant term dividing the input's constant term and coefficients
-    within the Mignotte bound.
+
+def _divides_monic(g, f):
+    """Whether the monic integer polynomial g divides f in Z[x]
+    (little-endian coefficient lists)."""
+    rem = list(f)
+    k = len(g) - 1
+    for i in range(len(rem) - 1, k - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(k + 1):
+                rem[i - k + j] -= c * g[j]
+    return not any(rem[:k])
+
+
+def _newton_monic(xs, vs):
+    """The monic integer polynomial of degree len(xs) taking the values vs
+    at the integer points xs, or None when it is not integral.  Its divided
+    differences at integer points are integers (those of each power x^m
+    are), and they are its Newton coefficients: with k = len(xs) the
+    polynomial is c_0 + c_1 (x - x_0) + ... + (x - x_0) ... (x - x_(k-1))."""
+    c = list(vs)
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                return None
+            c[i] = q
+    g = [1]
+    for x, ci in zip(reversed(xs), reversed(c)):   # g <- g (x - x_i) + c_i
+        g = [0] + g
+        for t in range(len(g) - 1):
+            g[t] -= x * g[t + 1]
+        g[0] += ci
+    return g
+
+
+def is_irreducible_monic_int(coeffs):
+    """Irreducibility over Q for a monic integer polynomial of degree <= 6
+    (little-endian coefficients).
+
+    By Gauss's lemma a reducible monic f has a monic integer factor g of
+    degree k <= deg / 2.  Kronecker's search decides each k in finitely many
+    steps: g(x) divides f(x) at every integer x, and a monic g of degree k
+    is fixed by its values at k points.  f is evaluated at the first deg / 2
+    of 0, 1, -1 (a zero there is a linear factor); every choice of divisors
+    of those values that interpolates to a monic integer polynomial is tried
+    by exact division.  No prime and no coefficient bound enters.
     """
     coeffs = _integer_coefficients(coeffs, "irreducibility test")
     deg = len(coeffs) - 1
@@ -138,33 +97,17 @@ def is_irreducible_monic_int(coeffs):
         raise FieldError("irreducibility test expects a monic integer polynomial")
     if deg > 6:
         raise FieldError("irreducibility test limited to degree <= 6")
-    if deg == 1:
+    if deg <= 1:
         return True
-    a0 = coeffs[0]
-    if a0 == 0:
+    xs = [0, 1, -1][:deg // 2]
+    values = [sum(c * x ** i for i, c in enumerate(coeffs)) for x in xs]
+    if 0 in values:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if _is_irreducible_mod(coeffs, p):
-            return True
-    bound = 2 ** deg * (deg + 1) * max(abs(c) for c in coeffs)
-    divisors = [d for d in range(1, abs(a0) + 1) if a0 % d == 0]
-    divisors = [s * d for d in divisors for s in (1, -1)]
-
-    def divides(factor):
-        _, rem = _poly_divmod([Fraction(c) for c in coeffs],
-                              [Fraction(c) for c in factor])
-        return not rem
-
-    for r in divisors:
-        if divides([-r, 1]):
-            return False
-    for k in range(2, deg // 2 + 1):
-        def search(prefix):
-            if len(prefix) == k - 1:
-                return any(divides([v] + prefix + [1]) for v in divisors)
-            return any(search([u] + prefix) for u in range(-bound, bound + 1))
-        if search([]):
-            return False
+    for k in range(1, deg // 2 + 1):
+        for vs in itertools.product(*map(_divisors, values[:k])):
+            g = _newton_monic(xs[:k], vs)
+            if g is not None and _divides_monic(g, coeffs):
+                return False
     return True
 
 
@@ -253,7 +196,7 @@ class PrimeField(Field):
 
     def __init__(self, p):
         super().__init__()
-        if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

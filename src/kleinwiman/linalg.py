@@ -19,7 +19,8 @@ import numpy as np
 
 from kleinwiman import kernels
 from kleinwiman.errors import FieldError
-from kleinwiman.fields import PrimeField, RationalField, SimpleExtension
+from kleinwiman.fields import (PrimeField, RationalField, SimpleExtension,
+                               is_prime)
 
 
 def rref_field(rows, field):
@@ -108,7 +109,7 @@ def _primes_below(n):
     """The primes below n, counting down."""
     while n > 2:
         n -= 1
-        if all(n % q for q in range(2, math.isqrt(n) + 1)):
+        if is_prime(n):
             yield n
 
 

@@ -67,6 +67,8 @@ def test_usage_error_exit_code():
     ["config", "show", "--preset", "klein-char7", "--verify", "--special"],
     ["waldschmidt", "--preset", "klein", "--curve-only", "--ledger-dmax", "60"],
     ["waldschmidt", "--preset", "wiman", "--curve-only"],
+    ["series", "--preset", "klein", "--d", "10", "--m5", "1"],
+    ["series", "--preset", "klein", "--d", "10", "--m3b", "1"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
@@ -75,7 +77,7 @@ def test_usage_error_exit_code():
         "char7-config-other-field", "resurgence-klein-ledger-below-30",
         "waldschmidt-klein-ledger-below-30", "special-without-verify",
         "special-exact-field", "special-char7", "curve-only-with-ledger",
-        "curve-only-wiman"])
+        "curve-only-wiman", "klein-series-m5", "klein-series-m3b"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)
@@ -133,6 +135,19 @@ def test_fatideal_alpha_progress(capsys):
         "degree 12: rank 91 of 91 columns\n"
         "degree 14: rank 120 of 120 columns\n"
         "degree 15: rank 136 of 136 columns\n")
+
+
+def test_fatideal_contain_dmax_below_alpha():
+    """A --dmax below alpha(I) = 8 checks no degree, like one below
+    alpha(I^(m)) only: no symbolic element is found, so none is uncontained."""
+    code, rep = run_cli(["fatideal", "contain", "--preset", "klein-char7",
+                         "--m", "2", "--r", "3", "--dmax", "3"])
+    assert code == 0
+    results = rep["results"]
+    assert results["alpha_symbolic"] is None
+    assert results["degrees_checked"] == []
+    assert results["contained_degreewise"] is True
+    assert "witness" not in results
 
 
 @pytest.mark.parametrize("preset, degree, bounds", [

@@ -135,6 +135,45 @@ def test_irreducibility_trial_factorization():
     assert not is_irreducible_monic_int((-1, 0, 0, 0, 0, 0, 1))  # x^6 - 1
     with pytest.raises(FieldError):
         SimpleExtension((1, 2, 1))
+    # irreducible over Q though reducible mod every prime
+    assert is_irreducible_monic_int((1, 0, 0, 0, 1))            # x^4 + 1
+    assert is_irreducible_monic_int((1, 0, -10, 0, 1))          # x^4 - 10x^2 + 1
+    # (x^3 - 2)(x^3 - 3): no linear or quadratic factor
+    assert not is_irreducible_monic_int((6, 0, 0, -5, 0, 0, 1))
+    assert is_irreducible_monic_int((3, 0, 0, 0, 0, 0, 1))      # x^6 + 3
+
+
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_irreducibility_against_constructed_families():
+    """Answers known without the search: an Eisenstein polynomial at a prime
+    is irreducible, and a product of two monic integer polynomials of
+    positive degree is reducible."""
+    rng = random.Random(13)
+    for p in (2, 3, 5):
+        for deg in range(2, 7):
+            for _ in range(8):
+                # p divides every lower coefficient, p^2 not the constant
+                coeffs = [p * rng.choice([k for k in range(-4, 5) if k % p])]
+                coeffs += [p * rng.randint(-3, 3) for _ in range(deg - 1)]
+                assert is_irreducible_monic_int(coeffs + [1]), coeffs
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        g = [rng.randint(-9, 9) for _ in range(k)] + [1]
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6 - k))] + [1]
+        assert not is_irreducible_monic_int(_polymul(g, h)), (g, h)
+
+
+def test_reducible_minimal_polynomial_refused():
+    """(x^3 - 2)(x^3 - 3) has no factor of degree below 3; it is refused."""
+    with pytest.raises(FieldError, match="reducible"):
+        SimpleExtension((6, 0, 0, -5, 0, 0, 1))
 
 
 def test_tonelli():
