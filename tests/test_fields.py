@@ -140,6 +140,8 @@ def test_irreducibility_trial_factorization():
     assert is_irreducible_monic_int((1, 0, -10, 0, 1))          # x^4 - 10x^2 + 1
     # (x^3 - 2)(x^3 - 3): no linear or quadratic factor
     assert not is_irreducible_monic_int((6, 0, 0, -5, 0, 0, 1))
+    with pytest.raises(FieldError, match="reducible"):
+        SimpleExtension((6, 0, 0, -5, 0, 0, 1))
     assert is_irreducible_monic_int((3, 0, 0, 0, 0, 0, 1))      # x^6 + 3
 
 
@@ -168,12 +170,6 @@ def test_irreducibility_against_constructed_families():
         g = [rng.randint(-9, 9) for _ in range(k)] + [1]
         h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6 - k))] + [1]
         assert not is_irreducible_monic_int(_polymul(g, h)), (g, h)
-
-
-def test_reducible_minimal_polynomial_refused():
-    """(x^3 - 2)(x^3 - 3) has no factor of degree below 3; it is refused."""
-    with pytest.raises(FieldError, match="reducible"):
-        SimpleExtension((6, 0, 0, -5, 0, 0, 1))
 
 
 def test_tonelli():
