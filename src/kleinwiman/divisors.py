@@ -150,7 +150,9 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
     minimal, pruning of classes still negative with an iterated multiplicity
     one lower, then an exact series computation; a nonempty series appends
     the class to the ledger.  The iteration order is normative: changing it
-    would change which candidates get series computations.
+    would change which candidates get series computations.  Candidates are
+    integer tuples (d, m_1, ..., m_n) with the intersection form on ints; a
+    DivisorClass is made only for a class that enters the ledger.
     """
     if preset not in SEARCH_PLANS:
         raise EngineError(f"no negative-curve search plan for preset {preset!r}")
@@ -160,15 +162,20 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
     iterated = [i for i, q in enumerate(bounds) if q is not None]
     keys = ["m" + label[1:] for label in CLASS_LABELS[preset]]
     ledger = [line_class(preset)]
+    found = [(int(c.degree), *map(int, c.mults)) for c in ledger]
+
+    def meet(d, mults, old):
+        return d * old[0] - sum(s * a * b for s, a, b in zip(sizes, mults, old[1:]))
+
     for d in range(start, d_max + 1, step):
         for values in product(*(range(d // q + 1) for q in bounds if q)):
             mults = list(values)
             r = d * d - sum(sizes[i] * m * m for i, m in zip(iterated, mults))
             mults.insert(solved, solved_multiplicity(r, sizes[solved]))
-            cand = DivisorClass.make(preset, d, *mults)
-            if any(intersect(cand, old) < 0 for old in ledger):
+            if any(meet(d, mults, old) < 0 for old in found):
                 continue
-            square = self_int(cand)   # m_i one lower adds s_i (2 m_i - 1) to it
+            square = r - sizes[solved] * mults[solved] ** 2
+            # m_i one lower adds s_i (2 m_i - 1) to the square
             if any(square + sizes[i] * (2 * mults[i] - 1) < 0
                    for i in iterated if mults[i]):
                 continue
@@ -178,7 +185,8 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
             if progress is not None:
                 progress(f"candidate ({','.join(map(str, (d, *mults)))}) dim {dim}")
             if dim > 0:
-                ledger.append(cand)
+                ledger.append(DivisorClass.make(preset, d, *mults))
+                found.append((d, *mults))
     return ledger
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-# m * p**2 (truncated products) and (PANEL + 1) * p**2 (the unblocked
+# m * p**2 (truncated products) and (NARROW + 1) * p**2 (the unblocked
 # elimination loop) must stay below 2**63 for the int64 accumulation; every
 # preset prime is tiny compared to this.
 MAX_PRIME = 1 << 20
@@ -12,6 +12,14 @@ MAX_PRIME = 1 << 20
 # while k * (p - 1)**2 < 2**53: for every p < MAX_PRIME that allows k <= 8192.
 PANEL = 32
 assert PANEL <= 8192 and 8192 * (MAX_PRIME - 1) ** 2 < 2 ** 53
+
+# Widest matrix reduced by the unblocked loop alone.  Measured on the
+# matrices of the benchmark workloads and of the Klein search to degree 200
+# (mod 4733 and mod 7): up to about three panels the per-panel overhead of
+# the blocked route costs more than it saves; on the tall series matrices of
+# 100 to 134 columns the blocked route is 10 to 40% faster.
+NARROW = 3 * PANEL
+assert (NARROW + 1) * MAX_PRIME ** 2 < 2 ** 63
 
 # Rows per strip of the trailing update, so that no float64 copy of the
 # whole matrix is ever made.
@@ -29,9 +37,9 @@ def _rref_narrow(a, p, swaps=None):
 
     Returns the list of pivot column indices.  Row exchanges are appended to
     `swaps` as (i, j) pairs when it is given.  Non-pivot rows accumulate
-    unreduced values until the end: with at most PANEL pivots (the base
+    unreduced values until the end: with at most NARROW pivots (the base
     case, a panel, or the inverse of a pivot block) their magnitudes stay
-    below (PANEL + 1) * p**2.
+    below (NARROW + 1) * p**2.
     """
     rows, cols = a.shape
     pivots = []
@@ -78,15 +86,18 @@ def _rref_inplace(a, p, reduced=True):
     the pivot columns J and the rows that hold them.  Those k pivot rows
     become A^-1 times themselves, where A is their k x k block on J, and
     every other row x loses x[J] times them: one float64 product per panel
-    (the FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet).  With `reduced`
-    the result is the RREF; without it only the rows below each panel's
-    pivots are updated, which is enough for the rank.  A matrix no wider
-    than one panel is the base case: the unblocked loop alone.
+    (the FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet).  The forward
+    pass updates only the rows below each panel's pivots, which is enough
+    for the rank (`reduced` false).  The RREF then clears the rows above,
+    panel by panel in the same order, the same operations on the same
+    values as when interleaved; a matrix of full column rank needs none of
+    that, since its RREF is the identity over zero rows.  A matrix no wider
+    than NARROW columns is the base case: the unblocked loop alone.
     """
     rows, cols = a.shape
-    if cols <= PANEL:
+    if cols <= NARROW:
         return _rref_narrow(a, p)
-    pivots = []
+    panels = []     # (first pivot row, first column, pivot columns in panel)
     r = 0
     for c0 in range(0, cols, PANEL):
         if r >= rows:
@@ -98,23 +109,31 @@ def _rref_inplace(a, p, reduced=True):
         for i, j in swaps:
             a[[r + i, r + j]] = a[[r + j, r + i]]
         k = len(found)
-        piv = [c0 + c for c in found]
         head = a[r:r + k, c0:]
-        inv = _inverse_mod(a[r:r + k, piv], p).astype(np.float64)
-        np.remainder((inv @ head).astype(np.int64), p, out=head)
-        pivot_rows = head.astype(np.float64)
-        others = (range(0, r), range(r + k, rows)) if reduced else \
-            (range(r + k, rows),)
-        for span in others:
-            for s in range(span.start, span.stop, STRIP):
-                strip = a[s:min(s + STRIP, span.stop), c0:]
-                t = strip[:, found].astype(np.float64) @ pivot_rows
-                t = t.astype(np.int64)
-                np.subtract(strip, t, out=t)
-                np.remainder(t, p, out=strip)
-        pivots += piv
+        inv = _inverse_mod(a[r:r + k, [c0 + c for c in found]], p)
+        np.remainder((inv.astype(np.float64) @ head).astype(np.int64), p, out=head)
+        _eliminate(a, p, r + k, rows, c0, found, head)
+        panels.append((r, c0, found))
         r += k
+    pivots = [c0 + c for _, c0, found in panels for c in found]
+    if reduced and len(pivots) == cols:
+        a[:cols] = np.eye(cols, dtype=np.int64)
+    elif reduced:
+        for r, c0, found in panels:
+            _eliminate(a, p, 0, r, c0, found, a[r:r + len(found), c0:])
     return pivots
+
+
+def _eliminate(a, p, start, stop, c0, found, pivot_rows):
+    """Rows start .. stop - 1 of `a` lose x[J] times the normalized pivot
+    rows of one panel (columns c0 on, pivot columns c0 + J), strip by strip."""
+    pivot_rows = pivot_rows.astype(np.float64)
+    for s in range(start, stop, STRIP):
+        strip = a[s:min(s + STRIP, stop), c0:]
+        t = strip[:, found].astype(np.float64) @ pivot_rows
+        t = t.astype(np.int64)
+        np.subtract(strip, t, out=t)
+        np.remainder(t, p, out=strip)
 
 
 def _reduced_copy(a, p):
@@ -163,16 +182,25 @@ def in_rowspace_mod(rref, pivots, v, p):
 def trunc_mul_mod(a, b, p):
     """Multiply truncated one-variable polynomials mod p, row by row.
 
-    a, b are (lines, m) int64 arrays; entry [l, k] is the coefficient of t^k
-    on row l.  Returns the rows of products truncated below t^m.
-    Accumulates full int64 products, so m * p**2 must stay below 2**63.
+    a, b are int64 arrays whose last axis holds the coefficients: entry
+    [..., k] is the coefficient of t^k, below t^m for a last axis of length
+    m.  The leading axes (lines, and any batch axes before them) broadcast
+    against each other, so one call multiplies a whole stack of polynomial
+    rows, or every row of a stack by one shared row set.  Returns the
+    products truncated below t^m, in the broadcast shape.  Accumulates full
+    int64 products, so m * p**2 must stay below 2**63.
     """
     _check_prime(p)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    lines, m = a.shape
-    # shifted[l, k, n] = b[l, n - k], zero for n < k
-    padded = np.zeros((lines, 2 * m - 1), dtype=np.int64)
-    padded[:, m - 1:] = b
-    shifted = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)[:, ::-1]
-    return np.einsum("lk,lkn->ln", a, shifted) % p
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    m = shape[-1]
+    # shifted[..., k, n] = b[..., n - k], zero for n < k: a strided view of
+    # b behind m - 1 zeros, stepping back one coefficient per k
+    padded = np.zeros(shape[:-1] + (2 * m - 1,), dtype=np.int64)
+    padded[..., m - 1:] = b
+    step = padded.strides[-1]
+    shifted = np.lib.stride_tricks.as_strided(
+        padded[..., m - 1:], shape + (m,), padded.strides[:-1] + (-step, step),
+        writeable=False)
+    return np.einsum("...k,...kn->...n", a, shifted) % p

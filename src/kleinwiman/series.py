@@ -17,6 +17,19 @@ the kernel and its canonical basis are those of the coefficient rows.  On
 a line every form is a polynomial in t alone, and products are
 one-variable truncated products.  The slopes are distinct in F_p only
 when m <= p: a larger multiplicity over F_p is a usage error.
+
+Over F_p the line values of a generator at multiplicity m are an (m, m)
+array (line, coefficient), and each representative keeps one table per
+generator: its powers 0 .. E below t^M, an (E + 1, M, M) array, built by
+doubling in about log2(E) batched products and grown only when a block
+needs a larger M or E.  A block at m <= M reads the slice [:e + 1, :m, :m],
+and the slice is exact: the slopes 0 .. m - 1 are the first m lines, and
+the coefficients below t^m of a product depend only on those of its
+factors below t^m.  The columns P0[a] P1[b] P2[c] of a block are two
+batched products over chunks of CHUNK_CELLS // m^2 columns, so no
+temporary grows past a few (CHUNK_CELLS)-cell stacks, and the rows are one
+gather of the (line, degree) pairs.  Other fields multiply TruncPoly lines
+one column at a time.
 """
 
 from dataclasses import dataclass
@@ -119,6 +132,45 @@ def _line_values(field, expansion, m):
     return lines
 
 
+# Over F_p, per (preset, field, representative, generator): the powers
+# 0 .. E of the generator's line values below t^M, one (E + 1, M, M) int64
+# array, grown when a block needs a larger M or E (see the module docstring).
+_power_tables = {}
+
+# Cells of one (columns, m, m) stack of column products: chunks of columns
+# keep every temporary of a batched product near this size.
+CHUNK_CELLS = 1 << 15
+
+
+def _power_table(preset, field, rep, i, m, e):
+    """Powers 0 .. e (at least) of generator i's line values below t^M,
+    M >= m, as the leading axis of an int64 array over F_p.
+
+    A table too narrow for m is rebuilt at m, from powers 0 and 1; one too
+    short for e is extended by doubling: powers n + 1 .. n + k are powers
+    1 .. k times power n, one batched product each.
+    """
+    key = (preset, field, rep, i)
+    tab = _power_tables.get(key)
+    if tab is None or tab.shape[1] < m:
+        base = _line_values(field, _generator_expansion(preset, field, rep, i), m)
+        one = np.zeros_like(base)
+        one[:, 0] = 1
+        tab = np.stack([one, base])
+    n = len(tab) - 1
+    if n < e:
+        grown = np.empty((e + 1,) + tab.shape[1:], dtype=np.int64)
+        grown[:n + 1] = tab
+        while n < e:
+            k = min(n, e - n)
+            grown[n + 1:n + k + 1] = kernels.trunc_mul_mod(grown[1:k + 1], grown[n],
+                                                           field.p)
+            n += k
+        tab = grown
+    _power_tables[key] = tab
+    return tab
+
+
 def _condition_block(preset, field, rep, m, exps, out=None):
     """Rows of vanishing conditions (below order m) at one representative:
     an int64 array over F_p, written into `out` when given, a list of rows
@@ -128,12 +180,25 @@ def _condition_block(preset, field, rep, m, exps, out=None):
     degree-k part of the expansion is a binary form of degree k, zero
     exactly when it vanishes at k + 1 distinct slopes.
     """
+    rows = [(line, k) for k in range(m) for line in range(k + 1)]
     if isinstance(field, PrimeField):
-        def mul(a, b):
-            return kernels.trunc_mul_mod(a, b, field.p)
-    else:
-        def mul(a, b):
-            return [x * y for x, y in zip(a, b)]
+        lines, degrees = np.array(rows).T
+        if out is None:
+            out = np.empty((len(rows), len(exps)), dtype=np.int64)
+        e = np.array(exps).T
+        tabs = [_power_table(preset, field, rep, i, m, e[i].max())[:, :m, :m]
+                for i in range(3)]
+        step = max(1, CHUNK_CELLS // (m * m))
+        for s in range(0, len(exps), step):
+            a, b, c = e[:, s:s + step]
+            cols = kernels.trunc_mul_mod(tabs[0][a], tabs[1][b], field.p)
+            cols = kernels.trunc_mul_mod(cols, tabs[2][c], field.p)
+            out[:, s:s + step] = cols[:, lines, degrees].T
+        return out
+
+    def mul(a, b):
+        return [x * y for x, y in zip(a, b)]
+
     one = _line_values(field, TruncPoly(field, m, {(0, 0): field.one}), m)
     powers = []
     for i in range(3):
@@ -151,14 +216,6 @@ def _condition_block(preset, field, rep, m, exps, out=None):
             prod = mul(prod, powers[2][c])
         return prod
 
-    rows = [(line, k) for k in range(m) for line in range(k + 1)]
-    if isinstance(field, PrimeField):
-        lines, degrees = np.array(rows).T
-        if out is None:
-            out = np.empty((len(rows), len(exps)), dtype=np.int64)
-        for n, e in enumerate(exps):
-            out[:, n] = column(*e)[lines, degrees]
-        return out
     cols = [column(*e) for e in exps]
     return [[col[line].coeff(k, 0) for col in cols] for line, k in rows]
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -108,6 +109,31 @@ def test_negsearch_to_60(klein_modp):
     led = negative_curve_search("klein", klein_modp, 60)
     assert [c.as_text() for c in led] \
         == ["21H - 4E4 - 3E3", "18H - 4E4", "42H - 8E3"]
+
+
+# sha256 of the search logs, one "(d, m...) dim" line per candidate, as
+# computed with Fraction classes and per-column series products
+SEARCH_LOG_SHA256 = {
+    ("klein", 200): (98, "c4830e66e7c93880f3b709258de652d5"
+                         "a85fb7534607df928d60fd7df1568d15"),
+    ("wiman", 90): (139, "0a2ba8c222c502241b725f120e44edf5"
+                         "53b467a28d2394a68f6c77b57b5ca4cb"),
+}
+
+
+@pytest.mark.parametrize("preset, d_max", list(SEARCH_LOG_SHA256))
+def test_search_log_pinned(preset, d_max, klein_modp, wiman_modp):
+    """The candidates, their order, their dimensions and the progress lines
+    of the Klein search to 200 and the Wiman search to 90 stay as pinned."""
+    field = klein_modp if preset == "klein" else wiman_modp
+    log, lines = [], []
+    negative_curve_search(preset, field, d_max, log=log, progress=lines.append)
+    text = "".join(f"{e['candidate']} {e['dim']}\n" for e in log)
+    count, digest = SEARCH_LOG_SHA256[preset, d_max]
+    assert len(log) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert lines == [f"candidate ({','.join(map(str, e['candidate']))}) "
+                     f"dim {e['dim']}" for e in log]
 
 
 def test_ledger_entries_postconditions(klein_modp):

@@ -67,6 +67,12 @@ def test_blocked_rref_largest_prime():
     w = kernels.PANEL
     a = rng.integers(p - 50, p, (2 * w + 7, 3 * w)).astype(np.int64)
     _assert_matches_field_rref(a, p)
+    # one panel past the unblocked loop's widest matrix, and that width
+    # itself: NARROW pivots accumulate the largest unreduced values
+    a = rng.integers(p - 50, p, (2 * w + 7, kernels.NARROW + w)).astype(np.int64)
+    _assert_matches_field_rref(a, p)
+    a = rng.integers(p - 50, p, (kernels.NARROW + 7, kernels.NARROW)).astype(np.int64)
+    _assert_matches_field_rref(a, p)
 
 
 def test_empty_matrices():
@@ -106,6 +112,26 @@ def test_trunc_mul_mod_matches_truncpoly():
                 expected[r, k] = c
         got = kernels.trunc_mul_mod(a.astype(np.int64), b.astype(np.int64), p)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
+    # leading batch axes, and operands that broadcast against each other
+    pairs = [((4, 3, 6), (4, 3, 6)), ((5, 2, 7), (2, 7)), ((3, 7), (6, 3, 7)),
+             ((2, 1, 4, 5), (3, 4, 5)), ((4, 1, 8), (1, 3, 8)), ((3, 2, 1), (2, 1))]
+    for sa, sb in pairs:
+        p = int(rng.choice([7, 4733]))
+        field = PrimeField(p)
+        a = rng.integers(0, p, sa) * (rng.random(sa) < 0.7)
+        b = rng.integers(0, p, sb) * (rng.random(sb) < 0.7)
+        got = kernels.trunc_mul_mod(a.astype(np.int64), b.astype(np.int64), p)
+        shape = np.broadcast_shapes(sa, sb)
+        assert got.dtype == np.int64 and got.shape == shape
+        a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+        m = shape[-1]
+        for idx in np.ndindex(shape[:-1]):
+            product = (TruncPoly(field, m, _terms(a[idx]))
+                       * TruncPoly(field, m, _terms(b[idx])))
+            expected = np.zeros(m, dtype=np.int64)
+            for (k, _), c in product.terms.items():
+                expected[k] = c
+            assert np.array_equal(got[idx], expected)
 
 
 def _terms(row):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from kleinwiman import linalg
+from kleinwiman import kernels, linalg, series
 from kleinwiman.errors import SeriesError, UsageError
 from kleinwiman.fields import preset_field
 from kleinwiman.invariants import invariant_set
@@ -217,6 +217,71 @@ def test_line_rows_match_bivariate_rows(preset, fixture, where, d, m, request):
     assert 0 < len(k_ref) < n
     assert np.array_equal(k_lines, k_ref) if isinstance(k_ref, np.ndarray) \
         else k_lines == k_ref
+
+
+def _column_by_column(preset, field, rep, m, exps):
+    """The condition block over F_p one column at a time: each generator's
+    powers by repeated (lines, m) products, then two products per column."""
+    p = field.p
+    one = np.zeros((m, m), dtype=np.int64)
+    one[:, 0] = 1
+    powers = []
+    for i in range(3):
+        base = series._line_values(
+            field, series._generator_expansion(preset, field, rep, i), m)
+        row = [one]
+        for _ in range(max(e[i] for e in exps)):
+            row.append(kernels.trunc_mul_mod(row[-1], base, p))
+        powers.append(row)
+    rows = [(line, k) for k in range(m) for line in range(k + 1)]
+    out = np.empty((len(rows), len(exps)), dtype=np.int64)
+    for n, (a, b, c) in enumerate(exps):
+        col = kernels.trunc_mul_mod(powers[0][a], powers[1][b], p)
+        col = kernels.trunc_mul_mod(col, powers[2][c], p)
+        out[:, n] = [col[line, k] for line, k in rows]
+    return out
+
+
+# (preset, field, class, m, d): per representative, blocks whose m and
+# largest exponent both rise and fall, so that a shuffled order builds cold
+# tables, grows them in m or in the exponent, and slices larger ones
+POWER_TABLE_BLOCKS = [
+    ("klein", "klein-mod4733", 0, 4, 18), ("klein", "klein-mod4733", 0, 9, 60),
+    ("klein", "klein-mod4733", 0, 6, 90), ("klein", "klein-mod4733", 0, 12, 42),
+    ("klein", "klein-mod4733", 1, 8, 42), ("klein", "klein-mod4733", 1, 3, 120),
+    ("klein", "klein-mod4733", 1, 14, 84), ("klein", "klein-mod4733", 1, 10, 30),
+    ("wiman", "wiman-mod4951", 0, 7, 60), ("wiman", "wiman-mod4951", 0, 3, 90),
+    ("wiman", "wiman-mod4951", 1, 4, 90), ("wiman", "wiman-mod4951", 1, 9, 42),
+    ("wiman", "wiman-mod4951", 2, 8, 90), ("wiman", "wiman-mod4951", 2, 5, 36),
+    ("klein", "mod29", 1, 29, 60), ("klein", "mod29", 1, 12, 84),
+    ("klein", "mod29", 0, 20, 30), ("klein", "mod29", 0, 29, 48),
+]
+
+
+def test_power_tables_match_column_by_column(klein_modp, wiman_modp):
+    """Blocks read from the shared power tables equal the column-by-column
+    products, whatever order the tables were built, grown and sliced in;
+    m = p over F_29 uses every slope of the field."""
+    fields = {"klein-mod4733": klein_modp, "wiman-mod4951": wiman_modp,
+              "mod29": preset_field("modp", 29)}
+    seen = set()
+    for seed in range(3):
+        series._power_tables.clear()
+        blocks = list(POWER_TABLE_BLOCKS)
+        random.Random(seed).shuffle(blocks)
+        for preset, name, cls, m, d in blocks:
+            field = fields[name]
+            rep = invariant_set(preset, field).config.classes[cls].representative
+            exps = weighted_basis(series_weights(preset), d)
+            held = [series._power_tables.get((preset, field, rep, i))
+                    for i in range(3)]
+            for i, tab in enumerate(held):
+                e = max(x[i] for x in exps)
+                seen.add("cold" if tab is None else "grown" if tab.shape[1] < m
+                         or len(tab) <= e else "sliced")
+            got = _condition_block(preset, field, rep, m, exps)
+            assert np.array_equal(got, _column_by_column(preset, field, rep, m, exps))
+    assert seen == {"cold", "grown", "sliced"}
 
 
 def test_multiplicity_above_characteristic_is_usage_error():
