@@ -117,7 +117,8 @@ def _rref_inplace(a, p, reduced=True):
         r += k
     pivots = [c0 + c for _, c0, found in panels for c in found]
     if reduced and len(pivots) == cols:
-        a[:cols] = np.eye(cols, dtype=np.int64)
+        a[:cols] = 0
+        np.fill_diagonal(a, 1)
     elif reduced:
         for r, c0, found in panels:
             _eliminate(a, p, 0, r, c0, found, a[r:r + len(found), c0:])
