@@ -132,7 +132,7 @@ def cmd_invariants(args):
 
 
 def cmd_series(args):
-    from kleinwiman.series import SeriesSpec, edim, series_basis
+    from kleinwiman.series import SeriesSpec, edim, series_basis, series_dim
 
     if args.preset == "klein" and (args.m5 or args.m3b is not None):
         raise UsageError("klein series take only --m4 and --m3")
@@ -140,10 +140,12 @@ def cmd_series(args):
                        default_prime=(args.preset == "wiman"))
     spec = SeriesSpec(args.preset, args.d, m5=args.m5, m4=args.m4, m3=args.m3,
                       m3b=args.m3b)
-    basis = series_basis(spec, field)
-    results = {"field": field.name, "dim": basis.dim, "edim": edim(spec),
-               "source": "computed"}
-    if args.basis:
+    # the dimension is a rank; a kernel basis is built only when asked for
+    basis = series_basis(spec, field) if args.basis else None
+    results = {"field": field.name,
+               "dim": series_dim(spec, field) if basis is None else basis.dim,
+               "edim": edim(spec), "source": "computed"}
+    if basis is not None:
         results["basis"] = [f.text() for f in basis.weighted_polys()]
     return 0, results
 

@@ -21,9 +21,17 @@ assert PANEL <= 8192 and 8192 * (MAX_PRIME - 1) ** 2 < 2 ** 53
 NARROW = 3 * PANEL
 assert (NARROW + 1) * MAX_PRIME ** 2 < 2 ** 63
 
-# Rows per strip of the trailing update, so that no float64 copy of the
-# whole matrix is ever made.
+# Rows per strip of the trailing update and of the compressed rank's
+# product S A, so that no float64 copy of the whole matrix is ever made.
+# A strip of S A adds at most STRIP * (p - 1)**2 to entries already reduced
+# below p, exact in float64 while that stays below 2**53.
 STRIP = 256
+assert STRIP * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2 ** 53
+
+# Rows of the compressed rank's S beyond the column count.  For a uniformly
+# random S and A of full column rank, S A is uniform, and it misses full
+# rank with probability about p**-(SKETCH_EXTRA + 1): 2.5e-8 at p = 7.
+SKETCH_EXTRA = 8
 
 
 def _check_prime(p):
@@ -31,15 +39,17 @@ def _check_prime(p):
         raise ValueError(f"prime {p} too large for the mod-p kernels")
 
 
-def _rref_narrow(a, p, swaps=None):
+def _rref_narrow(a, p, swaps=None, reduced=True):
     """Unblocked Gauss-Jordan of `a` (int64 2D array, entries in [0, p)) to
     reduced row echelon form mod p, in place, one pivot column at a time.
 
     Returns the list of pivot column indices.  Row exchanges are appended to
-    `swaps` as (i, j) pairs when it is given.  Non-pivot rows accumulate
-    unreduced values until the end: with at most NARROW pivots (the base
-    case, a panel, or the inverse of a pivot block) their magnitudes stay
-    below (NARROW + 1) * p**2.
+    `swaps` as (i, j) pairs when it is given.  With `reduced` false the loop
+    runs forward only: each pivot updates the rows below it, in its own and
+    the trailing columns, which leaves the same pivots and row exchanges but
+    not the RREF.  Non-pivot rows accumulate unreduced values until the end:
+    with at most NARROW pivots (the base case, a panel, or the inverse of a
+    pivot block) their magnitudes stay below (NARROW + 1) * p**2.
     """
     rows, cols = a.shape
     pivots = []
@@ -47,8 +57,7 @@ def _rref_narrow(a, p, swaps=None):
     for c in range(cols):
         if r >= rows:
             break
-        col = a[r:, c] % p
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(a[r:, c] % p)
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -56,14 +65,16 @@ def _rref_narrow(a, p, swaps=None):
             a[[r, i]] = a[[i, r]]
             if swaps is not None:
                 swaps.append((r, i))
-        a[r] %= p
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        mult = a[:, c] % p
-        mult[r] = 0
-        other = np.nonzero(mult)[0]
-        if other.size:
-            a[other] -= np.outer(mult[other], a[r])
+        # rows lo .. rows - 1 lose multiples of the pivot row, columns c0 on
+        lo, c0 = (0, 0) if reduced else (r + 1, c)
+        head = a[r, c0:]
+        head %= p
+        head *= pow(int(a[r, c]), p - 2, p)
+        head %= p
+        mult = a[lo:, c] % p
+        if reduced:
+            mult[r] = 0
+        a[lo:, c0:] -= np.outer(mult, head)
         pivots.append(c)
         r += 1
     a %= p
@@ -82,28 +93,30 @@ def _rref_inplace(a, p, reduced=True):
     """Blocked elimination of `a` (int64 2D array, entries in [0, p)) mod p,
     in place; returns the pivot columns, whose count is the rank.
 
-    Panels of PANEL columns are factored by the unblocked loop, which gives
-    the pivot columns J and the rows that hold them.  Those k pivot rows
-    become A^-1 times themselves, where A is their k x k block on J, and
-    every other row x loses x[J] times them: one float64 product per panel
-    (the FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet).  The forward
-    pass updates only the rows below each panel's pivots, which is enough
-    for the rank (`reduced` false).  The RREF then clears the rows above,
-    panel by panel in the same order, the same operations on the same
-    values as when interleaved; a matrix of full column rank needs none of
-    that, since its RREF is the identity over zero rows.  A matrix no wider
-    than NARROW columns is the base case: the unblocked loop alone.
+    Panels of PANEL columns are factored by the unblocked loop, forward
+    only, which gives the pivot columns J and the rows that hold them.
+    Those k pivot rows become A^-1 times themselves, where A is their k x k
+    block on J, and every other row x loses x[J] times them: one float64
+    product per panel (the FFLAS-FFPACK scheme of Dumas, Giorgi and
+    Pernet).  The forward pass updates only the rows below each panel's
+    pivots, which is enough for the rank (`reduced` false).  The RREF then
+    clears the rows above, panel by panel in the same order, the same
+    operations on the same values as when interleaved; a matrix of full
+    column rank needs none of that, since its RREF is the identity over zero
+    rows.  A matrix no wider than NARROW columns is the base case: the
+    unblocked loop alone, forward only as well when `reduced` is false.
     """
     rows, cols = a.shape
     if cols <= NARROW:
-        return _rref_narrow(a, p)
+        return _rref_narrow(a, p, reduced=reduced)
     panels = []     # (first pivot row, first column, pivot columns in panel)
     r = 0
     for c0 in range(0, cols, PANEL):
         if r >= rows:
             break
         swaps = []
-        found = _rref_narrow(a[r:, c0:c0 + PANEL].copy(), p, swaps)
+        found = _rref_narrow(a[r:, c0:c0 + PANEL].copy(), p, swaps,
+                             reduced=False)
         if not found:
             continue
         for i, j in swaps:
@@ -148,10 +161,60 @@ def rref_mod(a, p):
     return a, (_rref_inplace(a, p) if a.size else [])
 
 
+def _sketch(k, start, stop, p):
+    """Columns start .. stop - 1 of the fixed k-row matrix S mod p, as
+    float64: entry (i, j) is a 64-bit integer hash of (i, j) (the splitmix64
+    finalizer), reduced mod p."""
+    x = (np.arange(k, dtype=np.uint64)[:, None] << np.uint64(32)) \
+        | np.arange(start, stop, dtype=np.uint64)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(mult)
+    x ^= x >> np.uint64(31)
+    return (x % np.uint64(p)).astype(np.float64)
+
+
+def _compressed(a, p, k):
+    """S A mod p for the fixed k-row S and `a` reduced mod p, as int64, one
+    row strip of `a` at a time."""
+    c = np.zeros((k, a.shape[1]))
+    for s in range(0, a.shape[0], STRIP):
+        strip = a[s:s + STRIP]
+        c += _sketch(k, s, s + len(strip), p) @ strip.astype(np.float64)
+        np.remainder(c, p, out=c)
+    return c.astype(np.int64)
+
+
 def rank_mod(a, p):
-    """Rank of `a` mod p, by forward elimination only."""
+    """Rank of `a` mod p, by forward elimination only.
+
+    A matrix with more than max(2 k, STRIP) rows, k = cols + SKETCH_EXTRA,
+    is first compressed to C = S A, S a fixed k-row matrix whose entries
+    are an integer hash of their indices (deterministic, no random state).
+    Since rank(S A) <= rank(A) <= cols, a C of full column rank certifies
+    that A has it, whatever S is; otherwise A itself is eliminated.  So the
+    rank is always exact, and only the speed depends on S (a generic S
+    keeps the rank of A with high probability: Cheung, Kwok and Lau,
+    J. ACM 2013).  C is summed in float64 over strips of STRIP rows, each
+    reduced mod p, exact by the bound asserted with STRIP.
+
+    Below 2 k rows C would cost about what A costs, and a rank-deficient A
+    would be eliminated twice: the char-7 piece of 1029 x 946 (rank 924)
+    took 0.50 s compressed against 0.19 s direct.  A matrix of one strip or
+    less costs about the same either way (on the series matrices of the
+    benchmark searches), and direct it makes no BLAS call, whose first use
+    adds about 0.4 MB to the peak RSS of a run that makes no other (the
+    number-field workload).
+    """
     a = _reduced_copy(a, p)
-    return len(_rref_inplace(a, p, reduced=False)) if a.size else 0
+    if not a.size:
+        return 0
+    rows, cols = a.shape
+    k = cols + SKETCH_EXTRA
+    if rows > max(2 * k, STRIP) \
+            and len(_rref_inplace(_compressed(a, p, k), p, reduced=False)) == cols:
+        return cols
+    return len(_rref_inplace(a, p, reduced=False))
 
 
 def kernel_mod(a, p):

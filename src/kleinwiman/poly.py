@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials over an exact field, with grading,
 ring maps, differential determinants and truncated local expansions."""
 
+from functools import lru_cache
+
 from kleinwiman.errors import FieldError
 
 DEFAULT_VARS = ("x", "y", "z")
@@ -16,26 +18,30 @@ def monomials_of_degree(nvars, d):
     return out
 
 
+@lru_cache(maxsize=None)
 def weighted_basis(weights, d):
-    """Exponent tuples with weight-dot equal to d, lexicographically descending.
+    """Exponent tuples with weight-dot equal to d, lexicographically
+    descending, as a tuple (cached per weights tuple and degree).
 
     The order is the column order used by every series matrix, so it is part
     of the reproducibility contract.
     """
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
+    *head, last = weights
+    out = []
 
-    def rec(i, rem):
-        if i == len(weights) - 1:
-            if rem % weights[i] == 0:
-                return [(rem // weights[i],)]
-            return []
-        out = []
-        for e in range(rem // weights[i], -1, -1):
-            out.extend((e,) + rest for rest in rec(i + 1, rem - e * weights[i]))
-        return out
+    def rec(i, rem, prefix):
+        if i == len(head):
+            # the last exponent is solved, not searched
+            if rem % last == 0:
+                out.append(prefix + (rem // last,))
+            return
+        for e in range(rem // head[i], -1, -1):
+            rec(i + 1, rem - e * head[i], prefix + (e,))
 
-    return rec(0, d)
+    rec(0, d, ())
+    return tuple(out)
 
 
 class Poly:

@@ -30,6 +30,14 @@ batched products over chunks of CHUNK_CELLS // m^2 columns, so no
 temporary grows past a few (CHUNK_CELLS)-cell stacks, and the rows are one
 gather of the (line, degree) pairs.  Other fields multiply TruncPoly lines
 one column at a time.
+
+The dimension of a series is a rank: its column count minus the rank of
+its condition matrix (`series_dim`, through `linalg.rank`: over F_p the
+compressed, forward-only `kernels.rank_mod`; over the number fields the
+column count less the certified kernel).  The negative-curve search, the
+golden checks and `series` without `--basis` need nothing more; the
+kernel basis (`series_basis`) is built only on request, from the same
+matrix.
 """
 
 from dataclasses import dataclass
@@ -224,7 +232,7 @@ def _condition_block(preset, field, rep, m, exps, out=None):
 class SeriesBasis:
     spec: SeriesSpec
     field: object
-    exponents: list       # weighted-monomial order of the coordinates
+    exponents: tuple      # weighted-monomial order of the coordinates
     vectors: list         # kernel basis from linalg.kernel (int64 rows over F_p)
 
     @property
@@ -245,9 +253,12 @@ class SeriesBasis:
         return self.weighted_polys()[i].substitute(gens)
 
 
-def series_basis(spec, field):
-    """Exact basis of the invariant series; empty when the degree is not
-    representable in the weighted generator algebra."""
+def _series_matrix(spec, field):
+    """The column exponents of the series (its weighted monomials) and its
+    condition matrix: an int64 array over F_p, a list of rows otherwise.
+
+    A multiplicity above p is a usage error, raised before any row is built.
+    """
     mults = spec.class_multiplicities()
     if isinstance(field, PrimeField) and max(mults) > field.p:
         raise UsageError(f"multiplicity {max(mults)} exceeds the characteristic "
@@ -255,11 +266,11 @@ def series_basis(spec, field):
                          "slopes in the field")
     exps = weighted_basis(series_weights(spec.preset), spec.d)
     if not exps:
-        return SeriesBasis(spec, field, [], [])
+        return exps, []
     config = invariant_set(spec.preset, field).config
     reps = [(cls.representative, m) for cls, m in zip(config.classes, mults) if m > 0]
     if isinstance(field, PrimeField):
-        # one array, filled block by block, that linalg.kernel takes as it is
+        # one array, filled block by block, that linalg takes as it is
         rows = np.empty((sum(m * (m + 1) // 2 for _, m in reps), len(exps)),
                         dtype=np.int64)
         start = 0
@@ -270,11 +281,22 @@ def series_basis(spec, field):
     else:
         rows = [row for rep, m in reps
                 for row in _condition_block(spec.preset, field, rep, m, exps)]
-    return SeriesBasis(spec, field, exps, linalg.kernel(rows, len(exps), field))
+    return exps, rows
+
+
+def series_basis(spec, field):
+    """Exact basis of the invariant series; empty when the degree is not
+    representable in the weighted generator algebra."""
+    exps, rows = _series_matrix(spec, field)
+    return SeriesBasis(spec, field, exps, linalg.kernel(rows, len(exps), field)
+                       if exps else [])
 
 
 def series_dim(spec, field):
-    return series_basis(spec, field).dim
+    """Dimension of the invariant series: its column count minus the rank of
+    its condition matrix, with no kernel basis built."""
+    exps, rows = _series_matrix(spec, field)
+    return len(exps) - linalg.rank(rows, len(exps), field)
 
 
 def check_expected_dim(spec, field):

@@ -19,6 +19,30 @@ def test_series_command_matches_recorded_values():
     assert rep["results"]["edim"] == 0
 
 
+WIMAN_90_BASIS = (
+    "1482*v1^15 + 3056*v1^13*v2 + 3318*v1^11*v2^2 + 2996*v1^10*v3"
+    " + 447*v1^9*v2^3 + 177*v1^8*v2*v3 + 4109*v1^7*v2^4 + 1915*v1^6*v2^2*v3"
+    " + 4938*v1^5*v2^5 + 4299*v1^5*v3^2 + 4088*v1^4*v2^3*v3 + 3270*v1^3*v2^6"
+    " + 1834*v1^3*v2*v3^2 + 1054*v1^2*v2^4*v3 + 2089*v1*v2^7"
+    " + 1099*v1*v2^2*v3^2 + 4387*v2^5*v3 + v3^3")
+
+
+@pytest.mark.parametrize("argv, field, dim, edim, basis", [
+    (["--preset", "wiman", "--d", "90", "--m4", "4", "--m3", "8"],
+     "F4951", 1, 0, [WIMAN_90_BASIS]),
+    (["--preset", "klein", "--d", "18", "--m4", "4"],
+     "Q(zeta7)", 1, 1, ["-14*v1^3*v2 + (-1/4)*v1*v3 + v2^3"]),
+], ids=["wiman-modp", "klein-exact"])
+def test_series_basis_command_pinned(argv, field, dim, edim, basis):
+    """--basis adds the kernel basis to the report; without it the
+    dimension comes from a rank and the report is the same less the basis."""
+    want = {"field": field, "dim": dim, "edim": edim, "source": "computed"}
+    code, rep = run_cli(["series", *argv])
+    assert code == 0 and rep["results"] == want
+    code, rep = run_cli(["series", *argv, "--basis"])
+    assert code == 0 and rep["results"] == {**want, "basis": basis}
+
+
 def test_config_show_char7_counts():
     code, rep = run_cli(["config", "show", "--preset", "klein-char7"])
     assert code == 0

@@ -83,6 +83,43 @@ def test_empty_matrices():
         assert kernels.rank_mod(a, 7) == 0
 
 
+def test_rank_mod_compressed():
+    """rank_mod, compressed once rows > max(2 k, STRIP) for
+    k = cols + SKETCH_EXTRA, against the pivot count of the RREF: tall
+    matrices of full column rank and products of random factors of lower
+    rank, with rows just below, at and above k and that bound and more
+    than two strips, a zero column, and each of the blocked and the
+    unblocked route for S A."""
+    rng = np.random.default_rng(49)
+    largest = 1048573
+    assert largest < kernels.MAX_PRIME
+    for p in (7, 4733, 4951, largest):
+        for cols in (1, 6, 30, kernels.NARROW + 5):
+            k = cols + kernels.SKETCH_EXTRA
+            bound = max(2 * k, kernels.STRIP)
+            for rows in (k - 1, k, k + 1, bound, bound + 1,
+                         bound + kernels.STRIP + 3):
+                cases = [rng.integers(0, p, (rows, cols))]
+                for rank in {0, 1, cols // 2, cols - 1} - {cols}:
+                    cases.append(rng.integers(0, p, (rows, rank))
+                                 @ rng.integers(0, p, (rank, cols)) % p)
+                zero_col = rng.integers(0, p, (rows, cols))
+                zero_col[:, cols // 2] = 0
+                cases.append(zero_col)
+                for a in cases:
+                    a = a.astype(np.int64)
+                    want = len(kernels.rref_mod(a, p)[1])
+                    assert kernels.rank_mod(a, p) == want, (p, rows, cols)
+    # entries near p and enough rows that S A is exact only when each strip
+    # is reduced (unreduced, its entries would reach about rows * p**2 / 2):
+    # column 2 is the sum of columns 0 and 1, so the rank is 2
+    p = largest
+    a = rng.integers(p - 50, p, (40000, 3))
+    a[:, 2] = (a[:, 0] + a[:, 1]) % p
+    assert len(a) * p ** 2 // 2 > 2 ** 54
+    assert kernels.rank_mod(a, p) == len(kernels.rref_mod(a, p)[1]) == 2
+
+
 def test_rref_mod_periodic_cleanup():
     """More than 1024 pivots, across dozens of panels: a full-rank square
     matrix must reduce to the identity."""

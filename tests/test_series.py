@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from kleinwiman import kernels, linalg, series
+from kleinwiman.cli import dispatch
+from kleinwiman.divisors import negative_curve_search
 from kleinwiman.errors import SeriesError, UsageError
 from kleinwiman.fields import preset_field
 from kleinwiman.invariants import invariant_set
@@ -284,11 +286,84 @@ def test_power_tables_match_column_by_column(klein_modp, wiman_modp):
     assert seen == {"cold", "grown", "sliced"}
 
 
-def test_multiplicity_above_characteristic_is_usage_error():
-    """The conditions need m distinct slopes: over F_p, m <= p."""
+def test_multiplicity_above_characteristic_is_usage_error(monkeypatch):
+    """The conditions need m distinct slopes: over F_p, m <= p.  A larger
+    multiplicity is a usage error before its condition rows are built,
+    through series_basis, series_dim, the negative-curve search and the CLI
+    (exit 2, no report)."""
     f29 = preset_field("modp", 29)
+    built = []
+    block = series._condition_block
+
+    def recording_block(preset, field, rep, m, exps, out=None):
+        built.append(m)
+        return block(preset, field, rep, m, exps, out)
+
+    monkeypatch.setattr(series, "_condition_block", recording_block)
     with pytest.raises(UsageError):
         series_basis(SeriesSpec("klein", 12, m3=30), f29)
+    with pytest.raises(UsageError):
+        series_dim(SeriesSpec("klein", 12, m3=30), f29)
+    assert built == []
     assert series_dim(SeriesSpec("klein", 12, m3=29), f29) == 0
+    assert built == [29]
     with pytest.raises(UsageError):
         series_basis(SeriesSpec("klein", 12, m4=30, m3=2), f29)
+    with pytest.raises(UsageError):
+        series_dim(SeriesSpec("klein", 12, m4=30, m3=2), f29)
+    assert built == [29]
+    # over F_19 the Wiman search reaches m5 = 20 at its candidate (126; 20, 6, 0)
+    built.clear()
+    with pytest.raises(UsageError):
+        negative_curve_search("wiman", preset_field("modp", 19), 126)
+    assert len(built) > 1 and max(built) == 19
+    argv = ["series", "--preset", "klein", "--d", "12", "--m3", "30",
+            "--field", "modp:29"]
+    assert dispatch(argv) == (2, None)
+    assert dispatch(argv + ["--basis"]) == (2, None)
+    assert dispatch(["negsearch", "--preset", "wiman", "--field", "modp:19",
+                     "--dmax", "126"]) == (2, None)
+    assert max(built) == 19
+
+
+def test_series_dim_matches_basis(klein_modp, wiman_modp, klein_exact):
+    """series_dim, a rank, equals the size of the kernel basis: random Klein
+    and Wiman specs over F_p, some with more than max(2 (cols +
+    SKETCH_EXTRA), STRIP) rows (so the rank is compressed), an untied m3b, no
+    conditions, unrepresentable degrees, and one exact-field spec."""
+    rng = random.Random(15)
+    cases = [(SeriesSpec("klein", 42), klein_modp),
+             (SeriesSpec("klein", 43, m3=2), klein_modp),
+             (SeriesSpec("wiman", 92, m4=2), wiman_modp),
+             (SeriesSpec("wiman", 60, m5=5, m4=4, m3=3, m3b=1), wiman_modp),
+             (SeriesSpec("wiman", 90, m4=4, m3=8, m3b=7), wiman_modp),
+             (SeriesSpec("klein", 42, m3=8), klein_exact),
+             # the paper's curves, dim 1; the 388 x 73 matrix of the Klein
+             # one is compressed, S A is not of full rank, A is eliminated
+             (SeriesSpec("wiman", 90, m4=4, m3=8), wiman_modp),
+             (SeriesSpec("klein", 144, m4=4, m3=27), klein_modp)]
+    for _ in range(10):
+        # near the search's candidates: the least negative m4, or one or two less
+        d = rng.randrange(100, 171, 2)
+        m3 = rng.randint(0, d // 6)
+        m4 = 0
+        while d * d - 21 * m4 * m4 - 28 * m3 * m3 >= 0:
+            m4 += 1
+        m4 = max(0, m4 - rng.randint(0, 2))
+        cases.append((SeriesSpec("klein", d, m4=m4, m3=m3), klein_modp))
+    for _ in range(8):
+        d = rng.randrange(12, 91, 6)
+        m5, m4, m3 = (rng.randint(0, d // k) for k in (9, 8, 7))
+        cases.append((SeriesSpec("wiman", d, m5=m5, m4=m4, m3=m3,
+                                 m3b=rng.choice([None, rng.randint(0, d // 7)])),
+                      wiman_modp))
+    dims = []
+    tall = 0
+    for spec, field in cases:
+        exps, rows = series._series_matrix(spec, field)
+        tall += len(rows) > max(2 * (len(exps) + kernels.SKETCH_EXTRA),
+                                kernels.STRIP)
+        dims.append(series_dim(spec, field))
+        assert dims[-1] == series_basis(spec, field).dim, spec
+    assert dims[:3] == [dim_t("klein", 42), 0, 0] and dims[6:8] == [1, 1]
+    assert any(dims[8:]) and not all(dims[8:]) and tall >= 8
