@@ -140,7 +140,6 @@ def cmd_series(args):
                        default_prime=(args.preset == "wiman"))
     spec = SeriesSpec(args.preset, args.d, m5=args.m5, m4=args.m4, m3=args.m3,
                       m3b=args.m3b)
-    # the dimension is a rank; a kernel basis is built only when asked for
     basis = series_basis(spec, field) if args.basis else None
     results = {"field": field.name,
                "dim": series_dim(spec, field) if basis is None else basis.dim,

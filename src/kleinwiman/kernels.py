@@ -21,12 +21,19 @@ assert PANEL <= 8192 and 8192 * (MAX_PRIME - 1) ** 2 < 2 ** 53
 NARROW = 3 * PANEL
 assert (NARROW + 1) * MAX_PRIME ** 2 < 2 ** 63
 
-# Rows per strip of the trailing update and of the compressed rank's
-# product S A, so that no float64 copy of the whole matrix is ever made.
-# A strip of S A adds at most STRIP * (p - 1)**2 to entries already reduced
-# below p, exact in float64 while that stays below 2**53.
+# Rows per strip of the trailing update, so that no float64 copy of the
+# whole matrix is ever made.
 STRIP = 256
-assert STRIP * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2 ** 53
+
+# Rows of A per product of the compressed rank's S A.  The BLAS packs both
+# operands of a product into buffers of its own, one set per thread, so the
+# strip sets what S A adds to the peak RSS: about 1 MB for the benchmark
+# searches at 256 rows, nothing measurable at 64, with no measurable change
+# in their time.  Each strip adds at most SKETCH_STRIP * (p - 1)**2 to
+# entries already reduced below p, exact in float64 while that stays below
+# 2**53.
+SKETCH_STRIP = 64
+assert SKETCH_STRIP * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2 ** 53
 
 # Rows of the compressed rank's S beyond the column count.  For a uniformly
 # random S and A of full column rank, S A is uniform, and it misses full
@@ -178,8 +185,8 @@ def _compressed(a, p, k):
     """S A mod p for the fixed k-row S and `a` reduced mod p, as int64, one
     row strip of `a` at a time."""
     c = np.zeros((k, a.shape[1]))
-    for s in range(0, a.shape[0], STRIP):
-        strip = a[s:s + STRIP]
+    for s in range(0, a.shape[0], SKETCH_STRIP):
+        strip = a[s:s + SKETCH_STRIP]
         c += _sketch(k, s, s + len(strip), p) @ strip.astype(np.float64)
         np.remainder(c, p, out=c)
     return c.astype(np.int64)
@@ -195,16 +202,10 @@ def rank_mod(a, p):
     that A has it, whatever S is; otherwise A itself is eliminated.  So the
     rank is always exact, and only the speed depends on S (a generic S
     keeps the rank of A with high probability: Cheung, Kwok and Lau,
-    J. ACM 2013).  C is summed in float64 over strips of STRIP rows, each
-    reduced mod p, exact by the bound asserted with STRIP.
-
-    Below 2 k rows C would cost about what A costs, and a rank-deficient A
-    would be eliminated twice: the char-7 piece of 1029 x 946 (rank 924)
-    took 0.50 s compressed against 0.19 s direct.  A matrix of one strip or
-    less costs about the same either way (on the series matrices of the
-    benchmark searches), and direct it makes no BLAS call, whose first use
-    adds about 0.4 MB to the peak RSS of a run that makes no other (the
-    number-field workload).
+    J. ACM 2013).  C is summed in float64 over strips of SKETCH_STRIP rows,
+    each reduced mod p, exact by the bound asserted with SKETCH_STRIP.
+    Shorter matrices are eliminated directly: below 2 k rows C costs about
+    what A does, and below STRIP rows it gains nothing measurable.
     """
     a = _reduced_copy(a, p)
     if not a.size:
