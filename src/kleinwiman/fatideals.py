@@ -38,6 +38,11 @@ class PointSet:
     field: object
     points: list          # normalized projective points
     charts: list          # chart coordinate per point
+    # kept so that nothing is built twice for one point set: symbolic_piece's
+    # pieces by (m, d), and over F_p the Taylor tables of the conditions by
+    # (coordinate, m)
+    pieces: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    taylor: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_config(cls, config):
@@ -49,6 +54,19 @@ class PointSet:
         return len(self.points)
 
 
+def _taylor_array(pointset, c, d, m):
+    """taylor_table over F_p for some degree e >= d, as an int64 array kept
+    on the point set and rebuilt only when a larger degree is needed: its
+    rows are a prefix of the table at any larger degree, and over F_7 a
+    coordinate takes at most seven values."""
+    key = (c, m)
+    tab = pointset.taylor.get(key)
+    if tab is None or len(tab) <= d:
+        tab = pointset.taylor[key] = np.array(
+            taylor_table(pointset.field, c, d, m), dtype=np.int64)
+    return tab
+
+
 def point_conditions_matrix(pointset, m, d):
     """Vanishing-to-order-m conditions at every point, on the degree-d
     monomial coefficients (columns ordered by monomials_of_degree).
@@ -56,8 +74,8 @@ def point_conditions_matrix(pointset, m, d):
     Each point contributes one row per local monomial u^i v^j (in
     local_monomials order): the coefficient of u^i v^j in the expansion of
     each column monomial, the product of the two coordinates' Taylor table
-    entries.  Over F_p the result is one int64 array, otherwise a list of
-    rows.
+    entries.  Over F_p the result is one int64 array, from the Taylor
+    tables kept on the point set, otherwise a list of rows.
     """
     field = pointset.field
     cols = monomials_of_degree(3, d)
@@ -68,13 +86,11 @@ def point_conditions_matrix(pointset, m, d):
     for pt, chart in zip(pointset.points, pointset.charts):
         lu, lv = (k for k in range(3) if k != chart)
         au, av = [e[lu] for e in cols], [e[lv] for e in cols]
-        tu = taylor_table(field, pt[lu], d, m)
-        tv = taylor_table(field, pt[lv], d, m)
         if prime:
-            bu = np.array(tu, dtype=np.int64)[au][:, ii]
-            bv = np.array(tv, dtype=np.int64)[av][:, jj]
-            blocks.append((bu * bv % field.p).T)
+            tu, tv = (_taylor_array(pointset, pt[k], d, m) for k in (lu, lv))
+            blocks.append((tu[au][:, ii] * tv[av][:, jj] % field.p).T)
         else:
+            tu, tv = (taylor_table(field, pt[k], d, m) for k in (lu, lv))
             blocks.extend([field.mul(tu[a][i], tv[b][j]) for a, b in zip(au, av)]
                           for i, j in monos)
     return (np.vstack(blocks) if prime else blocks), cols
@@ -105,9 +121,11 @@ class GradedPiece:
                 f"polynomial has degree {f.degree()}")
         return self.contains_vector(f.coeff_vector(self.monomials))
 
+    def basis_poly(self, i):
+        return Poly.from_coeff_vector(self.field, self.rows[i], self.monomials)
+
     def basis_polys(self):
-        return [Poly.from_coeff_vector(self.field, row, self.monomials)
-                for row in self.rows]
+        return [self.basis_poly(i) for i in range(self.dim)]
 
 
 def membership(f, piece):
@@ -117,10 +135,15 @@ def membership(f, piece):
 
 def symbolic_piece(pointset, m, d):
     """Exact basis of the forms of degree d vanishing to order >= m at every
-    point of the set (all of them for m <= 0: no conditions)."""
-    field = pointset.field
-    mat, cols = point_conditions_matrix(pointset, max(m, 0), d)
-    return GradedPiece(d, field, cols, linalg.kernel(mat, len(cols), field))
+    point of the set (all of them for m <= 0: no conditions), built once
+    per point set."""
+    key = (max(m, 0), d)
+    if key not in pointset.pieces:
+        field = pointset.field
+        mat, cols = point_conditions_matrix(pointset, *key)
+        pointset.pieces[key] = GradedPiece(d, field, cols,
+                                           linalg.kernel(mat, len(cols), field))
+    return pointset.pieces[key]
 
 
 def vanishes_to_order(f, pointset, m):
@@ -134,9 +157,26 @@ def vanishes_to_order(f, pointset, m):
     return True
 
 
-def _alpha_piece(pointset, m, cap, progress):
-    """certified_alpha's certificate, and the degree-alpha piece that its
-    witness is read from."""
+def certified_alpha(pointset, m, cap=120, progress=None):
+    """Least degree alpha with a nonzero piece of the m-th symbolic power
+    (m >= 1), with the two certificates that fix it:
+
+    - "empty_below": the conditions have full column rank in degree alpha - 1;
+    - "witness": a nonzero form of degree alpha, re-checked by local expansion
+      to vanish to order m at every point.
+
+    A nonzero piece stays nonzero one degree up (multiply by a linear form),
+    so alpha is found by bisection on emptiness: each probe builds its piece,
+    and dimension 0 is full column rank of the conditions.  The witness is
+    the first basis form of the last nonempty probe.  The lower end m - 1 is
+    empty without elimination (a nonzero form of degree d has order at most
+    d at a point).  The upper end is the least degree whose monomials
+    outnumber the conditions, where the piece cannot be empty; when that
+    lies beyond `cap`, the upper end is `cap`, probed once.  Every piece
+    is kept on the point set (symbolic_piece), so the containment loop and
+    the generators read the pieces built here.
+    A failed certificate raises FatIdealError.
+    """
     if m < 1:
         raise FatIdealError(f"alpha needs a multiplicity m >= 1, got {m}")
     pieces = {}
@@ -167,8 +207,8 @@ def _alpha_piece(pointset, m, cap, progress):
         empty(lo)
     if pieces[lo].dim:
         raise FatIdealError(f"degree {lo} conditions lost full rank")
-    piece = pieces[hi] if hi in pieces else symbolic_piece(pointset, m, hi)
-    form = piece.basis_polys()[0] if piece.dim else None
+    piece = symbolic_piece(pointset, m, hi)
+    form = piece.basis_poly(0) if piece.dim else None
     if form is None or not vanishes_to_order(form, pointset, m):
         raise FatIdealError(
             f"no form of degree {hi} vanishing to order {m} re-checks")
@@ -176,28 +216,7 @@ def _alpha_piece(pointset, m, cap, progress):
     return {"alpha": hi,
             "empty_below": {"degree": lo, "rank": ncols, "columns": ncols},
             "witness": {"degree": hi, "order": m, "form": form,
-                        "check": "local expansion at every point"}}, piece
-
-
-def certified_alpha(pointset, m, cap=120, progress=None):
-    """Least degree alpha with a nonzero piece of the m-th symbolic power
-    (m >= 1), with the two certificates that fix it:
-
-    - "empty_below": the conditions have full column rank in degree alpha - 1;
-    - "witness": a nonzero form of degree alpha, re-checked by local expansion
-      to vanish to order m at every point.
-
-    A nonzero piece stays nonzero one degree up (multiply by a linear form),
-    so alpha is found by bisection on emptiness: each probe builds its piece,
-    and dimension 0 is full column rank of the conditions.  The witness is
-    the first basis form of the last nonempty probe.  The lower end m - 1 is
-    empty without elimination (a nonzero form of degree d has order at most
-    d at a point).  The upper end is the least degree whose monomials
-    outnumber the conditions, where the piece cannot be empty; when that
-    lies beyond `cap`, the upper end is `cap`, probed once.
-    A failed certificate raises FatIdealError.
-    """
-    return _alpha_piece(pointset, m, cap, progress)[0]
+                        "check": "local expansion at every point"}}
 
 
 def alpha_symbolic(pointset, m, cap=120, progress=None):
@@ -333,8 +352,7 @@ def containment_report(pointset, m, r, d_max, gens=None):
               "degree_cap_caveat": (
                   f"degreewise route certifies degrees <= {d_max} only")}
     try:
-        cert, sym = _alpha_piece(pointset, m, d_max, None)
-        a_m = cert["alpha"]
+        a_m = alpha_symbolic(pointset, m, d_max)
     except FatIdealError:
         a_m = None
     report["alpha_symbolic"] = a_m
@@ -347,13 +365,12 @@ def containment_report(pointset, m, r, d_max, gens=None):
             depth = max(a1 + 2, d_max - (r - 1) * a1)
             gens = minimal_generators(pointset, depth)
         for d in range(a_m, d_max + 1):
-            if d > a_m:
-                sym = symbolic_piece(pointset, m, d)
+            sym = symbolic_piece(pointset, m, d)
             power = power_piece(gens, r, d)
             for i, row in enumerate(sym.rows):
                 if not power.contains_vector(row):
                     witness = {"degree": d, "basis_index": i,
-                               "element": sym.basis_polys()[i]}
+                               "element": sym.basis_poly(i)}
                     break
             checked.append(d)
             if witness:

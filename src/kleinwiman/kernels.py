@@ -7,19 +7,21 @@ import numpy as np
 # preset prime is tiny compared to this.
 MAX_PRIME = 1 << 20
 
+# Widest matrix reduced by the unblocked loop alone.  Up to 96 columns the
+# per-panel overhead of the blocked route costs more than it saves: 1.7
+# times the unblocked time on the 38 series matrices of 33 to 96 columns in
+# the benchmark search.  The 20 rank calls of 97 to 134 columns in the Klein
+# search to 200 are faster unblocked too (0.14 against 0.20 s in all).
+NARROW = 96
+assert (NARROW + 1) * MAX_PRIME ** 2 < 2 ** 63
+
 # Columns per panel of the blocked elimination.  Its trailing update is one
 # float64 product over k <= PANEL pivots of operands reduced mod p, exact
 # while k * (p - 1)**2 < 2**53: for every p < MAX_PRIME that allows k <= 8192.
-PANEL = 32
-assert PANEL <= 8192 and 8192 * (MAX_PRIME - 1) ** 2 < 2 ** 53
-
-# Widest matrix reduced by the unblocked loop alone.  Measured on the
-# matrices of the benchmark workloads and of the Klein search to degree 200
-# (mod 4733 and mod 7): up to about three panels the per-panel overhead of
-# the blocked route costs more than it saves; on the tall series matrices of
-# 100 to 134 columns the blocked route is 10 to 40% faster.
-NARROW = 3 * PANEL
-assert (NARROW + 1) * MAX_PRIME ** 2 < 2 ** 63
+# A panel is factored by the unblocked loop, so its pivots obey that loop's
+# bound too.
+PANEL = 64
+assert PANEL <= min(NARROW, 8192) and 8192 * (MAX_PRIME - 1) ** 2 < 2 ** 53
 
 # Rows per strip of the trailing update, so that no float64 copy of the
 # whole matrix is ever made.
@@ -55,8 +57,8 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
     runs forward only: each pivot updates the rows below it, in its own and
     the trailing columns, which leaves the same pivots and row exchanges but
     not the RREF.  Non-pivot rows accumulate unreduced values until the end:
-    with at most NARROW pivots (the base case, a panel, or the inverse of a
-    pivot block) their magnitudes stay below (NARROW + 1) * p**2.
+    with at most NARROW pivots (the base case, a panel slice, or the inverse
+    of a pivot block) their magnitudes stay below (NARROW + 1) * p**2.
     """
     rows, cols = a.shape
     pivots = []
@@ -88,30 +90,28 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
     return pivots
 
 
-def _inverse_mod(block, p):
-    """Inverse mod p of an invertible k x k int64 block."""
-    k = block.shape[0]
-    aug = np.hstack([block, np.eye(k, dtype=np.int64)])
-    _rref_narrow(aug, p)
-    return aug[:, k:]
-
-
 def _rref_inplace(a, p, reduced=True):
     """Blocked elimination of `a` (int64 2D array, entries in [0, p)) mod p,
     in place; returns the pivot columns, whose count is the rank.
 
-    Panels of PANEL columns are factored by the unblocked loop, forward
-    only, which gives the pivot columns J and the rows that hold them.
-    Those k pivot rows become A^-1 times themselves, where A is their k x k
-    block on J, and every other row x loses x[J] times them: one float64
-    product per panel (the FFLAS-FFPACK scheme of Dumas, Giorgi and
-    Pernet).  The forward pass updates only the rows below each panel's
-    pivots, which is enough for the rank (`reduced` false).  The RREF then
-    clears the rows above, panel by panel in the same order, the same
-    operations on the same values as when interleaved; a matrix of full
-    column rank needs none of that, since its RREF is the identity over zero
-    rows.  A matrix no wider than NARROW columns is the base case: the
-    unblocked loop alone, forward only as well when `reduced` is false.
+    Each panel of PANEL columns gives its pivot columns J and the k rows
+    that hold them, which move up and become A^-1 times themselves, A their
+    k x k block on J; every other row x loses x[J] times them: one float64
+    product per panel (the FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet).
+    J is found on a copy of the panel by the unblocked loop, forward only,
+    on a slice of at most 2 PANEL of its rows that are nonzero there, so
+    the cost per pivot does not grow with the row count.  Columns
+    independent on some rows are independent on all, so the slice's pivots
+    belong to the column rank profile.  While other rows are still nonzero
+    in the panel, they lose the slice's pivot rows on the copy and the next
+    slice is factored; its pivots may lie left of the first ones.  The
+    forward pass updates only the rows below each panel's pivots, which is
+    enough for the rank (`reduced` false).  The RREF then clears the rows
+    above, panel by panel in the same order, the same operations on the
+    same values as when interleaved, and puts the rows in pivot order by an
+    in-place cycle permutation; a matrix of full column rank needs none of
+    that, since its RREF is the identity over zero rows.  A matrix no wider
+    than NARROW columns is the base case: the unblocked loop alone.
     """
     rows, cols = a.shape
     if cols <= NARROW:
@@ -121,17 +121,34 @@ def _rref_inplace(a, p, reduced=True):
     for c0 in range(0, cols, PANEL):
         if r >= rows:
             break
-        swaps = []
-        found = _rref_narrow(a[r:, c0:c0 + PANEL].copy(), p, swaps,
-                             reduced=False)
+        panel = a[r:, c0:c0 + PANEL].copy()
+        both = (panel, a[r:, c0:])      # row exchanges apply to each
+        found, k, more = [], 0, True
+        while more:
+            live = k + np.flatnonzero(panel[k:].any(axis=1))
+            if not live.size:
+                break
+            swaps = []
+            new = _rref_narrow(panel[live[:2 * PANEL]], p, swaps, reduced=False)
+            # the slice's exchanges, then those that move its pivot rows up
+            # to rows k .. k + len(new) - 1: live ascends, so none of these
+            # moves a row placed before it
+            exchanges = [(live[i], live[j]) for i, j in swaps] + [
+                (k + t, live[t]) for t in range(len(new)) if live[t] != k + t]
+            for i, j in exchanges:
+                for x in both:
+                    x[[i, j]] = x[[j, i]]
+            found += new
+            k += len(new)
+            more = live.size > 2 * PANEL and k < panel.shape[1]
+            if more:
+                head = panel[k - len(new):k]
+                _normalize(head, new, p)
+                _eliminate(panel, p, k, len(panel), 0, new, head)
         if not found:
             continue
-        for i, j in swaps:
-            a[[r + i, r + j]] = a[[r + j, r + i]]
-        k = len(found)
         head = a[r:r + k, c0:]
-        inv = _inverse_mod(a[r:r + k, [c0 + c for c in found]], p)
-        np.remainder((inv.astype(np.float64) @ head).astype(np.int64), p, out=head)
+        _normalize(head, found, p)
         _eliminate(a, p, r + k, rows, c0, found, head)
         panels.append((r, c0, found))
         r += k
@@ -142,7 +159,32 @@ def _rref_inplace(a, p, reduced=True):
     elif reduced:
         for r, c0, found in panels:
             _eliminate(a, p, 0, r, c0, found, a[r:r + len(found), c0:])
-    return pivots
+        _permute_rows(a, np.argsort(pivots))
+    return sorted(pivots)
+
+
+def _normalize(head, found, p):
+    """Pivot rows `head` become A^-1 times themselves mod p, in place, A
+    their invertible k x k block on the columns `found`; A^-1 is the
+    unblocked loop's reduction of [A | I]."""
+    k = len(found)
+    aug = np.hstack([head[:, found], np.eye(k, dtype=np.int64)])
+    _rref_narrow(aug, p)
+    np.remainder((aug[:, k:].astype(np.float64) @ head).astype(np.int64), p,
+                 out=head)
+
+
+def _permute_rows(a, order):
+    """Row i of `a` becomes row order[i], for i < len(order), in place: one
+    row buffer per cycle of the permutation."""
+    done = order == np.arange(len(order))
+    for start in np.flatnonzero(~done):
+        if not done[start]:
+            i, row = start, a[start].copy()
+            while not done[i]:
+                done[i], j = True, order[i]
+                a[i] = row if j == start else a[j]
+                i = j
 
 
 def _eliminate(a, p, start, stop, c0, found, pivot_rows):
@@ -205,7 +247,9 @@ def rank_mod(a, p):
     J. ACM 2013).  C is summed in float64 over strips of SKETCH_STRIP rows,
     each reduced mod p, exact by the bound asserted with SKETCH_STRIP.
     Shorter matrices are eliminated directly: below 2 k rows C costs about
-    what A does, and below STRIP rows it gains nothing measurable.
+    what A does, and below STRIP rows it gains nothing measurable.  Past
+    NARROW columns, the rows of A add to the cost of the panel products,
+    not to the Python work per pivot.
     """
     a = _reduced_copy(a, p)
     if not a.size:

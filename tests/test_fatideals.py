@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kleinwiman import fatideals, linalg
+from kleinwiman import cli, fatideals, linalg
 from kleinwiman.errors import FatIdealError
 from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   asymptotic_resurgence_bounds, certified_alpha,
@@ -123,9 +123,13 @@ def test_alpha_bisection_matches_scan(points, m, request):
     assert vanishes_to_order(cert["witness"]["form"], ps, m)
 
 
-def test_each_piece_built_once(char7_points, char7_gens, monkeypatch):
-    """Neither the alpha certificate nor the containment loop, which starts
-    from the certificate's degree-alpha piece, builds a (m, d) piece twice."""
+def test_each_piece_built_once(char7_config, char7_gens, monkeypatch):
+    """No (m, d) piece is built twice on one point set: not by the alpha
+    certificate, not by the containment loop, which starts from the
+    certificate's degree-alpha piece, and not by `fatideal contain` without
+    generators or `fatideal resurgence`, whose alpha(I) probes and
+    generators share the (1, d) pieces.  Each run starts from a fresh point
+    set, as each CLI command does."""
     built = []
     conditions = fatideals.point_conditions_matrix
 
@@ -134,12 +138,19 @@ def test_each_piece_built_once(char7_points, char7_gens, monkeypatch):
         return conditions(pointset, m, d)
 
     monkeypatch.setattr(fatideals, "point_conditions_matrix", counting)
-    assert certified_alpha(char7_points, 6)["alpha"] == 42
+    assert certified_alpha(PointSet.from_config(char7_config), 6)["alpha"] == 42
     assert (6, 42) in built and len(built) == len(set(built))
     built.clear()
-    rep = containment_report(char7_points, 2, 3, 20, gens=char7_gens)
+    rep = containment_report(PointSet.from_config(char7_config), 2, 3, 20,
+                             gens=char7_gens)
     assert rep["witness_degree"] == 16
     assert (2, 16) in built and len(built) == len(set(built))
+    for argv, piece in ((["contain", "--m", "2", "--r", "3", "--dmax", "20"], (1, 8)),
+                        (["resurgence"], (8, 50))):
+        built.clear()
+        code, _ = cli.dispatch(["fatideal"] + argv + ["--preset", "klein-char7"])
+        assert code == 0
+        assert piece in built and len(built) == len(set(built)), argv
 
 
 def test_alpha_cap_below_alpha(char7_points):

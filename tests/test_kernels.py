@@ -37,40 +37,62 @@ def _assert_matches_field_rref(a, p):
 
 
 def test_blocked_rref_matches_field_rref():
-    """Matrices several panels wide, against generic elimination over F_p:
-    a panel with no pivot, a rank-deficient panel, and rows that run out
-    before the columns do."""
+    """Matrices just wider than NARROW, so two panels, against generic
+    elimination over F_p: a panel with no pivot, a rank-deficient panel,
+    fewer rows than a slice, and rows that run out before the columns do."""
     rng = np.random.default_rng(46)
-    w = kernels.PANEL
+    w, n = kernels.PANEL, kernels.NARROW + 5
     for p in (7, 4733):
-        a = rng.integers(0, p, (3 * w, 3 * w + 5)).astype(np.int64)
+        a = rng.integers(0, p, (w + 8, n)).astype(np.int64)
         _assert_matches_field_rref(a, p)
         zero_panel = a.copy()
-        zero_panel[:, w:2 * w] = 0
+        zero_panel[:, :w] = 0
         _assert_matches_field_rref(zero_panel, p)
-        deficient = a.copy()   # rank 3 on the second panel
-        deficient[:, w:2 * w] = (rng.integers(0, p, (3 * w, 3))
-                                 @ rng.integers(0, p, (3, w))) % p
+        deficient = a.copy()   # rank 3 on the first panel
+        deficient[:, :w] = (rng.integers(0, p, (w + 8, 3))
+                            @ rng.integers(0, p, (3, w))) % p
         _assert_matches_field_rref(deficient, p)
         _assert_matches_field_rref(a[: w // 2], p)
-        low_rank = (rng.integers(0, p, (2 * w + 3, w + 1))
-                    @ rng.integers(0, p, (w + 1, 4 * w))) % p
+        low_rank = (rng.integers(0, p, (2 * w + 3, w // 2))
+                    @ rng.integers(0, p, (w // 2, n))) % p
         _assert_matches_field_rref(low_rank, p)
 
 
+def test_blocked_rref_slices():
+    """Each panel's pivots are found on slices of at most 2 PANEL rows that
+    are nonzero in it.  A slice that is rank-deficient on its panel while
+    later rows complete it: the next slice adds pivots left of the first
+    ones, and the RREF permutes its rows into pivot order.  A panel that is
+    zero in its top rows but not below them: the slice is taken from below,
+    and its rows move up."""
+    rng = np.random.default_rng(51)
+    w, n = kernels.PANEL, kernels.NARROW + 5
+    for p in (7, 4733):
+        basis = rng.integers(0, p, (4, n))
+        basis[:, :3] = 0     # the first 2 PANEL rows leave columns 0 .. 2
+        top = rng.integers(0, p, (2 * w, 4)) @ basis % p
+        a = np.vstack([top, rng.integers(0, p, (5, n))]).astype(np.int64)
+        _assert_matches_field_rref(a, p)
+        assert kernels.rref_mod(a, p)[1][:3] == [0, 1, 2]
+        low = np.zeros((2 * w + 6, n), dtype=np.int64)
+        low[:, w:] = rng.integers(0, p, (2 * w + 6, n - w))
+        low[-6:, :w] = rng.integers(0, p, (6, w))
+        _assert_matches_field_rref(low, p)
+
+
 def test_blocked_rref_largest_prime():
-    """p = 1048573, the largest prime below MAX_PRIME, with full-width
-    panels of entries near p: the float64 products sit closest to 2**53."""
+    """p = 1048573, the largest prime below MAX_PRIME, with a full-width
+    panel of entries near p: the float64 products sit closest to 2**53,
+    k (p - 1)**2 < 2**53 with k = PANEL pivots."""
     p = 1048573
     assert p < kernels.MAX_PRIME
+    assert kernels.PANEL * (p - 1) ** 2 < 2 ** 53
     rng = np.random.default_rng(47)
     w = kernels.PANEL
-    a = rng.integers(p - 50, p, (2 * w + 7, 3 * w)).astype(np.int64)
+    a = rng.integers(p - 50, p, (2 * w + 7, kernels.NARROW + 5)).astype(np.int64)
     _assert_matches_field_rref(a, p)
-    # one panel past the unblocked loop's widest matrix, and that width
-    # itself: NARROW pivots accumulate the largest unreduced values
-    a = rng.integers(p - 50, p, (2 * w + 7, kernels.NARROW + w)).astype(np.int64)
-    _assert_matches_field_rref(a, p)
+    # the unblocked loop's widest matrix: NARROW pivots accumulate the
+    # largest unreduced values, and a panel (PANEL <= NARROW) no more
     a = rng.integers(p - 50, p, (kernels.NARROW + 7, kernels.NARROW)).astype(np.int64)
     _assert_matches_field_rref(a, p)
 
