@@ -5,14 +5,13 @@ from functools import lru_cache
 
 from kleinwiman.errors import ConfigError
 from kleinwiman.fields import PrimeField, hosting_problem, preset_field
-from kleinwiman.groups import (act_on_poly, klein_generators, klein_group,
-                               orbit, orbit_of_poly, valentiner_group)
+from kleinwiman.groups import (act_on_poly, klein_generators, orbit,
+                               orbit_of_poly, valentiner_generators)
 from kleinwiman.poly import Poly, chart_for_point, normalize_point
 
 
 def line_coeffs(line):
     """Coefficient vector (on x, y, z) of a linear form."""
-    f = line.field
     return tuple(line.coeff(tuple(1 if j == i else 0 for j in range(3)))
                  for i in range(3))
 
@@ -68,7 +67,7 @@ class LineConfiguration:
     field: object
     lines: list                      # canonical linear Polys
     classes: list                    # OrbitClass, fixed order
-    group: object = None
+    gens: list = dc_field(default_factory=list)   # group generators, if any
     aux: dict = dc_field(default_factory=dict)
 
     @property
@@ -140,11 +139,10 @@ def build_klein(field):
     obtained by symmetrizing x over that involution.
     """
     _require_constants(field, "klein")
-    group = klein_group(field)
     gens = klein_generators(field)
     x = Poly.variable(field, 0)
     line1 = (x + act_on_poly(gens[2], x)).canonical_scale()
-    lines = orbit_of_poly(group, line1)
+    lines = orbit_of_poly(gens, line1)
     if len(lines) != 21:
         raise ConfigError(f"expected 21 lines, got {len(lines)}")
     by_mult = classify_points(field, lines)
@@ -166,7 +164,7 @@ def build_klein(field):
     trip_rep = normalize_point(field, (1, 1, 1))
     classes = [_make_class(field, 4, "E4", by_mult[4], quad_rep),
                _make_class(field, 3, "E3", by_mult[3], trip_rep)]
-    return LineConfiguration("klein", field, lines, classes, group=group)
+    return LineConfiguration("klein", field, lines, classes, gens=gens)
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +172,9 @@ def build_wiman(field):
     """The 45-line configuration with 36 quintuple, 45 quadruple and two
     60-point orbits of triple points."""
     _require_constants(field, "wiman")
-    group = valentiner_group(field)
+    gens = valentiner_generators(field)
     x = Poly.variable(field, 0)
-    lines = orbit_of_poly(group, x)
+    lines = orbit_of_poly(gens, x)
     if len(lines) != 45:
         raise ConfigError(f"expected 45 lines, got {len(lines)}")
     by_mult = classify_points(field, lines)
@@ -184,7 +182,7 @@ def build_wiman(field):
     if counts != {5: 36, 4: 45, 3: 120}:
         raise ConfigError(f"unexpected singular point counts {counts}")
     # split the triple points into the two 60-point orbits
-    first = orbit(group, by_mult[3][0])
+    first = orbit(gens, by_mult[3][0])
     orbit_a = [p for p in by_mult[3] if p in set(first)]
     orbit_b = [p for p in by_mult[3] if p not in set(first)]
     if len(orbit_a) != 60 or len(orbit_b) != 60:
@@ -198,7 +196,7 @@ def build_wiman(field):
                _make_class(field, 4, "E4", by_mult[4], p4),
                _make_class(field, 3, "E3a", orbit_a),
                _make_class(field, 3, "E3b", orbit_b)]
-    return LineConfiguration("wiman", field, lines, classes, group=group)
+    return LineConfiguration("wiman", field, lines, classes, gens=gens)
 
 
 @lru_cache(maxsize=None)
@@ -210,14 +208,15 @@ def build_klein_char7():
     conic = [p for p in pts if (p[0] ** 2 + p[1] ** 2 + p[2] ** 2) % 7 == 0]
     if len(conic) != 8:
         raise ConfigError("the conic should have 8 rational points")
-    tangents = [p for p in conic]          # polar line of p is p.x X + ...
     lines = []
     for lc in pts:                         # lines are dual to points
         if not any(point_on_line(field, q, lc) for q in conic):
             lines.append(Poly.linear_form(field, lc).canonical_scale())
     if len(lines) != 21:
         raise ConfigError(f"expected 21 external lines, got {len(lines)}")
-    on_tangent = {q for t in tangents for q in pts if point_on_line(field, q, t)}
+    # the conic's Gram matrix is the identity, so the tangent line at p has
+    # coefficient vector p itself
+    on_tangent = {q for t in conic for q in pts if point_on_line(field, q, t)}
     quad_pts = sorted((p for p in pts if p not in on_tangent))
     trip_pts = sorted((p for p in on_tangent if p not in set(conic)))
     if len(quad_pts) != 21 or len(trip_pts) != 28:
@@ -230,7 +229,7 @@ def build_klein_char7():
     aux = {
         "conic_points": conic,
         "tangent_forms": [Poly.linear_form(field, t).canonical_scale()
-                          for t in tangents],
+                          for t in conic],
     }
     return LineConfiguration("klein-char7", field, lines, classes, aux=aux)
 
@@ -263,7 +262,6 @@ def verify_orbit_decomposition(config, check_special=False):
     structure, and (over prime fields, on request) the special orbits cut out
     by pairs of fundamental invariants."""
     field = config.field
-    group = config.group
     report = {"preset": config.preset, "classes": [], "ok": True}
     coeffs = [line_coeffs(line) for line in config.lines]
     classified = set()
@@ -278,8 +276,8 @@ def verify_orbit_decomposition(config, check_special=False):
                 break
         else:
             entry["multiplicity_audit"] = "ok"
-        if group is not None:
-            orb = orbit(group, cls.representative)
+        if config.gens:
+            orb = orbit(config.gens, cls.representative)
             entry["single_orbit"] = (set(orb) == set(cls.points))
             if not entry["single_orbit"]:
                 report["ok"] = False

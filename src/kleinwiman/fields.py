@@ -3,8 +3,7 @@
 Elements are stored as lightweight raw representations (int mod p, Fraction,
 or, in a simple extension, Coords: integer coordinates in the power basis of
 the generator over one positive common denominator) and manipulated through
-the owning Field object; FieldElement is a thin operator wrapper for callers
-who want infix arithmetic.
+the owning Field object.
 """
 
 import itertools
@@ -148,9 +147,6 @@ class Field:
     def __init__(self):
         self.constants = {}
 
-    def element(self, x):
-        return FieldElement(self, self.coerce(x))
-
     def constant(self, name):
         if name not in self.constants:
             raise FieldError(f"field {self.name} has no constant {name!r}")
@@ -207,10 +203,6 @@ class PrimeField(Field):
         return ("prime", self.p)
 
     def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldError("element from a different field")
-            return x.rep
         if isinstance(x, Fraction):
             return self.embed_rational(x)
         return int(x) % self.p
@@ -258,10 +250,6 @@ class RationalField(Field):
         return ("rational",)
 
     def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldError("element from a different field")
-            return x.rep
         return Fraction(x)
 
     def embed_rational(self, fr):
@@ -351,10 +339,6 @@ class SimpleExtension(Field):
             if len(x) != self.deg + 1:
                 raise FieldError("element from a different field")
             return x
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldError("element from a different field")
-            return x.rep
         if isinstance(x, tuple):
             if len(x) != self.deg:
                 raise FieldError("wrong coefficient vector length")
@@ -476,68 +460,6 @@ class SimpleExtension(Field):
         for t in terms[1:]:
             s += t if t.startswith("-") else "+" + t
         return s
-
-
-class FieldElement:
-    """Operator wrapper around a raw field representation."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, rep):
-        self.field = field
-        self.rep = rep
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("mismatched field specs")
-            return other.rep
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.rep, self._coerce(other)))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.rep, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.rep))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.rep, self._coerce(other)))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.rep, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._coerce(other), self.rep))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.rep))
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.rep, n))
-
-    def __eq__(self, other):
-        try:
-            return self.rep == self._coerce(other)
-        except (FieldError, TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.spec_key(), self.rep))
-
-    def is_zero(self):
-        return self.field.is_zero(self.rep)
-
-    def __repr__(self):
-        return self.field.fmt(self.rep)
 
 
 def _attach_prime_constants(field):

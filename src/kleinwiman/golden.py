@@ -38,7 +38,7 @@ def klein_core_checks():
                                       jacobian_minor_generators, line_product,
                                       membership, minimal_generators,
                                       symbolic_piece)
-    from kleinwiman.groups import stabilizer_order
+    from kleinwiman.groups import klein_group, stabilizer_order
     from kleinwiman.invariants import (degree0_constant, identity_checks,
                                        klein_curve_local, klein_invariants)
     from kleinwiman.poly import hessian_det
@@ -50,12 +50,13 @@ def klein_core_checks():
     cfg = build_klein(KE)
     out.append(_check("klein line count", cfg.num_lines, 21))
     out.append(_check("klein class sizes", cfg.class_sizes(), [21, 28]))
-    out.append(_check("klein group order", cfg.group.order, 168))
+    group = klein_group(KE)
+    out.append(_check("klein group order", group.order, 168))
     quad, trip = cfg.classes
-    out.append(_check("quadruple stabilizer", stabilizer_order(cfg.group,
-                                                               quad.representative), 8))
-    out.append(_check("triple stabilizer", stabilizer_order(cfg.group,
-                                                            trip.representative), 6))
+    out.append(_check("quadruple stabilizer",
+                      stabilizer_order(group, quad.representative), 8))
+    out.append(_check("triple stabilizer",
+                      stabilizer_order(group, trip.representative), 6))
     inv = klein_invariants(KE)
     out.append(_check_true("hessian normalization",
                            hessian_det(inv.phi[4]) == inv.phi[6].scale(KE.coerce(-54)),
@@ -125,6 +126,7 @@ def wiman_core_checks():
                                       jacobian_minor_generators, line_product,
                                       membership, minimal_generators,
                                       symbolic_piece)
+    from kleinwiman.groups import valentiner_group
     from kleinwiman.invariants import (identity_checks, wiman_curve_local,
                                        wiman_invariants)
     from kleinwiman.series import SeriesSpec, dim_t, edim, series_dim
@@ -134,8 +136,9 @@ def wiman_core_checks():
     cfg = build_wiman(Wp)
     out.append(_check("wiman line count", cfg.num_lines, 45))
     out.append(_check("wiman class sizes", cfg.class_sizes(), [36, 45, 60, 60]))
-    out.append(_check("valentiner group order", cfg.group.order, 1080))
-    out.append(_check("projective group order", cfg.group.projective_order, 360))
+    group = valentiner_group(Wp)
+    out.append(_check("valentiner group order", group.order, 1080))
+    out.append(_check("projective group order", group.projective_order, 360))
     inv = wiman_invariants(Wp)
     ids = identity_checks(inv)
     out.append(_check_true("degree-24 factorization", ids["degree24_factorization"]))

@@ -174,16 +174,17 @@ def reynolds(group, f):
     return acc.scale(inv_n)
 
 
-def orbit(group, p):
-    """Deduplicated projective orbit of a point, breadth-first over generators."""
-    field = group.field
+def orbit(gens, p):
+    """Deduplicated projective orbit of a point under the group the matrices
+    in gens generate, breadth-first over the generators alone."""
+    field = gens[0].field
     start = normalize_point(field, p)
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for q in frontier:
-            for g in group.gens:
+            for g in gens:
                 r = act_on_point(g, q)
                 if r not in seen:
                     seen.add(r)
@@ -194,23 +195,24 @@ def orbit(group, p):
 
 def stabilizer_order(group, p):
     """|G| / |orbit|, using the projective order when the group is projective."""
-    orb = orbit(group, p)
+    orb = orbit(group.gens, p)
     n = group.effective_order
     if n % len(orb):
         raise GroupError("orbit size does not divide the group order")
     return n // len(orb)
 
 
-def orbit_of_poly(group, f):
-    """Orbit of a polynomial under the substitution action, deduplicated
-    projectively (each image scaled to leading coefficient 1)."""
+def orbit_of_poly(gens, f):
+    """Orbit of a polynomial under the substitution action of the group the
+    matrices in gens generate, breadth-first over the generators and
+    deduplicated projectively (each image scaled to leading coefficient 1)."""
     seen = {}
     frontier = [f.canonical_scale()]
     seen[frontier[0].key()] = frontier[0]
     while frontier:
         new = []
         for q in frontier:
-            for g in group.gens:
+            for g in gens:
                 r = act_on_poly(g, q).canonical_scale()
                 k = r.key()
                 if k not in seen:
@@ -304,9 +306,13 @@ def valentiner_generators(field):
 
 
 def klein_group(field):
+    """The closed group of order 168, for order audits; configurations and
+    invariants use klein_generators alone."""
     return generate_group(klein_generators(field), expected_order=168)
 
 
 def valentiner_group(field):
+    """The closed group of order 1080 (360 projectively), for order audits;
+    configurations and invariants use valentiner_generators alone."""
     return generate_group(valentiner_generators(field), expected_order=1080,
                           projective=True)

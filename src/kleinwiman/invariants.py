@@ -129,7 +129,7 @@ def wiman_invariants(field):
     """Invariants of the Valentiner group, with the normalized set tuned to
     the quadruple point [0:0:1] and the two triple-point orbits."""
     config = build_wiman(field)
-    sextics = fixed_forms(config.group.gens, 6)
+    sextics = fixed_forms(config.gens, 6)
     if len(sextics) != 1:
         raise EngineError(f"expected one invariant sextic, found {len(sextics)}")
     phi6 = _normalize_leading(sextics[0], 6)
@@ -179,7 +179,7 @@ def invariant_set(preset, field):
 
 def is_invariant(config, f):
     """Exact check that every group generator fixes f."""
-    return all(act_on_poly(g, f) == f for g in config.group.gens)
+    return all(act_on_poly(g, f) == f for g in config.gens)
 
 
 def identity_checks(inv):

@@ -24,6 +24,18 @@ def wiman_modp():
 
 
 @pytest.fixture(scope="session")
+def klein_group_exact(klein_exact):
+    from kleinwiman.groups import klein_group
+    return klein_group(klein_exact)
+
+
+@pytest.fixture(scope="session")
+def valentiner_group_modp(wiman_modp):
+    from kleinwiman.groups import valentiner_group
+    return valentiner_group(wiman_modp)
+
+
+@pytest.fixture(scope="session")
 def klein_config_exact(klein_exact):
     from kleinwiman.configs import build_klein
     return build_klein(klein_exact)

@@ -59,6 +59,17 @@ def test_char7_field_flags(flag):
     assert [c["size"] for c in rep["results"]["classes"]] == [21, 28]
 
 
+@pytest.mark.parametrize("preset, field", [
+    ("klein", "modp:29"), ("klein", "modp:43"),
+    ("wiman", "modp:19"), ("wiman", "modp:31")])
+def test_config_verify_small_primes(preset, field):
+    """Over small primes no closure checks the generators; the build's own
+    line and point counts do, and the audit finds every class one orbit."""
+    code, rep = run_cli(["config", "show", "--preset", preset, "--field", field,
+                         "--verify"])
+    assert code == 0 and rep["results"]["verification"]["ok"]
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["series", "--preset", "nonsense", "--d", "10"])
     assert code == 2

@@ -2,17 +2,36 @@ import hashlib
 
 import pytest
 
+from kleinwiman import groups
 from kleinwiman.configs import (_pick_representative, build_config, build_klein,
-                                line_coeffs, point_on_line, projective_zero_locus,
-                                verify_orbit_decomposition)
+                                build_wiman, line_coeffs, point_on_line,
+                                projective_zero_locus, verify_orbit_decomposition)
 from kleinwiman.errors import ConfigError
-from kleinwiman.fields import preset_field
+from kleinwiman.fields import WIMAN_PRIME, preset_field
 from kleinwiman.groups import act_on_point
 
 # sha256 of the newline-joined texts of the 45 Wiman lines over Q(sqrt5, omega)
 # in the order build_config returns them (the order of `config show`)
 WIMAN_EXACT_LINES_SHA256 = (
     "7c5ff97fbae62f211270e0c518ac12975041cf182ea2e3abeabc812c2409c087")
+
+
+@pytest.mark.parametrize("build, field, ngens, nlines", [
+    (build_klein, ("klein-exact",), 3, 21),
+    (build_klein, ("klein-mod4733",), 3, 21),
+    (build_wiman, ("wiman-exact",), 4, 45),
+    (build_wiman, ("modp", WIMAN_PRIME), 4, 45),
+], ids=["klein-exact", "klein-modp", "wiman-exact", "wiman-modp"])
+def test_build_closes_no_group(monkeypatch, build, field, ngens, nlines):
+    """A build reads its group through the generators alone: with the closure
+    made to fail, an uncached build still succeeds and audits clean."""
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the build closed the group")
+
+    monkeypatch.setattr(groups, "generate_group", no_closure)
+    cfg = build.__wrapped__(preset_field(*field))
+    assert len(cfg.gens) == ngens and cfg.num_lines == nlines
+    assert verify_orbit_decomposition(cfg)["ok"]
 
 
 def test_klein_counts(klein_config_exact):
@@ -90,7 +109,7 @@ def test_multiplicity_audit_all_presets(klein_config_exact, wiman_config_modp,
 
 
 def test_generators_permute_classes(klein_config_exact):
-    g = klein_config_exact.group.gens[2]
+    g = klein_config_exact.gens[2]
     for cls in klein_config_exact.classes:
         pts = set(cls.points)
         assert {act_on_point(g, p) for p in pts} == pts

@@ -6,17 +6,16 @@ from kleinwiman.errors import FieldError, GroupError
 from kleinwiman.fields import preset_field
 from kleinwiman.groups import (GroupElement, act_on_point, act_on_poly,
                                generate_group, klein_generators, klein_group,
-                               orbit, reynolds, stabilizer_order,
-                               valentiner_group)
+                               orbit, reynolds, stabilizer_order)
 from kleinwiman.poly import Poly, gradient
 
 
-def test_klein_group_order(klein_config_exact):
-    assert klein_config_exact.group.order == 168
+def test_klein_group_order(klein_group_exact):
+    assert klein_group_exact.order == 168
 
 
-def test_valentiner_orders(wiman_config_modp):
-    g = wiman_config_modp.group
+def test_valentiner_orders(valentiner_group_modp):
+    g = valentiner_group_modp
     assert g.order == 1080
     assert g.projective_order == 360
 
@@ -60,8 +59,8 @@ def test_act_respects_products(klein_modp):
         assert act_on_poly(g, f * h) == act_on_poly(g, f) * act_on_poly(g, h)
 
 
-def test_reynolds_klein_quartic(klein_exact):
-    G = klein_group(klein_exact)
+def test_reynolds_klein_quartic(klein_exact, klein_group_exact):
+    G = klein_group_exact
     x, y, z = (Poly.variable(klein_exact, i) for i in range(3))
     f4 = reynolds(G, x ** 3 * y).scale(klein_exact.coerce(3))
     assert f4 == x ** 3 * y + y ** 3 * z + z ** 3 * x
@@ -71,8 +70,8 @@ def test_reynolds_klein_quartic(klein_exact):
         assert act_on_poly(g, f4) == f4
 
 
-def test_reynolds_wiman_normalization(wiman_modp):
-    G = valentiner_group(wiman_modp)
+def test_reynolds_wiman_normalization(wiman_modp, valentiner_group_modp):
+    G = valentiner_group_modp
     x = Poly.variable(wiman_modp, 0)
     f6 = reynolds(G, x ** 6).scale(wiman_modp.coerce(16))
     assert f6.coeff((6, 0, 0)) == wiman_modp.one
@@ -88,23 +87,25 @@ def test_reynolds_not_invertible_order():
         reynolds(G, Poly.variable(f7, 0))
 
 
-def test_orbit_sizes_and_stabilizers(klein_config_exact):
-    G = klein_config_exact.group
+def test_orbit_sizes_and_stabilizers(klein_config_exact, klein_group_exact):
+    gens = klein_config_exact.gens
+    G = klein_group_exact
     quad = klein_config_exact.classes[0].representative
     trip = klein_config_exact.classes[1].representative
-    assert len(orbit(G, quad)) == 21
+    assert len(orbit(gens, quad)) == 21
     assert stabilizer_order(G, quad) == 8
-    assert len(orbit(G, trip)) == 28
+    assert len(orbit(gens, trip)) == 28
     assert stabilizer_order(G, trip) == 6
     generic = (2, 3, 5)
-    assert len(orbit(G, generic)) == 168
+    assert len(orbit(gens, generic)) == 168
     assert stabilizer_order(G, generic) == 1
 
 
-def test_orbit_stabilizer_identity_wiman(wiman_config_modp):
-    G = wiman_config_modp.group
+def test_orbit_stabilizer_identity_wiman(wiman_config_modp,
+                                         valentiner_group_modp):
+    G = valentiner_group_modp
     for cls in wiman_config_modp.classes:
-        orb = orbit(G, cls.representative)
+        orb = orbit(wiman_config_modp.gens, cls.representative)
         assert len(orb) == cls.size
         assert len(orb) * stabilizer_order(G, cls.representative) == 360
 

@@ -6,7 +6,7 @@ import pytest
 from kleinwiman.configs import line_coeffs
 from kleinwiman.errors import EngineError
 from kleinwiman.fields import SimpleExtension
-from kleinwiman.groups import klein_group, reynolds, valentiner_group
+from kleinwiman.groups import reynolds
 from kleinwiman.invariants import (KLEIN_RELATION, degree0_constant,
                                    fixed_forms, invariant_set, is_invariant,
                                    klein_curve_in_generators,
@@ -27,12 +27,13 @@ def test_klein_fundamental_values(klein_inv_exact):
     assert f.is_zero(klein_inv_exact.psi[14].evaluate(p))
 
 
-def test_fixed_forms_match_reynolds(klein_exact, wiman_modp):
+def test_fixed_forms_match_reynolds(klein_exact, klein_group_exact,
+                                    valentiner_group_modp):
     """The forms every generator fixes are the group averages: the Klein
     quartic over Q(zeta7) and the Wiman sextic over F_4951, each the one
     invariant of its degree.  No quadric is invariant."""
-    for group, seed in ((klein_group(klein_exact), (3, 1, 0)),
-                        (valentiner_group(wiman_modp), (6, 0, 0))):
+    for group, seed in ((klein_group_exact, (3, 1, 0)),
+                        (valentiner_group_modp, (6, 0, 0))):
         field = group.field
         forms = fixed_forms(group.gens, sum(seed))
         average = reynolds(group, Poly(field, {seed: field.one}))
@@ -40,7 +41,7 @@ def test_fixed_forms_match_reynolds(klein_exact, wiman_modp):
         assert forms[0].canonical_scale() == average.canonical_scale()
         assert fixed_forms(group.gens, 2) == []
     x, y, z = (Poly.variable(klein_exact, i) for i in range(3))
-    assert fixed_forms(klein_group(klein_exact).gens, 4)[0].canonical_scale() \
+    assert fixed_forms(klein_group_exact.gens, 4)[0].canonical_scale() \
         == x ** 3 * y + y ** 3 * z + z ** 3 * x
 
 
