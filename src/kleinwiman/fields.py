@@ -203,6 +203,9 @@ class PrimeField(Field):
         return ("prime", self.p)
 
     def coerce(self, x):
+        # plain ints first: Fraction is an ABC, so isinstance is slow on them
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             return self.embed_rational(x)
         return int(x) % self.p

@@ -118,6 +118,28 @@ class FiniteGroup:
         return len(self.elements)
 
 
+def closure(start, gens, step, key=None, cap=None):
+    """Breadth-first closure of start under x -> step(x, g) for g in gens:
+    every object reached, deduplicated by key (default: the object itself).
+    Raises GroupError once more than cap objects are reached."""
+    seen = {start if key is None else key(start): start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = step(a, g)
+                k = b if key is None else key(b)
+                if k not in seen:
+                    seen[k] = b
+                    new.append(b)
+                    if cap is not None and len(seen) > cap:
+                        raise GroupError(
+                            f"closure exceeded cap {cap}; bad generators?")
+        frontier = new
+    return list(seen.values())
+
+
 def generate_group(gens, expected_order=None, projective=False):
     """Breadth-first closure of the generators under multiplication.
 
@@ -131,23 +153,9 @@ def generate_group(gens, expected_order=None, projective=False):
         if field.is_zero(g.det()):
             raise GroupError("generator is not invertible")
     cap = 10 * expected_order if expected_order else 100000
-    ident = GroupElement.identity(field)
-    seen = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = a.matmul(g)
-                k = b.key()
-                if k not in seen:
-                    seen[k] = b
-                    new.append(b)
-                    if len(seen) > cap:
-                        raise GroupError(
-                            f"closure exceeded cap {cap}; bad generators?")
-        frontier = new
-    elements = sorted(seen.values(), key=lambda e: _elem_sort_key(field, e))
+    elements = sorted(closure(GroupElement.identity(field), gens, GroupElement.matmul,
+                              GroupElement.key, cap),
+                      key=lambda e: _elem_sort_key(field, e))
     if expected_order is not None and len(elements) != expected_order:
         raise GroupError(
             f"closure has order {len(elements)}, expected {expected_order}")
@@ -178,19 +186,8 @@ def orbit(gens, p):
     """Deduplicated projective orbit of a point under the group the matrices
     in gens generate, breadth-first over the generators alone."""
     field = gens[0].field
-    start = normalize_point(field, p)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for q in frontier:
-            for g in gens:
-                r = act_on_point(g, q)
-                if r not in seen:
-                    seen.add(r)
-                    new.append(r)
-        frontier = new
-    return sorted(seen, key=lambda pt: tuple(field.sort_key(c) for c in pt))
+    points = closure(normalize_point(field, p), gens, lambda q, g: act_on_point(g, q))
+    return sorted(points, key=lambda pt: tuple(field.sort_key(c) for c in pt))
 
 
 def stabilizer_order(group, p):
@@ -206,49 +203,11 @@ def orbit_of_poly(gens, f):
     """Orbit of a polynomial under the substitution action of the group the
     matrices in gens generate, breadth-first over the generators and
     deduplicated projectively (each image scaled to leading coefficient 1)."""
-    seen = {}
-    frontier = [f.canonical_scale()]
-    seen[frontier[0].key()] = frontier[0]
-    while frontier:
-        new = []
-        for q in frontier:
-            for g in gens:
-                r = act_on_poly(g, q).canonical_scale()
-                k = r.key()
-                if k not in seen:
-                    seen[k] = r
-                    new.append(r)
-        frontier = new
+    polys = closure(f.canonical_scale(), gens,
+                    lambda q, g: act_on_poly(g, q).canonical_scale(), Poly.key)
     field = f.field
-    return sorted(seen.values(), key=lambda poly: tuple(
+    return sorted(polys, key=lambda poly: tuple(
         (e, field.sort_key(c)) for e, c in sorted(poly.terms.items())))
-
-
-def gradient_identity_holds(field, samples=5, seed=0):
-    """Property check: for the substitution action f -> f(Mx), the gradient
-    of the image is the transpose matrix applied to the image of the
-    gradient.  Exercised on random forms and random group elements."""
-    import random
-
-    from kleinwiman.poly import gradient, monomials_of_degree
-
-    rng = random.Random(seed)
-    G = klein_group(field)
-    for _ in range(samples):
-        g = G.elements[rng.randrange(len(G.elements))]
-        terms = {e: field.coerce(rng.randrange(1, 1000))
-                 for e in rng.sample(monomials_of_degree(3, 4), 6)}
-        f = Poly(field, terms)
-        grad_gf = gradient(act_on_poly(g, f))
-        g_grad_f = [act_on_poly(g, df) for df in gradient(f)]
-        m = g.m
-        for i in range(3):
-            acc = Poly.zero(field)
-            for j in range(3):
-                acc = acc + g_grad_f[j].scale(m[j][i])
-            if acc != grad_gf[i]:
-                return False
-    return True
 
 
 # -- shipped generator matrices ---------------------------------------------

@@ -14,8 +14,8 @@ from kleinwiman import linalg
 from kleinwiman.configs import build_klein, build_wiman
 from kleinwiman.errors import ConfigError, EngineError
 from kleinwiman.groups import act_on_poly
-from kleinwiman.poly import (Poly, TruncPoly, bordered_hessian_det, hessian_det,
-                             jacobian_det, local_expand, monomials_of_degree)
+from kleinwiman.poly import (Poly, bordered_hessian_det, hessian_det, jacobian_det,
+                             local_expand, monomials_of_degree)
 
 KLEIN_WEIGHTS = (4, 6, 14)
 WIMAN_WEIGHTS = (6, 12, 30)
@@ -47,10 +47,6 @@ class InvariantSet:
         self.psi = psi                  # degree -> Poly in S
         self.psi_in_phi = psi_in_phi    # degree -> weighted Poly in the generators
         self.extra = extra or {}
-
-    @property
-    def weights(self):
-        return KLEIN_WEIGHTS if self.preset == "klein" else WIMAN_WEIGHTS
 
 
 def _scaled(f, fr):
@@ -276,7 +272,7 @@ def degree0_constant(num_factors, den_factors, point):
 
     def leading(factors):
         order = 0
-        form = TruncPoly(field, 1, {(0, 0): field.one})
+        form = Poly.constant(field, 1, 2, var_names=("u", "v"))
         for f, e in factors:
             t = local_expand(f, point, 8)
             k = t.order_of_vanishing()
@@ -284,8 +280,7 @@ def degree0_constant(num_factors, den_factors, point):
                 raise EngineError("factor vanishes beyond the expansion cap")
             for _ in range(e):
                 order += k
-                form = (TruncPoly(field, order + 1, form.terms)
-                        * TruncPoly(field, order + 1, t.leading_form()))
+                form = form * t.leading_form()
         return order, form
 
     ord_n, form_n = leading(num_factors)

@@ -10,12 +10,7 @@ DEFAULT_VARS = ("x", "y", "z")
 
 def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d, lexicographically descending."""
-    if nvars == 1:
-        return [(d,)]
-    out = []
-    for e in range(d, -1, -1):
-        out.extend((e,) + rest for rest in monomials_of_degree(nvars - 1, d - e))
-    return out
+    return list(weighted_basis((1,) * nvars, d))
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +184,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        acc = Poly.constant(self.field, self.field.one, self.nvars, self.weights,
-                            self.var_names)
+        acc = self._new({(0,) * self.nvars: self.field.one})
         base = self
         while n:
             if n & 1:
@@ -362,58 +356,34 @@ def local_monomials(m):
     return [(i, s - i) for s in range(m) for i in range(s, -1, -1)]
 
 
-class TruncPoly:
-    """Element of k[u,v]/(u,v)^order: terms of total degree < order only."""
+class TruncPoly(Poly):
+    """Element of k[u,v]/(u,v)^order: a Poly in u and v that keeps only the
+    terms of total degree < order, in its products and sums too."""
 
-    __slots__ = ("field", "order", "terms")
+    __slots__ = ("order",)
 
-    def __init__(self, field, order, terms=None):
-        self.field = field
+    def __init__(self, field, order, terms=None, _normalized=False):
+        terms = terms or {}
+        if not _normalized:
+            terms = {e: c for e, c in terms.items() if e[0] + e[1] < order}
+        super().__init__(field, terms, 2, None, ("u", "v"), _normalized)
         self.order = order
-        self.terms = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i + j < order and not field.is_zero(c):
-                    self.terms[(i, j)] = c
+
+    def _new(self, terms, normalized=False):
+        return TruncPoly(self.field, self.order, terms, normalized)
 
     def __add__(self, other):
-        f = self.field
-        out = TruncPoly(f, min(self.order, other.order))
-        out.terms = {k: v for k, v in self.terms.items() if sum(k) < out.order}
-        for k, v in other.terms.items():
-            if sum(k) >= out.order:
-                continue
-            if k in out.terms:
-                s = f.add(out.terms[k], v)
-                if f.is_zero(s):
-                    del out.terms[k]
-                else:
-                    out.terms[k] = s
-            else:
-                out.terms[k] = v
-        return out
-
-    def __neg__(self):
-        out = TruncPoly(self.field, self.order)
-        out.terms = {k: self.field.neg(v) for k, v in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        out = TruncPoly(f, self.order)
-        if not f.is_zero(c):
-            out.terms = {k: f.mul(v, c) for k, v in self.terms.items()}
-        return out
+        """The sum, truncated at the smaller of the two orders."""
+        return TruncPoly(self.field, min(self.order, other.order),
+                         super().__add__(other).terms)
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._check(other)
         f = self.field
         order = min(self.order, other.order)
-        out = TruncPoly(f, order)
-        acc = out.terms
+        acc = {}
         for (i1, j1), c1 in self.terms.items():
             d1 = i1 + j1
             if d1 >= order:
@@ -423,25 +393,8 @@ class TruncPoly:
                     continue
                 k = (i1 + i2, j1 + j2)
                 prod = f.mul(c1, c2)
-                if k in acc:
-                    acc[k] = f.add(acc[k], prod)
-                else:
-                    acc[k] = prod
-        out.terms = {k: v for k, v in acc.items() if not f.is_zero(v)}
-        return out
-
-    def __pow__(self, n):
-        out = TruncPoly(self.field, self.order, {(0, 0): self.field.one})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def is_zero(self):
-        return not self.terms
+                acc[k] = f.add(acc[k], prod) if k in acc else prod
+        return TruncPoly(f, order, acc)
 
     def order_of_vanishing(self):
         """Least total degree with a nonzero coefficient; None if zero mod truncation."""
@@ -450,31 +403,18 @@ class TruncPoly:
         return min(i + j for i, j in self.terms)
 
     def leading_form(self):
-        """Terms of minimal total degree, as a dict; empty if zero."""
+        """Terms of minimal total degree, as a plain homogeneous Poly in u
+        and v (zero if self is zero)."""
         k = self.order_of_vanishing()
-        if k is None:
-            return {}
-        return {e: c for e, c in self.terms.items() if sum(e) == k}
-
-    def coeff(self, i, j):
-        return self.terms.get((i, j), self.field.zero)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncPoly) and self.order == other.order
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"<TruncPoly order {self.order}: {len(self.terms)} terms>"
+        return Poly(self.field, {e: c for e, c in self.terms.items() if sum(e) == k},
+                    2, None, self.var_names, _normalized=True)
 
 
 def normalize_point(field, point):
     """Scale a projective point so its last nonzero coordinate is 1."""
     point = [field.coerce(c) for c in point]
-    for i in range(len(point) - 1, -1, -1):
-        if not field.is_zero(point[i]):
-            inv = field.inv(point[i])
-            return tuple(field.mul(c, inv) for c in point)
-    raise ValueError("zero vector is not a projective point")
+    inv = field.inv(point[chart_for_point(field, point)])
+    return tuple(field.mul(c, inv) for c in point)
 
 
 def chart_for_point(field, point):
@@ -524,8 +464,7 @@ def local_expand(f, center, m, chart=None):
     tu = taylor_table(field, a, max((e[lu] for e in f.terms), default=0), m)
     tv = taylor_table(field, b, max((e[lv] for e in f.terms), default=0), m)
 
-    out = TruncPoly(field, m)
-    acc = out.terms
+    acc = {}
     for e, c in f.terms.items():
         ru, rv = tu[e[lu]], tv[e[lv]]
         for i in range(min(e[lu], m - 1) + 1):
@@ -541,8 +480,7 @@ def local_expand(f, center, m, chart=None):
                     acc[k] = field.add(acc[k], v)
                 else:
                     acc[k] = v
-    out.terms = {k: v for k, v in acc.items() if not field.is_zero(v)}
-    return out
+    return TruncPoly(field, m, acc)
 
 
 def multiplicity_at(f, center, cap=None):

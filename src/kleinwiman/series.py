@@ -48,7 +48,7 @@ import numpy as np
 from kleinwiman import kernels, linalg
 from kleinwiman.errors import SeriesError, UsageError
 from kleinwiman.fields import PrimeField
-from kleinwiman.invariants import invariant_set
+from kleinwiman.invariants import KLEIN_WEIGHTS, WIMAN_WEIGHTS, invariant_set
 from kleinwiman.poly import Poly, TruncPoly, local_expand, weighted_basis
 
 
@@ -87,7 +87,7 @@ class SeriesSpec:
 
 
 def series_weights(preset):
-    return (4, 6, 14) if preset == "klein" else (6, 12, 30)
+    return KLEIN_WEIGHTS if preset == "klein" else WIMAN_WEIGHTS
 
 
 def dim_t(preset, d):
@@ -225,7 +225,7 @@ def _condition_block(preset, field, rep, m, exps, out=None):
         return prod
 
     cols = [column(*e) for e in exps]
-    return [[col[line].coeff(k, 0) for col in cols] for line, k in rows]
+    return [[col[line].coeff((k, 0)) for col in cols] for line, k in rows]
 
 
 @dataclass

@@ -81,7 +81,7 @@ def test_point_conditions_match_local_expand(points, m, d, request):
         block = mat[p * len(monos):(p + 1) * len(monos)]
         for c, e in enumerate(cols):
             t = local_expand(Poly(field, {e: field.one}), pt, m, chart=chart)
-            assert [row[c] for row in block] == [t.coeff(i, j) for i, j in monos]
+            assert [row[c] for row in block] == [t.coeff((i, j)) for i, j in monos]
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from kleinwiman.errors import FieldError
 from kleinwiman.fields import RationalField, preset_field
 from kleinwiman.groups import valentiner_generators
-from kleinwiman.poly import (Poly, bordered_hessian_det, hessian_det,
+from kleinwiman.poly import (Poly, TruncPoly, bordered_hessian_det, hessian_det,
                              jacobian_det, local_expand, monomials_of_degree,
                              multiplicity_at, normalize_point, weighted_basis)
 
@@ -116,10 +117,63 @@ def test_weighted_basis_examples():
         assert len(weighted_basis((4, 6, 14), d)) == want
 
 
+def test_monomials_of_degree_order():
+    """The column order of every fat-point matrix: exponent tuples of total
+    degree d, lexicographically descending, as weighted_basis gives them."""
+    assert monomials_of_degree(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1),
+                                         (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    for n in (1, 2, 3):
+        for d in range(31):
+            want = sorted(((*h, d - sum(h)) for h in product(range(d + 1), repeat=n - 1)
+                           if sum(h) <= d), reverse=True)
+            assert monomials_of_degree(n, d) == want
+            assert monomials_of_degree(n, d) == list(weighted_basis((1,) * n, d))
+
+
+def test_truncpoly_is_a_truncating_poly():
+    """TruncPoly is a Poly in u and v: its sums keep the smaller order, and
+    its products, powers and scalings drop every term of total degree >=
+    order, agreeing with the plain Poly arithmetic truncated afterwards."""
+    f = preset_field("klein-mod4733")
+
+    def plain(t):
+        return Poly(f, t.terms, 2, var_names=("u", "v"))
+
+    def below(p, order):
+        return {e: c for e, c in p.terms.items() if sum(e) < order}
+
+    a = TruncPoly(f, 5, {(i, j): 1 + i + 2 * j for i in range(6) for j in range(6)})
+    b = TruncPoly(f, 3, {(0, 0): 2, (1, 1): 3, (0, 2): 4, (2, 1): 5})
+    assert isinstance(a, Poly) and isinstance(b, Poly)
+    assert a.order == 5 and max(sum(e) for e in a.terms) == 4
+    assert b.terms == {(0, 0): 2, (1, 1): 3, (0, 2): 4}
+    for s in (a + b, b + a, a - b):
+        assert isinstance(s, TruncPoly) and s.order == 3
+        assert all(sum(e) < 3 for e in s.terms)
+    assert (a + b).terms == below(plain(a) + plain(b), 3)
+    assert (a - b).terms == below(plain(a) - plain(b), 3)
+    assert (a + b).coeff((1, 1)) == 4 + 3
+    for p, want, order in ((a * a, plain(a) * plain(a), 5),
+                           (a * b, plain(a) * plain(b), 3),
+                           (a ** 3, plain(a) ** 3, 5),
+                           (a.scale(7), plain(a).scale(7), 5),
+                           (-a, -plain(a), 5)):
+        assert isinstance(p, TruncPoly) and p.order == order
+        assert p.terms == below(want, order)
+    u = TruncPoly(f, 2, {(1, 0): 1})
+    assert (u * u).is_zero() and (u ** 2).is_zero() and (u ** 0).coeff((0, 0)) == 1
+    assert a.scale(0).is_zero() and isinstance(a.scale(0), TruncPoly)
+    t = TruncPoly(f, 3, {(1, 0): 1, (0, 1): 2, (2, 0): 3})
+    assert t.text() == "3*u^2 + u + 2*v"
+    lead = t.leading_form()
+    assert type(lead) is Poly and lead.text() == "u + 2*v"
+    assert t.order_of_vanishing() == 1
+
+
 def test_local_expand_unit_and_centers():
     x, y, z = _xyz(Q)
     t = local_expand(z, (1, 2, 1), 2)
-    assert t.coeff(0, 0) == 1 and t.order_of_vanishing() == 0
+    assert t.coeff((0, 0)) == 1 and t.order_of_vanishing() == 0
     with pytest.raises(ValueError):
         local_expand(z, (1, 2, 0), 2, chart=2)
 

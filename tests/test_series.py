@@ -176,7 +176,7 @@ def _bivariate_rows(preset, field, rep, m, exps):
     cols = []
     for exp in exps:
         prod = gens[0] ** exp[0] * gens[1] ** exp[1] * gens[2] ** exp[2]
-        cols.append([prod.coeff(i, j) for i, j in local_monomials(m)])
+        cols.append([prod.coeff((i, j)) for i, j in local_monomials(m)])
     return [list(row) for row in zip(*cols)]
 
 
