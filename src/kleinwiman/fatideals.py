@@ -74,26 +74,32 @@ def point_conditions_matrix(pointset, m, d):
     Each point contributes one row per local monomial u^i v^j (in
     local_monomials order): the coefficient of u^i v^j in the expansion of
     each column monomial, the product of the two coordinates' Taylor table
-    entries.  Over F_p the result is one int64 array, from the Taylor
-    tables kept on the point set, otherwise a list of rows.
+    entries.  Over F_p the result is one int64 array, each point's block
+    gathered from the Taylor tables kept on the point set by one index array
+    of column exponents, otherwise a list of rows.
     """
     field = pointset.field
     cols = monomials_of_degree(3, d)
     monos = local_monomials(m)
+    exps = np.array(cols, dtype=np.intp).reshape(len(cols), 3)
     prime = isinstance(field, PrimeField)
-    ii, jj = [i for i, _ in monos], [j for _, j in monos]
-    blocks = []
-    for pt, chart in zip(pointset.points, pointset.charts):
+    if prime:
+        ii, jj = np.array(monos, dtype=np.intp).reshape(len(monos), 2).T
+        out = np.empty((len(pointset) * len(monos), len(cols)), dtype=np.int64)
+    else:
+        out = []
+    for n, (pt, chart) in enumerate(zip(pointset.points, pointset.charts)):
         lu, lv = (k for k in range(3) if k != chart)
-        au, av = [e[lu] for e in cols], [e[lv] for e in cols]
+        au, av = exps[:, lu], exps[:, lv]
         if prime:
-            tu, tv = (_taylor_array(pointset, pt[k], d, m) for k in (lu, lv))
-            blocks.append((tu[au][:, ii] * tv[av][:, jj] % field.p).T)
+            tu, tv = (_taylor_array(pointset, pt[k], d, m).T for k in (lu, lv))
+            np.remainder(tu[ii][:, au] * tv[jj][:, av], field.p,
+                         out=out[n * len(monos):(n + 1) * len(monos)])
         else:
             tu, tv = (taylor_table(field, pt[k], d, m) for k in (lu, lv))
-            blocks.extend([field.mul(tu[a][i], tv[b][j]) for a, b in zip(au, av)]
-                          for i, j in monos)
-    return (np.vstack(blocks) if prime else blocks), cols
+            out.extend([field.mul(tu[a][i], tv[b][j])
+                        for a, b in zip(au.tolist(), av.tolist())] for i, j in monos)
+    return out, cols
 
 
 class GradedPiece:
@@ -122,7 +128,10 @@ class GradedPiece:
         return self.contains_vector(f.coeff_vector(self.monomials))
 
     def basis_poly(self, i):
-        return Poly.from_coeff_vector(self.field, self.rows[i], self.monomials)
+        row = self.rows[i]
+        if isinstance(row, np.ndarray):     # Python ints coerce fastest
+            row = row.tolist()
+        return Poly.from_coeff_vector(self.field, row, self.monomials)
 
     def basis_polys(self):
         return [self.basis_poly(i) for i in range(self.dim)]

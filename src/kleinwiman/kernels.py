@@ -1,46 +1,47 @@
-"""Mod-p linear algebra and truncated polynomial kernels on int64 numpy arrays."""
+"""Mod-p linear algebra and truncated polynomial kernels on numpy arrays.
+
+The blocked elimination works on a float64 copy of the matrix: exact
+integers congruent mod p to its entries, reduced only where they are read
+(the delayed modular reduction of FFLAS-FFPACK: Dumas, Giorgi and Pernet,
+ACM TOMS 2008).  A reduction is a centring, r = x - p rint(x (1/p)), four
+float64 operations in place: for an integer |x| < 2**52, x (1/p) is within
+1/p of x / p (two roundings), so r is an integer congruent to x with
+|r| < p/2 + 1, that is |r| <= (p + 1)/2, and 0 exactly when p divides x.
+WIDEST keeps every entry below 2**52.  The unblocked loop works in int64.
+"""
 
 import numpy as np
 
-# m * p**2 (truncated products) and (NARROW + 1) * p**2 (the unblocked
-# elimination loop) must stay below 2**63 for the int64 accumulation; every
-# preset prime is tiny compared to this.
+# m * p**2 (truncated products) must stay below 2**63 for the int64
+# accumulation; every preset prime is tiny compared to this.
 MAX_PRIME = 1 << 20
 
-# Widest matrix reduced by the unblocked loop alone.  Up to 96 columns the
-# per-panel overhead of the blocked route costs more than it saves: 1.7
-# times the unblocked time on the 38 series matrices of 33 to 96 columns in
-# the benchmark search.  The 20 rank calls of 97 to 134 columns in the Klein
-# search to 200 are faster unblocked too (0.14 against 0.20 s in all).
+# Widest matrix reduced by the unblocked loop alone: the blocked route took
+# 1.7 times as long on the 38 series matrices of 33 to 96 columns in the
+# benchmark search (and 0.20 against 0.14 s on the Klein search's 97 to 134).
 NARROW = 96
-assert (NARROW + 1) * MAX_PRIME ** 2 < 2 ** 63
 
-# Columns per panel of the blocked elimination.  Its trailing update is one
-# float64 product over k <= PANEL pivots of operands reduced mod p, exact
-# while k * (p - 1)**2 < 2**53: for every p < MAX_PRIME that allows k <= 8192.
-# A panel is factored by the unblocked loop, so its pivots obey that loop's
-# bound too.
+# Columns per panel of the blocked elimination; rows per strip of a copy.
 PANEL = 64
-assert PANEL <= min(NARROW, 8192) and 8192 * (MAX_PRIME - 1) ** 2 < 2 ** 53
-
-# Rows per strip of the trailing update, so that no float64 copy of the
-# whole matrix is ever made.
 STRIP = 256
 
-# Rows of A per product of the compressed rank's S A.  The BLAS packs both
-# operands of a product into buffers of its own, one set per thread, so the
-# strip sets what S A adds to the peak RSS: about 1 MB for the benchmark
-# searches at 256 rows, nothing measurable at 64, with no measurable change
-# in their time.  Each strip adds at most SKETCH_STRIP * (p - 1)**2 to
-# entries already reduced below p, exact in float64 while that stays below
-# 2**53.
-SKETCH_STRIP = 64
-assert SKETCH_STRIP * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2 ** 53
+# Rows per float64 product: of A in S A, of the trailing block in an update.
+# The BLAS packs the operands into per-thread buffers, so this sets what a
+# product adds to the peak RSS: about 1 MB for the benchmark search at 256.
+PRODUCT_ROWS = 64
 
 # Rows of the compressed rank's S beyond the column count.  For a uniformly
 # random S and A of full column rank, S A is uniform, and it misses full
 # rank with probability about p**-(SKETCH_EXTRA + 1): 2.5e-8 at p = 7.
 SKETCH_EXTRA = 8
+
+# Widest matrix the eliminations accept.  The blocked route subtracts one
+# product of centred operands, at most (p + 1)**2 / 4, per pivot, so its
+# entries stay below p + WIDEST (p + 1)**2 / 4.  The unblocked loop and each
+# strip of S A add at most (p - 1)**2 per term, over fewer terms.
+WIDEST = 8192
+assert MAX_PRIME + WIDEST * MAX_PRIME ** 2 // 4 < 2 ** 52 \
+    and 4 * max(NARROW + 1, PRODUCT_ROWS) <= WIDEST and PANEL <= NARROW
 
 
 def _check_prime(p):
@@ -48,17 +49,23 @@ def _check_prime(p):
         raise ValueError(f"prime {p} too large for the mod-p kernels")
 
 
-def _rref_narrow(a, p, swaps=None, reduced=True):
-    """Unblocked Gauss-Jordan of `a` (int64 2D array, entries in [0, p)) to
-    reduced row echelon form mod p, in place, one pivot column at a time.
+def _center(x, p):
+    """x - p rint(x / p) in place (see the module docstring); returns x."""
+    t = x * (1.0 / p)
+    np.rint(t, out=t)
+    t *= p
+    x -= t
+    return x
 
-    Returns the list of pivot column indices.  Row exchanges are appended to
-    `swaps` as (i, j) pairs when it is given.  With `reduced` false the loop
-    runs forward only: each pivot updates the rows below it, in its own and
-    the trailing columns, which leaves the same pivots and row exchanges but
-    not the RREF.  Non-pivot rows accumulate unreduced values until the end:
-    with at most NARROW pivots (the base case, a panel slice, or the inverse
-    of a pivot block) their magnitudes stay below (NARROW + 1) * p**2.
+
+def _rref_narrow(a, p, swaps=None, reduced=True):
+    """Unblocked Gauss-Jordan of `a` (int64, entries of magnitude at most
+    p) mod p, in place, one pivot column at a time.
+
+    Returns the pivot columns; appends the row exchanges (i, j) to `swaps`
+    when given.  With `reduced` the rows end as the RREF, in [0, p);
+    otherwise each pivot updates only the rows below it in the trailing
+    columns: the same pivots and exchanges, with `a` left undefined.
     """
     rows, cols = a.shape
     pivots = []
@@ -66,85 +73,89 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.flatnonzero(a[r:, c] % p)
+        lo = 0 if reduced else r        # the rows that lose the pivot row
+        col = a[lo:, c] % p
+        nz = np.flatnonzero(col[r - lo:])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
+        head = a[i, c:] % p
+        head *= pow(int(head[0]), p - 2, p)
+        head %= p
+        if i != r:      # row r moves to i; row r is the pivot row from now on
+            a[i, c:] = a[r, c:]
+            col[i - lo] = col[r - lo]
             if swaps is not None:
                 swaps.append((r, i))
-        # rows lo .. rows - 1 lose multiples of the pivot row, columns c0 on
-        lo, c0 = (0, 0) if reduced else (r + 1, c)
-        head = a[r, c0:]
-        head %= p
-        head *= pow(int(a[r, c]), p - 2, p)
-        head %= p
-        mult = a[lo:, c] % p
         if reduced:
-            mult[r] = 0
-        a[lo:, c0:] -= np.outer(mult, head)
+            a[r, c:] = head
+            col[r] = 0
+            a[:, c:] -= col[:, None] * head
+        else:
+            a[r + 1:, c + 1:] -= col[1:, None] * head[1:]
         pivots.append(c)
         r += 1
-    a %= p
+    if reduced:
+        a %= p
     return pivots
 
 
 def _rref_inplace(a, p, reduced=True):
-    """Blocked elimination of `a` (int64 2D array, entries in [0, p)) mod p,
-    in place; returns the pivot columns, whose count is the rank.
-
-    Each panel of PANEL columns gives its pivot columns J and the k rows
-    that hold them, which move up and become A^-1 times themselves, A their
-    k x k block on J; every other row x loses x[J] times them: one float64
-    product per panel (the FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet).
-    J is found on a copy of the panel by the unblocked loop, forward only,
-    on a slice of at most 2 PANEL of its rows that are nonzero there, so
-    the cost per pivot does not grow with the row count.  Columns
-    independent on some rows are independent on all, so the slice's pivots
-    belong to the column rank profile.  While other rows are still nonzero
-    in the panel, they lose the slice's pivot rows on the copy and the next
-    slice is factored; its pivots may lie left of the first ones.  The
-    forward pass updates only the rows below each panel's pivots, which is
-    enough for the rank (`reduced` false).  The RREF then clears the rows
-    above, panel by panel in the same order, the same operations on the
-    same values as when interleaved, and puts the rows in pivot order by an
-    in-place cycle permutation; a matrix of full column rank needs none of
-    that, since its RREF is the identity over zero rows.  A matrix no wider
-    than NARROW columns is the base case: the unblocked loop alone.
+    """Elimination of `a` (entries in [0, p), as `_reduced_copy` gives them)
+    mod p, in place; returns the pivot columns.  With `reduced` the rows of
+    `a` end congruent to the RREF.  Each panel of PANEL columns gives its
+    pivot columns J and the k rows that hold them, which move up and become
+    A^-1 times themselves, A their block on J; every other row x loses x[J]
+    times them, one float64 product per strip of rows (the FFLAS-FFPACK
+    scheme).  Only what a panel reads is reduced: its own columns, on a
+    copy, before the pivot search; its pivot rows, before and after the
+    product by A^-1; the multipliers x[J], strip by strip.  The trailing
+    block never is: each pivot adds at most (p + 1)**2 / 4 to an entry,
+    exact up to WIDEST columns.  J is found on the copy by the unblocked
+    loop, forward only, on a slice of at most 2 PANEL of its rows nonzero
+    there, so the cost per pivot does not grow with the row count; the
+    slice's row exchanges are applied at once.  Columns independent on some
+    rows are independent on all, so these pivots belong to the column rank
+    profile.  While other rows are still nonzero in the panel, they lose the
+    slice's pivot rows on the copy and the next slice is factored; its
+    pivots may lie left of the first ones.  The forward pass, enough for the
+    rank, updates only the rows below each panel's pivots.  The RREF then
+    clears the rows above, panel by panel, and puts the rows in pivot order
+    by an in-place cycle permutation, unless it is the identity over zero
+    rows.
     """
     rows, cols = a.shape
     if cols <= NARROW:
         return _rref_narrow(a, p, reduced=reduced)
-    panels = []     # (first pivot row, first column, pivot columns in panel)
-    r = 0
+    panels, r = [], 0   # (first pivot row, first column, pivots in panel)
     for c0 in range(0, cols, PANEL):
         if r >= rows:
             break
-        panel = a[r:, c0:c0 + PANEL].copy()
-        both = (panel, a[r:, c0:])      # row exchanges apply to each
+        panel = _center(a[r:, c0:c0 + PANEL].copy(), p)
         found, k, more = [], 0, True
         while more:
-            live = k + np.flatnonzero(panel[k:].any(axis=1))
-            if not live.size:
+            live = (k + np.flatnonzero(panel[k:].any(axis=1))).tolist()
+            if not live:
                 break
             swaps = []
-            new = _rref_narrow(panel[live[:2 * PANEL]], p, swaps, reduced=False)
-            # the slice's exchanges, then those that move its pivot rows up
-            # to rows k .. k + len(new) - 1: live ascends, so none of these
-            # moves a row placed before it
-            exchanges = [(live[i], live[j]) for i, j in swaps] + [
-                (k + t, live[t]) for t in range(len(new)) if live[t] != k + t]
-            for i, j in exchanges:
-                for x in both:
-                    x[[i, j]] = x[[j, i]]
+            new = _rref_narrow(panel[live[:2 * PANEL]].astype(np.int64), p,
+                               swaps, reduced=False)
+            # the slice's exchanges, then those moving its pivot rows up to
+            # k, k + 1, ... (live ascends), composed: row at[i] ends at i
+            at = {}
+            for i, j in [(live[i], live[j]) for i, j in swaps] + [
+                    (k + t, live[t]) for t in range(len(new))]:
+                at[i], at[j] = at.get(j, j), at.get(i, i)
+            for x in (panel, a[r:, c0:]):
+                x[list(at)] = x[list(at.values())]
             found += new
             k += len(new)
-            more = live.size > 2 * PANEL and k < panel.shape[1]
+            more = len(live) > 2 * PANEL and k < panel.shape[1]
             if more:
                 head = panel[k - len(new):k]
                 _normalize(head, new, p)
                 _eliminate(panel, p, k, len(panel), 0, new, head)
+                _center(panel[k:], p)
         if not found:
             continue
         head = a[r:r + k, c0:]
@@ -154,7 +165,7 @@ def _rref_inplace(a, p, reduced=True):
         r += k
     pivots = [c0 + c for _, c0, found in panels for c in found]
     if reduced and len(pivots) == cols:
-        a[:cols] = 0
+        a[:] = 0
         np.fill_diagonal(a, 1)
     elif reduced:
         for r, c0, found in panels:
@@ -164,14 +175,13 @@ def _rref_inplace(a, p, reduced=True):
 
 
 def _normalize(head, found, p):
-    """Pivot rows `head` become A^-1 times themselves mod p, in place, A
-    their invertible k x k block on the columns `found`; A^-1 is the
-    unblocked loop's reduction of [A | I]."""
+    """Pivot rows `head` become A^-1 times themselves, centred, in place, A
+    their block on the columns `found`, A^-1 the RREF of [A | I]."""
     k = len(found)
-    aug = np.hstack([head[:, found], np.eye(k, dtype=np.int64)])
+    _center(head, p)
+    aug = np.hstack([head[:, found], np.eye(k)]).astype(np.int64)
     _rref_narrow(aug, p)
-    np.remainder((aug[:, k:].astype(np.float64) @ head).astype(np.int64), p,
-                 out=head)
+    head[:] = _center(aug[:, k:] @ head, p)
 
 
 def _permute_rows(a, order):
@@ -189,25 +199,31 @@ def _permute_rows(a, order):
 
 def _eliminate(a, p, start, stop, c0, found, pivot_rows):
     """Rows start .. stop - 1 of `a` lose x[J] times the normalized pivot
-    rows of one panel (columns c0 on, pivot columns c0 + J), strip by strip."""
-    pivot_rows = pivot_rows.astype(np.float64)
-    for s in range(start, stop, STRIP):
-        strip = a[s:min(s + STRIP, stop), c0:]
-        t = strip[:, found].astype(np.float64) @ pivot_rows
-        t = t.astype(np.int64)
-        np.subtract(strip, t, out=t)
-        np.remainder(t, p, out=strip)
+    rows of one panel (columns c0 on, pivot columns c0 + J), strip by
+    strip; only the multipliers x[J] are reduced."""
+    for s in range(start, stop, PRODUCT_ROWS):
+        strip = a[s:min(s + PRODUCT_ROWS, stop), c0:]
+        strip -= _center(strip[:, found], p) @ pivot_rows
 
 
 def _reduced_copy(a, p):
+    """`a` mod p in a new array (float64 past NARROW columns, else int64),
+    strip by strip; ValueError for p >= MAX_PRIME or cols > WIDEST."""
     _check_prime(p)
-    return np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
+    a = np.asarray(a, dtype=np.int64)
+    if a.shape[-1] > WIDEST:
+        raise ValueError(f"{a.shape[-1]} columns: too wide for the mod-p kernels")
+    out = np.empty(a.shape, np.float64 if a.shape[-1] > NARROW else np.int64)
+    for s in range(0, len(a), STRIP):
+        np.remainder(a[s:s + STRIP], p, out=out[s:s + STRIP])
+    return out
 
 
 def rref_mod(a, p):
     """RREF of a copy of `a` mod p. Returns (rref matrix, pivot columns)."""
     a = _reduced_copy(a, p)
-    return a, (_rref_inplace(a, p) if a.size else [])
+    pivots = _rref_inplace(a, p) if a.size else []
+    return np.remainder(a, p, out=a).astype(np.int64, copy=False), pivots
 
 
 def _sketch(k, start, stop, p):
@@ -225,10 +241,10 @@ def _sketch(k, start, stop, p):
 
 def _compressed(a, p, k):
     """S A mod p for the fixed k-row S and `a` reduced mod p, as int64, one
-    row strip of `a` at a time."""
+    row strip of `a` at a time, each product reduced to [0, p)."""
     c = np.zeros((k, a.shape[1]))
-    for s in range(0, a.shape[0], SKETCH_STRIP):
-        strip = a[s:s + SKETCH_STRIP]
+    for s in range(0, a.shape[0], PRODUCT_ROWS):
+        strip = a[s:s + PRODUCT_ROWS]
         c += _sketch(k, s, s + len(strip), p) @ strip.astype(np.float64)
         np.remainder(c, p, out=c)
     return c.astype(np.int64)
@@ -237,45 +253,44 @@ def _compressed(a, p, k):
 def rank_mod(a, p):
     """Rank of `a` mod p, by forward elimination only.
 
-    A matrix with more than max(2 k, STRIP) rows, k = cols + SKETCH_EXTRA,
-    is first compressed to C = S A, S a fixed k-row matrix whose entries
-    are an integer hash of their indices (deterministic, no random state).
+    A matrix at most NARROW columns wide with more than max(2 k, STRIP)
+    rows, k = cols + SKETCH_EXTRA, is first compressed to C = S A, S a
+    fixed k-row matrix whose entries are an integer hash of their indices.
     Since rank(S A) <= rank(A) <= cols, a C of full column rank certifies
     that A has it, whatever S is; otherwise A itself is eliminated.  So the
-    rank is always exact, and only the speed depends on S (a generic S
-    keeps the rank of A with high probability: Cheung, Kwok and Lau,
-    J. ACM 2013).  C is summed in float64 over strips of SKETCH_STRIP rows,
-    each reduced mod p, exact by the bound asserted with SKETCH_STRIP.
-    Shorter matrices are eliminated directly: below 2 k rows C costs about
-    what A does, and below STRIP rows it gains nothing measurable.  Past
-    NARROW columns, the rows of A add to the cost of the panel products,
-    not to the Python work per pivot.
+    rank is exact, and only the speed depends on S (a generic S keeps the
+    rank of A with high probability: Cheung, Kwok and Lau, J. ACM 2013).
+    Below 2 k rows C costs about what A does, and below STRIP rows it gains
+    nothing measurable.  Past NARROW columns the blocked route pays no
+    Python work per row, and S A alone costs more than eliminating A.
     """
     a = _reduced_copy(a, p)
     if not a.size:
         return 0
     rows, cols = a.shape
     k = cols + SKETCH_EXTRA
-    if rows > max(2 * k, STRIP) \
-            and len(_rref_inplace(_compressed(a, p, k), p, reduced=False)) == cols:
+    if cols <= NARROW and rows > max(2 * k, STRIP) \
+            and len(_rref_narrow(_compressed(a, p, k), p, reduced=False)) == cols:
         return cols
     return len(_rref_inplace(a, p, reduced=False))
 
 
 def kernel_mod(a, p):
-    """Basis of the right kernel of `a` mod p, as rows of a (k, cols) array.
+    """Basis of the right kernel of `a` mod p, as rows of a (k, cols) int64
+    array, read from the RREF's free columns without reducing the rest.
 
     The basis is canonical: for each free column f the vector has 1 at f,
     the solved pivot entries elsewhere, and free columns are taken in
     increasing order.
     """
-    r, pivots = rref_mod(a, p)
-    free = np.ones(r.shape[1], dtype=bool)
+    a = _reduced_copy(a, p)
+    pivots = _rref_inplace(a, p) if a.size else []
+    free = np.ones(a.shape[1], dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -r[:len(pivots), free].T % p
+    basis[:, pivots] = np.remainder(-a[:len(pivots), free].T, p)
     return basis
 
 

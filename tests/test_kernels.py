@@ -110,8 +110,8 @@ def test_rank_mod_compressed():
     k = cols + SKETCH_EXTRA, against the pivot count of the RREF: tall
     matrices of full column rank and products of random factors of lower
     rank, with rows just below, at and above k and that bound and more
-    than two strips, a zero column, and each of the blocked and the
-    unblocked route for S A."""
+    than two strips, a zero column, and matrices up to NARROW columns wide,
+    which are compressed, and wider, which are not."""
     rng = np.random.default_rng(49)
     largest = 1048573
     assert largest < kernels.MAX_PRIME
@@ -480,3 +480,83 @@ def test_kernel_rational_budget(monkeypatch, klein_exact):
 def test_prime_cap():
     with pytest.raises(ValueError):
         kernels.rref_mod(np.zeros((1, 1), dtype=np.int64), 1 << 21)
+
+
+def test_width_cap():
+    """A matrix wider than WIDEST is refused before any work is done."""
+    wide = np.zeros((1, kernels.WIDEST + 1), dtype=np.int64)
+    for f in (kernels.rref_mod, kernels.rank_mod, kernels.kernel_mod):
+        with pytest.raises(ValueError):
+            f(wide, 7)
+    assert kernels.rank_mod(wide[:, 1:] + 1, 7) == 1
+
+
+@pytest.mark.parametrize("p", [7, 4733, 1048573])
+def test_center(p):
+    """Centring returns an integer congruent to x with |r| <= (p + 1)/2, and
+    0 exactly for multiples of p: multiples of p, p +- 1, negative values,
+    and values near the largest entry the WIDEST bound allows."""
+    top = kernels.MAX_PRIME + kernels.WIDEST * kernels.MAX_PRIME ** 2 // 4
+    assert top < 2 ** 52
+    rng = random.Random(p)
+    near = [top - i for i in range(50)] + [2 ** 52 - 1 - i for i in range(50)]
+    near += [rng.randrange(top - 10 ** 9, top) for _ in range(200)]
+    multiples = [k * p for k in (0, 1, 2, 3, 10 ** 3, (2 ** 52 - 1) // p,
+                                 top // p, top // p - 1)]
+    values = multiples + [p - 1, p + 1, 2 * p - 1, 2 * p + 1, (p - 1) // 2,
+                          (p + 1) // 2, (p + 3) // 2] + near
+    values += [m + (p - 1) // 2 + e for m in multiples for e in (0, 1)]
+    values = values + [-x for x in values]
+    r = kernels._center(np.array(values, dtype=np.float64), p)
+    for x, y in zip(values, r.tolist()):
+        assert y == int(y) and (x - int(y)) % p == 0, (x, y)
+        assert abs(y) <= (p + 1) // 2 and (y == 0) == (x % p == 0), (x, y)
+
+
+def test_delayed_reduction_stress():
+    """p = 1048573, entries near p, eleven panels and more than STRIP rows,
+    at full column rank and at a known lower rank (a product of random
+    factors).  Beyond the ranks: every kernel_mod row v has A v = 0 mod p in
+    Python ints; rref_mod returns int64 entries in [0, p), zero below the
+    rank, the identity on the pivot columns, and A is A[:, J] times it."""
+    p = 1048573
+    rng = np.random.default_rng(52)
+    n = 10 * kernels.PANEL + 10
+    assert n > kernels.NARROW and n + 40 > kernels.STRIP
+    full = rng.integers(p - 50, p, (n + 40, n))
+    rank = n - 12
+    assert n * (p - 1) ** 2 < 2 ** 53     # float64 products below are exact
+
+    def product(x, y):
+        return (x.astype(np.float64) @ y.astype(np.float64) % p).astype(np.int64)
+
+    low = product(rng.integers(p - 50, p, (n + 40, rank)),
+                  rng.integers(p - 50, p, (rank, n)))
+    for a, want in ((full, n), (low, rank)):
+        assert kernels.rank_mod(a, p) == want
+        r, pivots = kernels.rref_mod(a, p)
+        assert len(pivots) == want and r.dtype == np.int64
+        assert r.min() >= 0 and r.max() < p and not r[want:].any()
+        assert np.array_equal(r[:want, pivots], np.eye(want, dtype=np.int64))
+        assert np.array_equal(product(a[:, pivots], r[:want]), a)
+        k = kernels.kernel_mod(a, p)
+        assert k.shape == (n - want, n) and k.dtype == np.int64
+        if len(k):
+            assert not (a.astype(object) @ k.T.astype(object) % p).any()
+
+
+def test_inputs_unchanged():
+    """rank_mod, rref_mod and kernel_mod work on copies: int64 input of
+    either route (narrow and blocked), tall enough to be compressed, with
+    entries outside [0, p), and a list of rows."""
+    rng = np.random.default_rng(53)
+    p = 4733
+    shapes = [(30, 20), (400, 20), (200, kernels.NARROW + 40), (70, 3 * kernels.PANEL)]
+    for shape in shapes:
+        a = rng.integers(-3 * p, 3 * p, shape)
+        rows = a.tolist()
+        for f in (kernels.rank_mod, kernels.rref_mod, kernels.kernel_mod):
+            for given in (a, rows):
+                before = np.array(given, copy=True)
+                f(given, p)
+                assert np.array_equal(np.asarray(given), before)
