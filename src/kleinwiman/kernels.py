@@ -1,13 +1,18 @@
 """Mod-p linear algebra and truncated polynomial kernels on numpy arrays.
 
-The blocked elimination works on a float64 copy of the matrix: exact
+The blocked elimination works on a floating-point copy of the matrix: exact
 integers congruent mod p to its entries, reduced only where they are read
 (the delayed modular reduction of FFLAS-FFPACK: Dumas, Giorgi and Pernet,
 ACM TOMS 2008).  A reduction is a centring, r = x - p rint(x (1/p)), four
-float64 operations in place: for an integer |x| < 2**52, x (1/p) is within
-1/p of x / p (two roundings), so r is an integer congruent to x with
-|r| < p/2 + 1, that is |r| <= (p + 1)/2, and 0 exactly when p divides x.
-WIDEST keeps every entry below 2**52.  The unblocked loop works in int64.
+operations in place: for an integer |x| < 2**52 in float64, or 2**23 in
+float32, x (1/p) is within 1/p of x / p (two roundings of relative error
+2**-53, or 2**-24), so r is an integer congruent to x with |r| < p/2 + 1,
+that is |r| <= (p + 1)/2, and 0 exactly when p divides x.  WIDEST keeps
+every entry below 2**52, and below 2**23 for p <= SINGLE, where the copy is
+float32 (as FFLAS-FFPACK keeps small moduli): every partial sum of a
+product is then an integer below that bound, exact in any summation order,
+and each product and centring moves half the bytes.  The unblocked loop
+works in int64.
 """
 
 import numpy as np
@@ -18,14 +23,14 @@ MAX_PRIME = 1 << 20
 
 # Widest matrix reduced by the unblocked loop alone: the blocked route took
 # 1.7 times as long on the 38 series matrices of 33 to 96 columns in the
-# benchmark search (and 0.20 against 0.14 s on the Klein search's 97 to 134).
+# benchmark search (and 0.17 against 0.15 s on the Klein search's 97 to 134).
 NARROW = 96
 
 # Columns per panel of the blocked elimination; rows per strip of a copy.
 PANEL = 64
 STRIP = 256
 
-# Rows per float64 product: of A in S A, of the trailing block in an update.
+# Rows per product: of A in S A, of the trailing block in an update.
 # The BLAS packs the operands into per-thread buffers, so this sets what a
 # product adds to the peak RSS: about 1 MB for the benchmark search at 256.
 PRODUCT_ROWS = 64
@@ -42,6 +47,12 @@ SKETCH_EXTRA = 8
 WIDEST = 8192
 assert MAX_PRIME + WIDEST * MAX_PRIME ** 2 // 4 < 2 ** 52 \
     and 4 * max(NARROW + 1, PRODUCT_ROWS) <= WIDEST and PANEL <= NARROW
+
+# Largest prime whose blocked route works in float32: the bound above stays
+# below 2**23 up to p = 63, and 67 exceeds it.
+SINGLE = 61
+assert SINGLE + WIDEST * (SINGLE + 1) ** 2 // 4 < 2 ** 23 \
+    <= 67 + WIDEST * 68 ** 2 // 4
 
 
 def _check_prime(p):
@@ -62,10 +73,15 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
     """Unblocked Gauss-Jordan of `a` (int64, entries of magnitude at most
     p) mod p, in place, one pivot column at a time.
 
-    Returns the pivot columns; appends the row exchanges (i, j) to `swaps`
-    when given.  With `reduced` the rows end as the RREF, in [0, p);
-    otherwise each pivot updates only the rows below it in the trailing
-    columns: the same pivots and exchanges, with `a` left undefined.
+    Returns the pivot columns.  With `reduced` the rows end as the RREF, in
+    [0, p); otherwise each pivot updates only the rows below it in the
+    trailing columns: the same pivots and exchanges, with `a` left
+    undefined unless `swaps` is given.  Then the row exchanges (i, j) are
+    appended to it and move whole rows, so the first k rows of `a` on the
+    k pivot columns hold, congruent mod p, the packed LU of A, their block
+    there before elimination: A = L D^-1 U, L lower and U upper, both with
+    D, the pivots, on the diagonal; below it L holds each pivot's column as
+    the pivot met it, and above it U holds the pivot rows.
     """
     rows, cols = a.shape
     pivots = []
@@ -83,10 +99,12 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
         head *= pow(int(head[0]), p - 2, p)
         head %= p
         if i != r:      # row r moves to i; row r is the pivot row from now on
-            a[i, c:] = a[r, c:]
-            col[i - lo] = col[r - lo]
-            if swaps is not None:
+            if swaps is None:
+                a[i, c:] = a[r, c:]
+            else:
+                a[[r, i]] = a[[i, r]]
                 swaps.append((r, i))
+            col[i - lo] = col[r - lo]
         if reduced:
             a[r, c:] = head
             col[r] = 0
@@ -106,23 +124,28 @@ def _rref_inplace(a, p, reduced=True):
     `a` end congruent to the RREF.  Each panel of PANEL columns gives its
     pivot columns J and the k rows that hold them, which move up and become
     A^-1 times themselves, A their block on J; every other row x loses x[J]
-    times them, one float64 product per strip of rows (the FFLAS-FFPACK
-    scheme).  Only what a panel reads is reduced: its own columns, on a
-    copy, before the pivot search; its pivot rows, before and after the
-    product by A^-1; the multipliers x[J], strip by strip.  The trailing
-    block never is: each pivot adds at most (p + 1)**2 / 4 to an entry,
-    exact up to WIDEST columns.  J is found on the copy by the unblocked
-    loop, forward only, on a slice of at most 2 PANEL of its rows nonzero
-    there, so the cost per pivot does not grow with the row count; the
-    slice's row exchanges are applied at once.  Columns independent on some
-    rows are independent on all, so these pivots belong to the column rank
-    profile.  While other rows are still nonzero in the panel, they lose the
-    slice's pivot rows on the copy and the next slice is factored; its
-    pivots may lie left of the first ones.  The forward pass, enough for the
-    rank, updates only the rows below each panel's pivots.  The RREF then
-    clears the rows above, panel by panel, and puts the rows in pivot order
-    by an in-place cycle permutation, unless it is the identity over zero
-    rows.
+    times them, one product per strip of rows (the FFLAS-FFPACK scheme).
+    Only what a panel reads is reduced: its own columns, on a copy, before
+    the pivot search; its pivot rows, before and after the product by
+    A^-1; the multipliers x[J], strip by strip.  The trailing block never
+    is: each pivot adds at most (p + 1)**2 / 4 to an entry, exact up to
+    WIDEST columns.  J is found on the copy by the unblocked loop, forward
+    only, on a slice of at most 2 PANEL of its rows nonzero there, so the
+    cost per pivot does not grow with the row count; the slice's row
+    exchanges are applied at once, and the slice keeps the packed LU of its
+    pivot block A, from which `_normalize` inverts A.  Columns independent
+    on some rows are independent on all, so these pivots belong to the
+    column rank profile.  While other rows are still nonzero in the panel,
+    they lose the slice's normalised pivot rows on the copy, and the next
+    slice is factored: its pivots may lie left of the first ones, and its
+    LU is that of the Schur complement S of the pivot rows found so far.
+    On `a` this is block Gauss-Jordan over the panel's pivot rows: the
+    earlier pivot rows H are normalised; the next slice's rows x lose
+    x[J] H, become S^-1 times themselves, and H loses H[J'] times them,
+    J' their pivot columns.  The forward pass, enough for the rank, updates
+    only the rows below each panel's pivots.  The RREF then clears the rows
+    above, panel by panel, and puts the rows in pivot order by an in-place
+    cycle permutation, unless it is the identity over zero rows.
     """
     rows, cols = a.shape
     if cols <= NARROW:
@@ -132,14 +155,14 @@ def _rref_inplace(a, p, reduced=True):
         if r >= rows:
             break
         panel = _center(a[r:, c0:c0 + PANEL].copy(), p)
-        found, k, more = [], 0, True
-        while more:
+        found, k = [], 0
+        while True:
             live = (k + np.flatnonzero(panel[k:].any(axis=1))).tolist()
             if not live:
                 break
             swaps = []
-            new = _rref_narrow(panel[live[:2 * PANEL]].astype(np.int64), p,
-                               swaps, reduced=False)
+            lu = panel[live[:2 * PANEL]].astype(np.int64)
+            new = _rref_narrow(lu, p, swaps, reduced=False)
             # the slice's exchanges, then those moving its pivot rows up to
             # k, k + 1, ... (live ascends), composed: row at[i] ends at i
             at = {}
@@ -148,19 +171,23 @@ def _rref_inplace(a, p, reduced=True):
                 at[i], at[j] = at.get(j, j), at.get(i, i)
             for x in (panel, a[r:, c0:]):
                 x[list(at)] = x[list(at.values())]
+            head = a[r + k:r + k + len(new), c0:]
+            if k:
+                _eliminate(a, p, r + k, r + k + len(new), c0, found,
+                           a[r:r + k, c0:])
+            _normalize(head, lu[:len(new), new], p)
+            if k:
+                _eliminate(a, p, r, r + k, c0, new, head)
+                _center(a[r:r + k, c0:], p)
             found += new
             k += len(new)
-            more = len(live) > 2 * PANEL and k < panel.shape[1]
-            if more:
-                head = panel[k - len(new):k]
-                _normalize(head, new, p)
-                _eliminate(panel, p, k, len(panel), 0, new, head)
-                _center(panel[k:], p)
+            if len(live) <= 2 * PANEL or k == panel.shape[1]:
+                break
+            _eliminate(panel, p, k, len(panel), 0, new, head[:, :PANEL])
+            _center(panel[k:], p)
         if not found:
             continue
-        head = a[r:r + k, c0:]
-        _normalize(head, found, p)
-        _eliminate(a, p, r + k, rows, c0, found, head)
+        _eliminate(a, p, r + k, rows, c0, found, a[r:r + k, c0:])
         panels.append((r, c0, found))
         r += k
     pivots = [c0 + c for _, c0, found in panels for c in found]
@@ -174,14 +201,27 @@ def _rref_inplace(a, p, reduced=True):
     return sorted(pivots)
 
 
-def _normalize(head, found, p):
-    """Pivot rows `head` become A^-1 times themselves, centred, in place, A
-    their block on the columns `found`, A^-1 the RREF of [A | I]."""
-    k = len(found)
+def _normalize(head, lu, p):
+    """Pivot rows `head` become A^-1 times themselves, centred, in place,
+    given the packed LU of A (A = L D^-1 U as `_rref_narrow` leaves it).
+    A^-1 = U1^-1 D^-1 L1^-1 for the unit triangular L1 = L D^-1 and
+    U1 = D^-1 U: D^-1 takes a modular inverse per pivot, and each
+    (I + N)^-1 is the product (I - N)(I + N^2)(I + N^4)..., centred after
+    every product: ceil(log2 k) - 1 doublings for both factors at once, U1
+    transposed to lower.  This runs in float64, exact since
+    k (p + 1)**2 / 4 <= PANEL 2**38 < 2**53."""
+    k = len(lu)
+    lu = lu % p
+    d = np.array([pow(int(x), p - 2, p) for x in np.diagonal(lu)])
+    n = _center(np.stack([np.tril(lu, -1) * d, np.tril(lu.T, -1) * d])
+                .astype(np.float64), p)
+    inv, power = np.eye(k) - n, n
+    for _ in range(1, (k - 1).bit_length()):
+        power = _center(power @ power, p)
+        inv = _center(inv + inv @ power, p)
+    inv = _center(_center(inv[1].T * d, p) @ inv[0], p)
     _center(head, p)
-    aug = np.hstack([head[:, found], np.eye(k)]).astype(np.int64)
-    _rref_narrow(aug, p)
-    head[:] = _center(aug[:, k:] @ head, p)
+    head[:] = _center(inv.astype(head.dtype) @ head, p)
 
 
 def _permute_rows(a, order):
@@ -207,13 +247,15 @@ def _eliminate(a, p, start, stop, c0, found, pivot_rows):
 
 
 def _reduced_copy(a, p):
-    """`a` mod p in a new array (float64 past NARROW columns, else int64),
-    strip by strip; ValueError for p >= MAX_PRIME or cols > WIDEST."""
+    """`a` mod p in a new array, strip by strip: past NARROW columns float32
+    for p <= SINGLE and float64 otherwise, else int64; ValueError for
+    p >= MAX_PRIME or cols > WIDEST."""
     _check_prime(p)
     a = np.asarray(a, dtype=np.int64)
     if a.shape[-1] > WIDEST:
         raise ValueError(f"{a.shape[-1]} columns: too wide for the mod-p kernels")
-    out = np.empty(a.shape, np.float64 if a.shape[-1] > NARROW else np.int64)
+    out = np.empty(a.shape, np.int64 if a.shape[-1] <= NARROW
+                   else np.float32 if p <= SINGLE else np.float64)
     for s in range(0, len(a), STRIP):
         np.remainder(a[s:s + STRIP], p, out=out[s:s + STRIP])
     return out

@@ -491,26 +491,39 @@ def test_width_cap():
     assert kernels.rank_mod(wide[:, 1:] + 1, 7) == 1
 
 
-@pytest.mark.parametrize("p", [7, 4733, 1048573])
-def test_center(p):
-    """Centring returns an integer congruent to x with |r| <= (p + 1)/2, and
-    0 exactly for multiples of p: multiples of p, p +- 1, negative values,
-    and values near the largest entry the WIDEST bound allows."""
-    top = kernels.MAX_PRIME + kernels.WIDEST * kernels.MAX_PRIME ** 2 // 4
-    assert top < 2 ** 52
+def _center_values(p, top, limit):
+    """Multiples of p, p +- 1, negative values, and values near `top`, the
+    largest entry a bound allows, and near `limit`, the bound itself."""
     rng = random.Random(p)
-    near = [top - i for i in range(50)] + [2 ** 52 - 1 - i for i in range(50)]
-    near += [rng.randrange(top - 10 ** 9, top) for _ in range(200)]
-    multiples = [k * p for k in (0, 1, 2, 3, 10 ** 3, (2 ** 52 - 1) // p,
+    near = [top - i for i in range(50)] + [limit - 1 - i for i in range(50)]
+    near += [rng.randrange(top - min(10 ** 9, top // 2), top) for _ in range(200)]
+    multiples = [k * p for k in (0, 1, 2, 3, 10 ** 3, (limit - 1) // p,
                                  top // p, top // p - 1)]
     values = multiples + [p - 1, p + 1, 2 * p - 1, 2 * p + 1, (p - 1) // 2,
                           (p + 1) // 2, (p + 3) // 2] + near
     values += [m + (p - 1) // 2 + e for m in multiples for e in (0, 1)]
-    values = values + [-x for x in values]
-    r = kernels._center(np.array(values, dtype=np.float64), p)
-    for x, y in zip(values, r.tolist()):
-        assert y == int(y) and (x - int(y)) % p == 0, (x, y)
-        assert abs(y) <= (p + 1) // 2 and (y == 0) == (x % p == 0), (x, y)
+    return values + [-x for x in values]
+
+
+@pytest.mark.parametrize("p", [7, 61, 4733, 1048573])
+def test_center(p):
+    """Centring returns an integer congruent to x with |r| <= (p + 1)/2, and
+    0 exactly for multiples of p: multiples of p, p +- 1, negative values,
+    and values near the largest entry the WIDEST bound allows; in float32
+    for p <= SINGLE, up to the float32 bound 2**23."""
+    top = kernels.MAX_PRIME + kernels.WIDEST * kernels.MAX_PRIME ** 2 // 4
+    assert top < 2 ** 52
+    cases = [(np.float64, _center_values(p, top, 2 ** 52))]
+    if p <= kernels.SINGLE:
+        top = kernels.SINGLE + kernels.WIDEST * (kernels.SINGLE + 1) ** 2 // 4
+        assert top < 2 ** 23
+        cases.append((np.float32, _center_values(p, top, 2 ** 23)))
+    for dtype, values in cases:
+        r = kernels._center(np.array(values, dtype=dtype), p)
+        assert r.dtype == dtype
+        for x, y in zip(values, r.tolist()):
+            assert y == int(y) and (x - int(y)) % p == 0, (x, y)
+            assert abs(y) <= (p + 1) // 2 and (y == 0) == (x % p == 0), (x, y)
 
 
 def test_delayed_reduction_stress():
@@ -543,6 +556,96 @@ def test_delayed_reduction_stress():
         assert k.shape == (n - want, n) and k.dtype == np.int64
         if len(k):
             assert not (a.astype(object) @ k.T.astype(object) % p).any()
+
+
+@pytest.mark.parametrize("p", [61, 67])
+def test_float32_stress(p):
+    """p = 61, the largest prime with a float32 working copy, and p = 67, the
+    first with a float64 one: several panels, more than 2 PANEL rows nonzero
+    in each, the first 2 PANEL of rank 20, so that panels are factored in
+    several slices; at full column rank and at a known lower rank.  Every
+    kernel_mod row v has A v = 0 mod p in Python ints; rref_mod returns
+    int64 entries in [0, p), and A is A[:, J] times its rows."""
+    rng = np.random.default_rng(p)
+    w, n = kernels.PANEL, 5 * kernels.PANEL + 10
+    wide = np.zeros((1, n), dtype=np.int64)
+    assert kernels._reduced_copy(wide, p).dtype \
+        == (np.float32 if p <= kernels.SINGLE else np.float64)
+    assert kernels._reduced_copy(wide[:, :kernels.NARROW], p).dtype == np.int64
+    rank = n - 12
+    # rows mix random rows of the factor; the first 2 PANEL + 5 only its
+    # first 20
+    left = rng.integers(0, p, (n + 2 * w + 40, n))
+    left[:2 * w + 5, 20:] = 0
+    full = (left @ rng.integers(0, p, (n, n)) % p)
+    low = (left[:, :rank] @ rng.integers(0, p, (rank, n)) % p)
+    for a, want in ((full, n), (low, rank)):
+        assert kernels.rank_mod(a, p) == want
+        r, pivots = kernels.rref_mod(a, p)
+        assert len(pivots) == want and r.dtype == np.int64
+        assert r.min() >= 0 and r.max() < p and not r[want:].any()
+        assert np.array_equal(r[:want, pivots], np.eye(want, dtype=np.int64))
+        assert not ((a[:, pivots] @ r[:want] - a) % p).any()
+        k = kernels.kernel_mod(a, p)
+        assert k.shape == (n - want, n) and k.dtype == np.int64
+        if len(k):
+            assert not (a.astype(object) @ k.T.astype(object) % p).any()
+
+
+@pytest.mark.parametrize("p", [7, 4733, 1048573])
+def test_lu_inverse(p):
+    """_normalize inverts A from the packed LU the forward loop leaves:
+    random A with nonzero leading minors, so no exchanges, k up to PANEL;
+    A^-1 A = I mod p in Python ints, for the float32 rows of p <= SINGLE
+    as for float64 ones."""
+    rng = random.Random(p)
+    for k in (1, 2, 33, kernels.PANEL):
+        lower = [[int(i == j) if j >= i else rng.randrange(p)
+                  for j in range(k)] for i in range(k)]
+        upper = [[rng.randrange(1, p) if i == j else rng.randrange(p) * (i < j)
+                  for j in range(k)] for i in range(k)]
+        a = np.array(lower, dtype=object) @ np.array(upper, dtype=object) % p
+        lu, swaps = a.astype(np.int64), []
+        pivots = kernels._rref_narrow(lu, p, swaps, reduced=False)
+        assert pivots == list(range(k)) and swaps == []
+        dtypes = [np.float64] + [np.float32] * (p <= kernels.SINGLE)
+        for dtype in dtypes:
+            inv = np.eye(k, dtype=dtype)
+            kernels._normalize(inv, lu, p)
+            assert inv.dtype == dtype
+            inv = inv.astype(np.int64).astype(object)
+            assert not ((inv @ a - np.eye(k, dtype=np.int64)) % p).any()
+
+
+def test_blocked_rref_several_slices(monkeypatch):
+    """A panel factored in three slices, counted by a wrapper on the forward
+    loop: the first 2 PANEL rows are of rank 4 on the panel, the next 2
+    PANEL add four more, and the last 60 rows complete it; the second
+    panel needs one slice, for what is left of them.  The RREF and then the
+    rank each factor these four slices.  Against generic elimination over
+    F_p, for a float32 and a float64 working copy."""
+    slices = []
+    narrow = kernels._rref_narrow
+
+    def counting(a, p, swaps=None, reduced=True):
+        pivots = narrow(a, p, swaps, reduced)
+        if swaps is not None:
+            slices.append(len(pivots))
+        return pivots
+
+    monkeypatch.setattr(kernels, "_rref_narrow", counting)
+    rng = np.random.default_rng(54)
+    w, n = kernels.PANEL, kernels.NARROW + 5
+    for p in (7, 4733):
+        basis = rng.integers(0, p, (8, n))
+        top, mid = rng.integers(0, p, (2, 2 * w, 8))
+        top[:, 4:] = 0
+        top[:, 0] = mid[:, 4] = 1      # no row of either is zero
+        a = np.vstack([top @ basis % p, mid @ basis % p,
+                       rng.integers(0, p, (60, n))]).astype(np.int64)
+        slices.clear()
+        _assert_matches_field_rref(a, p)
+        assert slices == [4, 4, w - 8, 4] * 2, slices
 
 
 def test_inputs_unchanged():
