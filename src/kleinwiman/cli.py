@@ -170,7 +170,7 @@ def cmd_negsearch(args):
 
 
 def cmd_waldschmidt(args):
-    from kleinwiman.divisors import negative_curve_search, waldschmidt_bounds
+    from kleinwiman.divisors import waldschmidt_bounds
 
     if args.ledger_dmax is not None and args.preset != "klein":
         raise UsageError("--ledger-dmax applies only to klein: the wiman bounds "
@@ -183,12 +183,7 @@ def cmd_waldschmidt(args):
                          "klein lower bounds: give one")
     _check_klein_ledger_dmax(args.ledger_dmax)
     field = _field_for(args.preset, args.field, default_prime=True)
-    ledger = None
-    if args.ledger_dmax:
-        ledger = negative_curve_search(args.preset, field, args.ledger_dmax)
-    report = waldschmidt_bounds(args.preset, field, ledger=ledger,
-                                ledger_dmax=args.ledger_dmax,
-                                curve_only=args.curve_only)
+    report = waldschmidt_bounds(args.preset, field, args.ledger_dmax)
     report["field"] = field.name
     report["source"] = "computed"
     return 0, report
@@ -308,6 +303,7 @@ def build_parser():
     w = sub.add_parser("waldschmidt", help="Waldschmidt-constant certificates")
     add_common(w, ("klein", "wiman"))
     w.add_argument("--ledger-dmax", type=positive, default=None)
+    # names the default klein route; read only by the usage checks
     w.add_argument("--curve-only", action="store_true")
     w.set_defaults(fn=cmd_waldschmidt)
 

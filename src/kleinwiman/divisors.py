@@ -7,11 +7,7 @@ from itertools import product
 from math import isqrt
 
 from kleinwiman.errors import EngineError
-from kleinwiman.fields import RationalField
-from kleinwiman.poly import Poly
 from kleinwiman.series import SeriesSpec, series_dim
-
-_Q = RationalField()
 
 # orbit sizes per class, fixing the intersection form H^2 = 1,
 # E_class^2 = -(orbit size)
@@ -190,36 +186,29 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
     return ledger
 
 
-def _in_k(a, b):
-    """a + b k, a polynomial in one variable k over Q."""
-    return Poly(_Q, {(0,): _Q.coerce(a), (1,): _Q.coerce(b)}, 1, var_names=("k",))
-
-
-def _dimension_count(preset, degree, mults):
-    """C(d + 2, 2) minus (orbit size) C(m + 1, 2) over the orbit classes, for
-    a degree d and multiplicities m that are polynomials in k."""
-    def choose2(f):
-        return (f * (f - _in_k(1, 0))).scale(Fraction(1, 2))
-
-    count = choose2(degree + _in_k(2, 0))
-    for size, m in zip(CLASS_SIZES[preset], mults):
-        count = count - choose2(m + _in_k(1, 0)).scale(size)
+def _virtual_dim(c):
+    """C(d + 2, 2) minus (orbit size) C(m + 1, 2) over the orbit classes."""
+    count = (c.degree + 2) * (c.degree + 1) / 2
+    for size, m in zip(CLASS_SIZES[c.preset], c.mults):
+        count -= size * (m + 1) * m / 2
     return count
 
 
+# Both sides of each count below have degree at most 2 in k, so agreement at
+# k = 0, 1, 2 proves it for every k.
+
 def klein_upper_bound_identity():
     """The dimension count behind the 13/2 upper bound: the virtual dimension
-    of |D_k| = |(28k+2)H - 2k E4 - 5k E3| is 7k+6, symbolically in k."""
-    return (_dimension_count("klein", _in_k(2, 28), [_in_k(0, 2), _in_k(0, 5)])
-            == _in_k(6, 7))
+    of |D_k| = |(28k+2)H - 2k E4 - 5k E3| is 7k+6."""
+    return all(_virtual_dim(klein_dk(k)) == 7 * k + 6 for k in range(3))
 
 
 def wiman_upper_bound_identity():
     """The analogous count for the 45-line configuration: the class
     (36k+6)H - k E5 - 2k E4 - 3k E3 has virtual dimension 27k+28."""
-    return (_dimension_count("wiman", _in_k(6, 36),
-                             [_in_k(0, 1), _in_k(0, 2), _in_k(0, 3)])
-            == _in_k(28, 27))
+    return all(_virtual_dim(DivisorClass.make("wiman", 36 * k + 6, k, 2 * k,
+                                              3 * k)) == 27 * k + 28
+               for k in range(3))
 
 
 def klein_lower_bound(k):
@@ -233,15 +222,14 @@ def klein_lower_bound(k):
 KLEIN_LEDGER_MIN_DMAX = 30
 
 
-def waldschmidt_bounds(preset, field=None, ledger=None, ledger_dmax=None,
-                       curve_only=False):
+def waldschmidt_bounds(preset, field, ledger_dmax=None):
     """Certified bounds on the Waldschmidt constant of the singular points.
 
-    Klein: the upper bound 13/2 comes from the symbolic dimension count; the
-    lower bound is (91k+24)/(14k+4) for the largest k whose nef certificate
-    closes: either k = 16/7 from the effectivity of the degree-42 curve
-    (curve_only), or the integer k with 28k+2 inside the search horizon,
-    checked against the supplied ledger.  Wiman: exactly 27/2.
+    Klein: the upper bound 13/2 comes from the dimension count; the lower
+    bound is (91k+24)/(14k+4) for the largest k whose nef certificate closes:
+    k = 16/7 from the effectivity of the degree-42 curve, or, with
+    ledger_dmax, the integer k with 28k+2 <= ledger_dmax, checked against the
+    ledger of the negative-curve search to that horizon.  Wiman: exactly 27/2.
     """
     report = {"preset": preset, "certificates": {}}
     if preset == "klein":
@@ -249,18 +237,15 @@ def waldschmidt_bounds(preset, field=None, ledger=None, ledger_dmax=None,
             raise EngineError("upper-bound dimension count failed")
         report["upper"] = Fraction(13, 2)
         report["certificates"]["upper"] = "virtual dimension of D_k is 7k+6 > 0"
-        a = line_class("klein")
-        if curve_only or ledger is None:
-            b = KLEIN_CURVE_42
-            if field is not None:
-                dim = series_dim(SeriesSpec("klein", 42, m3=8), field)
-                if dim < 1:
-                    raise EngineError("degree-42 curve not effective?")
-                report["certificates"]["curve_dim"] = dim
+        if ledger_dmax is None:
+            a, b = line_class("klein"), KLEIN_CURVE_42
+            dim = series_dim(SeriesSpec("klein", 42, m3=8), field)
+            if dim < 1:
+                raise EngineError("degree-42 curve not effective?")
+            report["certificates"]["curve_dim"] = dim
             k = Fraction(16, 7)
             dk = klein_dk(k)
-            identity = verify_divisor_identity(
-                [(8, a), (7, b)], [(7, dk)])
+            identity = verify_divisor_identity([(8, a), (7, b)], [(7, dk)])
             positive = intersect(a, dk) > 0 and intersect(b, dk) > 0
             if not (identity and positive):
                 raise EngineError("nef certificate for D_{16/7} failed")
@@ -271,13 +256,9 @@ def waldschmidt_bounds(preset, field=None, ledger=None, ledger_dmax=None,
                 "irreducibility": "reference-constant",
             }
         else:
-            horizon = ledger_dmax if ledger_dmax is not None else max(
-                int(c.degree) for c in ledger)
-            k = (horizon - 2) // 28
-            while k > 0:
-                dk = klein_dk(k)
-                if all(intersect(dk, c) >= 0 for c in ledger):
-                    break
+            ledger = negative_curve_search("klein", field, ledger_dmax)
+            k = (ledger_dmax - 2) // 28
+            while k > 0 and any(intersect(klein_dk(k), c) < 0 for c in ledger):
                 k -= 1
             if k <= 0:
                 raise EngineError("no certified k in the ledger horizon")
@@ -285,7 +266,7 @@ def waldschmidt_bounds(preset, field=None, ledger=None, ledger_dmax=None,
             report["certificates"]["lower"] = {
                 "k": k,
                 "ledger": [c.as_text() for c in ledger],
-                "ledger_horizon": horizon,
+                "ledger_horizon": ledger_dmax,
                 "completeness": "reference-constant",
             }
         return report
@@ -300,11 +281,10 @@ def waldschmidt_bounds(preset, field=None, ledger=None, ledger_dmax=None,
                       and self_int(d) == 0)
         if not (identity and orthogonal):
             raise EngineError("nef certificate for the 36H class failed")
-        if field is not None:
-            dim = series_dim(SeriesSpec("wiman", 90, m4=4, m3=8), field)
-            if dim < 1:
-                raise EngineError("degree-90 curve not effective?")
-            report["certificates"]["curve_dim"] = dim
+        dim = series_dim(SeriesSpec("wiman", 90, m4=4, m3=8), field)
+        if dim < 1:
+            raise EngineError("degree-90 curve not effective?")
+        report["certificates"]["curve_dim"] = dim
         report["lower"] = Fraction(27, 2)
         report["upper"] = Fraction(27, 2)
         report["exact"] = Fraction(27, 2)

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from kleinwiman import linalg
-from kleinwiman.divisors import negative_curve_search, waldschmidt_bounds
+from kleinwiman.divisors import waldschmidt_bounds
 from kleinwiman.errors import FatIdealError
 from kleinwiman.fields import PrimeField
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
@@ -228,10 +228,10 @@ def certified_alpha(pointset, m, cap=120, progress=None):
                         "check": "local expansion at every point"}}
 
 
-def alpha_symbolic(pointset, m, cap=120, progress=None):
+def alpha_symbolic(pointset, m, cap=120):
     """Least degree with a nonzero piece of the m-th symbolic power; see
     certified_alpha for the certificates checked on the way."""
-    return certified_alpha(pointset, m, cap, progress)["alpha"]
+    return certified_alpha(pointset, m, cap)["alpha"]
 
 
 @dataclass
@@ -465,9 +465,8 @@ def resurgence_certificate(config, pointset, field, ledger_dmax=None):
         w = waldschmidt_bounds(preset, field)
         lower, upper = w["lower"], w["upper"]
         if ledger_dmax is not None:
-            ledger = negative_curve_search(preset, field, ledger_dmax)
-            lower = max(lower, waldschmidt_bounds(preset, field, ledger=ledger,
-                                                  ledger_dmax=ledger_dmax)["lower"])
+            lower = max(lower,
+                        waldschmidt_bounds(preset, field, ledger_dmax)["lower"])
         r_min = 2
         source = {"lower": "computed (nef certificate)",
                   "upper": "computed (dimension count)"}

@@ -98,7 +98,7 @@ def klein_core_checks():
                                [(8, line_class("klein")),
                                 (7, DivisorClass.make("klein", 42, 0, 8))],
                                [(7, klein_dk(Fraction(16, 7)))])))
-    wb = waldschmidt_bounds("klein", Kp, curve_only=True)
+    wb = waldschmidt_bounds("klein", Kp)
     out.append(_check("waldschmidt lower (curve route)", wb["lower"],
                       Fraction(58, 9)))
     out.append(_check("waldschmidt upper", wb["upper"], Fraction(13, 2)))

@@ -83,10 +83,9 @@ def klein_invariants(field):
                         _klein_psi(*_weighted_vars(field, KLEIN_WEIGHTS)))
 
 
-def _normalize_leading(f, degree, var=0):
+def _normalize_leading(f, degree):
     """Scale so the coefficient of x^degree is 1."""
-    e = tuple(degree if i == var else 0 for i in range(3))
-    c = f.coeff(e)
+    c = f.coeff((degree, 0, 0))
     if f.field.is_zero(c):
         raise EngineError(f"cannot normalize: no x^{degree} term")
     return f.scale(f.field.inv(c))

@@ -119,33 +119,35 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
 
 
 def _rref_inplace(a, p, reduced=True):
-    """Elimination of `a` (entries in [0, p), as `_reduced_copy` gives them)
-    mod p, in place; returns the pivot columns.  With `reduced` the rows of
-    `a` end congruent to the RREF.  Each panel of PANEL columns gives its
-    pivot columns J and the k rows that hold them, which move up and become
-    A^-1 times themselves, A their block on J; every other row x loses x[J]
-    times them, one product per strip of rows (the FFLAS-FFPACK scheme).
-    Only what a panel reads is reduced: its own columns, on a copy, before
-    the pivot search; its pivot rows, before and after the product by
-    A^-1; the multipliers x[J], strip by strip.  The trailing block never
-    is: each pivot adds at most (p + 1)**2 / 4 to an entry, exact up to
-    WIDEST columns.  J is found on the copy by the unblocked loop, forward
-    only, on a slice of at most 2 PANEL of its rows nonzero there, so the
-    cost per pivot does not grow with the row count; the slice's row
-    exchanges are applied at once, and the slice keeps the packed LU of its
-    pivot block A, from which `_normalize` inverts A.  Columns independent
-    on some rows are independent on all, so these pivots belong to the
-    column rank profile.  While other rows are still nonzero in the panel,
-    they lose the slice's normalised pivot rows on the copy, and the next
-    slice is factored: its pivots may lie left of the first ones, and its
-    LU is that of the Schur complement S of the pivot rows found so far.
-    On `a` this is block Gauss-Jordan over the panel's pivot rows: the
-    earlier pivot rows H are normalised; the next slice's rows x lose
-    x[J] H, become S^-1 times themselves, and H loses H[J'] times them,
-    J' their pivot columns.  The forward pass, enough for the rank, updates
-    only the rows below each panel's pivots.  The RREF then clears the rows
-    above, panel by panel, and puts the rows in pivot order by an in-place
-    cycle permutation, unless it is the identity over zero rows.
+    """Elimination of `a` (entries in [0, p), as `_reduced_copy` gives
+    them) mod p, in place; returns the pivot columns in row order: row i
+    holds the pivot in column pivots[i].  With `reduced` the rows of `a`
+    end congruent to those of the RREF, in that order.  Each panel of PANEL
+    columns gives its pivot columns J and the k rows that hold them, which
+    move up and become A^-1 times themselves, A their block on J; every
+    other row x loses x[J] times them, one product per strip of rows (the
+    FFLAS-FFPACK scheme).  Only what a panel reads is reduced: its own
+    columns, on a copy, before the pivot search; its pivot rows, before and
+    after the product by A^-1; the multipliers x[J], strip by strip.  The
+    trailing block never is: each pivot adds at most (p + 1)**2 / 4 to an
+    entry, exact up to WIDEST columns.  J is found on the copy by the
+    unblocked loop, forward only, on a slice of at most 2 PANEL of its rows
+    nonzero there, so the cost per pivot does not grow with the row count;
+    the slice's row exchanges are applied at once, and the slice keeps the
+    packed LU of its pivot block A, from which `_normalize` inverts A.
+    Columns independent on some rows are independent on all, so these
+    pivots belong to the column rank profile.  While other rows are still
+    nonzero in the panel, they lose the slice's normalised pivot rows on
+    the copy, and the next slice is factored: its pivots may lie left of
+    the first ones, and its LU is that of the Schur complement S of the
+    pivot rows found so far.  On `a` this is block Gauss-Jordan over the
+    panel's pivot rows: the earlier pivot rows H are normalised; the next
+    slice's rows x lose x[J] H, become S^-1 times themselves, and H loses
+    H[J'] times them, J' their pivot columns.  The forward pass, enough for
+    the rank, updates only the rows below each panel's pivots.  The RREF
+    then clears the rows above, panel by panel, unless it is the identity
+    over zero rows.  The rows stay in panel order, where a slice's pivots
+    need not ascend.
     """
     rows, cols = a.shape
     if cols <= NARROW:
@@ -194,11 +196,11 @@ def _rref_inplace(a, p, reduced=True):
     if reduced and len(pivots) == cols:
         a[:] = 0
         np.fill_diagonal(a, 1)
+        pivots.sort()
     elif reduced:
         for r, c0, found in panels:
             _eliminate(a, p, 0, r, c0, found, a[r:r + len(found), c0:])
-        _permute_rows(a, np.argsort(pivots))
-    return sorted(pivots)
+    return pivots
 
 
 def _normalize(head, lu, p):
@@ -222,19 +224,6 @@ def _normalize(head, lu, p):
     inv = _center(_center(inv[1].T * d, p) @ inv[0], p)
     _center(head, p)
     head[:] = _center(inv.astype(head.dtype) @ head, p)
-
-
-def _permute_rows(a, order):
-    """Row i of `a` becomes row order[i], for i < len(order), in place: one
-    row buffer per cycle of the permutation."""
-    done = order == np.arange(len(order))
-    for start in np.flatnonzero(~done):
-        if not done[start]:
-            i, row = start, a[start].copy()
-            while not done[i]:
-                done[i], j = True, order[i]
-                a[i] = row if j == start else a[j]
-                i = j
 
 
 def _eliminate(a, p, start, stop, c0, found, pivot_rows):
@@ -265,7 +254,10 @@ def rref_mod(a, p):
     """RREF of a copy of `a` mod p. Returns (rref matrix, pivot columns)."""
     a = _reduced_copy(a, p)
     pivots = _rref_inplace(a, p) if a.size else []
-    return np.remainder(a, p, out=a).astype(np.int64, copy=False), pivots
+    out = np.zeros(a.shape, np.int64)
+    np.remainder(a[np.argsort(pivots)], p, out=out[:len(pivots)],
+                 casting="unsafe")
+    return out, sorted(pivots)
 
 
 def _sketch(k, start, stop, p):

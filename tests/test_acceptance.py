@@ -222,17 +222,15 @@ def test_criterion_06_negative_curve_search():
 def test_criterion_07_waldschmidt():
     from kleinwiman.divisors import (DivisorClass, WIMAN_NEF_CANDIDATE,
                                      klein_dk, line_class,
-                                     negative_curve_search,
                                      verify_divisor_identity,
                                      waldschmidt_bounds)
 
     Kp = preset_field("klein-mod4733")
     Wp = preset_field("modp", WIMAN_PRIME)
-    ledger = negative_curve_search("klein", Kp, 200)
-    w_ledger = waldschmidt_bounds("klein", Kp, ledger=ledger, ledger_dmax=200)
+    w_ledger = waldschmidt_bounds("klein", Kp, 200)
     ok = _line("klein lower 661/102 from the degree-200 ledger",
                w_ledger["lower"] == Fraction(661, 102))
-    w_curve = waldschmidt_bounds("klein", Kp, curve_only=True)
+    w_curve = waldschmidt_bounds("klein", Kp)
     ok &= _line("klein lower 58/9 from the degree-42 curve alone",
                 w_curve["lower"] == Fraction(58, 9))
     ok &= _line("klein upper 13/2", w_ledger["upper"] == Fraction(13, 2))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import kleinwiman
 from kleinwiman.cli import dispatch, jsonable
 
 
@@ -242,3 +246,20 @@ def test_jsonable_fractions():
     assert jsonable(Fraction(3, 2)) == "3/2"
     assert jsonable(Fraction(4, 2)) == 2
     assert jsonable({1: Fraction(1, 3)}) == {"1": "1/3"}
+
+
+def test_engine_leaves_numpy_random_unimported():
+    """No engine module, nor a search, imports numpy.random: in a bare
+    process that import alone costs about 6 MB of peak RSS."""
+    script = (
+        "import importlib, pkgutil, sys, kleinwiman\n"
+        "for m in pkgutil.iter_modules(kleinwiman.__path__):\n"
+        "    importlib.import_module('kleinwiman.' + m.name)\n"
+        "from kleinwiman.cli import main\n"
+        "assert main(['negsearch', '--preset', 'klein', '--dmax', '20']) == 0\n"
+        "print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(kleinwiman.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"

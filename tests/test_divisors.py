@@ -6,8 +6,8 @@ import pytest
 
 from kleinwiman.divisors import (CLASS_SIZES, DivisorClass, KLEIN_CURVE_42,
                                  KLEIN_LIMIT_CLASS, SEARCH_PLANS, WIMAN_CURVE_90,
-                                 WIMAN_NEF_CANDIDATE, combine, intersect,
-                                 klein_dk, klein_lower_bound,
+                                 WIMAN_NEF_CANDIDATE, _virtual_dim, combine,
+                                 intersect, klein_dk, klein_lower_bound,
                                  klein_upper_bound_identity, line_class,
                                  negative_curve_search, self_int,
                                  solved_multiplicity, verify_divisor_identity,
@@ -151,12 +151,26 @@ def test_ledger_entries_postconditions(klein_modp):
 
 
 def test_waldschmidt_klein(klein_modp):
-    rep = waldschmidt_bounds("klein", klein_modp, curve_only=True)
+    rep = waldschmidt_bounds("klein", klein_modp)
     assert rep["lower"] == Fraction(58, 9)
     assert rep["upper"] == Fraction(13, 2)
-    led = negative_curve_search("klein", klein_modp, 60)
-    rep2 = waldschmidt_bounds("klein", klein_modp, ledger=led, ledger_dmax=60)
+    rep2 = waldschmidt_bounds("klein", klein_modp, 60)
     assert rep2["lower"] == klein_lower_bound(2) == Fraction(206, 32)
+
+
+def test_waldschmidt_ledger_is_the_search(klein_modp):
+    """With a horizon the bounds read the ledger of the search to it."""
+    rep = waldschmidt_bounds("klein", klein_modp, 60)
+    led = negative_curve_search("klein", klein_modp, 60)
+    assert rep["certificates"]["lower"]["ledger"] == [c.as_text() for c in led]
+
+
+def test_virtual_dim_beyond_evaluation_points():
+    """The counts 7k+6 and 27k+28, proved from k = 0, 1, 2, hold further on."""
+    for k in range(3, 13):
+        assert _virtual_dim(klein_dk(k)) == 7 * k + 6
+        wiman = DivisorClass.make("wiman", 36 * k + 6, k, 2 * k, 3 * k)
+        assert _virtual_dim(wiman) == 27 * k + 28
 
 
 def test_waldschmidt_wiman(wiman_modp):
