@@ -56,6 +56,18 @@ class GroupElement:
             f.add(f.add(f.mul(row[0], v[0]), f.mul(row[1], v[1])), f.mul(row[2], v[2]))
             for row in self.m)
 
+    def adjugate(self):
+        """det(self) times the inverse: the inverse as a projective map.
+        Its columns are the cross products of the rows, cyclically."""
+        f = self.field
+        mul, sub = f.mul, f.sub
+        r = self.m
+        cols = [[sub(mul(r[i][1], r[j][2]), mul(r[i][2], r[j][1])),
+                 sub(mul(r[i][2], r[j][0]), mul(r[i][0], r[j][2])),
+                 sub(mul(r[i][0], r[j][1]), mul(r[i][1], r[j][0]))]
+                for i, j in ((1, 2), (2, 0), (0, 1))]
+        return GroupElement(f, tuple(zip(*cols)))
+
     def det(self):
         f = self.field
         m = self.m
@@ -199,6 +211,63 @@ def stabilizer_order(group, p):
     return n // len(orb)
 
 
+def stabilizer(gens, point, order):
+    """The stabilizer of a projective point in the group the matrices in
+    gens generate, as `order` matrices, one per projective map.
+
+    A breadth-first orbit of the point gives t_q taking it to each orbit
+    point q, built only on demand; every edge q -> r = g q outside that
+    tree gives the Schreier generator t_r^-1 g t_q, which fixes the point
+    (t_r^-1 up to a scalar: the adjugate).  These generate the stabilizer,
+    so their closure, taken as each new one arrives, stops as soon as it
+    reaches the stabilizer's order |G| / |orbit|, usually within the first
+    few orbit points.  GroupError if it never does, or exceeds it.
+    """
+    field = gens[0].field
+    start = normalize_point(field, point)
+    ident = GroupElement.identity(field)
+    tree = {start: None}        # orbit point -> (previous point, generator)
+    words = {start: (ident, ident.projective_key())}
+    found, elements = [], [ident]
+    keys = {words[start][1]}
+
+    def word(q):
+        """t_q and its projective key."""
+        if q not in words:
+            prev, g = tree[q]
+            t = g.matmul(word(prev)[0])
+            words[q] = t, t.projective_key()
+        return words[q]
+
+    frontier = [start]
+    while frontier and len(elements) < order:
+        new = []
+        for q in frontier:
+            for g in gens:
+                r = act_on_point(g, q)
+                if r not in tree:
+                    tree[r] = (q, g)
+                    new.append(r)
+                    continue
+                t = g.matmul(word(q)[0])
+                if t.projective_key() == word(r)[1]:
+                    continue        # t_r^-1 g t_q is the identity
+                s = word(r)[0].adjugate().matmul(t)
+                if s.projective_key() in keys:
+                    continue
+                found.append(s)
+                elements = closure(ident, found, GroupElement.matmul,
+                                   GroupElement.projective_key, order)
+                if len(elements) == order:
+                    return elements
+                keys = {e.projective_key() for e in elements}
+        frontier = new
+    if len(elements) != order:
+        raise GroupError(f"stabilizer has order {len(elements)}, "
+                         f"expected {order}")
+    return elements
+
+
 def orbit_of_poly(gens, f):
     """Orbit of a polynomial under the substitution action of the group the
     matrices in gens generate, breadth-first over the generators and
@@ -262,6 +331,11 @@ def valentiner_generators(field):
                               (zero, zero, neg(om2)),
                               (zero, neg(omega), zero)))
     return [r1, r2, r3, r4]
+
+
+# Order of the group each preset's generators induce on the plane: the
+# Valentiner matrices include the scalars omega^k, so 1080 / 3.
+PLANE_ORDERS = {"klein": 168, "wiman": 360}
 
 
 def klein_group(field):

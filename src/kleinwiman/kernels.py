@@ -30,20 +30,15 @@ NARROW = 96
 PANEL = 64
 STRIP = 256
 
-# Rows per product: of A in S A, of the trailing block in an update.
+# Rows per product: of the trailing block in an update.
 # The BLAS packs the operands into per-thread buffers, so this sets what a
 # product adds to the peak RSS: about 1 MB for the benchmark search at 256.
 PRODUCT_ROWS = 64
 
-# Rows of the compressed rank's S beyond the column count.  For a uniformly
-# random S and A of full column rank, S A is uniform, and it misses full
-# rank with probability about p**-(SKETCH_EXTRA + 1): 2.5e-8 at p = 7.
-SKETCH_EXTRA = 8
-
 # Widest matrix the eliminations accept.  The blocked route subtracts one
 # product of centred operands, at most (p + 1)**2 / 4, per pivot, so its
-# entries stay below p + WIDEST (p + 1)**2 / 4.  The unblocked loop and each
-# strip of S A add at most (p - 1)**2 per term, over fewer terms.
+# entries stay below p + WIDEST (p + 1)**2 / 4.  The unblocked loop adds at
+# most (p - 1)**2 per term, over fewer terms.
 WIDEST = 8192
 assert MAX_PRIME + WIDEST * MAX_PRIME ** 2 // 4 < 2 ** 52 \
     and 4 * max(NARROW + 1, PRODUCT_ROWS) <= WIDEST and PANEL <= NARROW
@@ -260,53 +255,10 @@ def rref_mod(a, p):
     return out, sorted(pivots)
 
 
-def _sketch(k, start, stop, p):
-    """Columns start .. stop - 1 of the fixed k-row matrix S mod p, as
-    float64: entry (i, j) is a 64-bit integer hash of (i, j) (the splitmix64
-    finalizer), reduced mod p."""
-    x = (np.arange(k, dtype=np.uint64)[:, None] << np.uint64(32)) \
-        | np.arange(start, stop, dtype=np.uint64)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        x ^= x >> np.uint64(shift)
-        x *= np.uint64(mult)
-    x ^= x >> np.uint64(31)
-    return (x % np.uint64(p)).astype(np.float64)
-
-
-def _compressed(a, p, k):
-    """S A mod p for the fixed k-row S and `a` reduced mod p, as int64, one
-    row strip of `a` at a time, each product reduced to [0, p)."""
-    c = np.zeros((k, a.shape[1]))
-    for s in range(0, a.shape[0], PRODUCT_ROWS):
-        strip = a[s:s + PRODUCT_ROWS]
-        c += _sketch(k, s, s + len(strip), p) @ strip.astype(np.float64)
-        np.remainder(c, p, out=c)
-    return c.astype(np.int64)
-
-
 def rank_mod(a, p):
-    """Rank of `a` mod p, by forward elimination only.
-
-    A matrix at most NARROW columns wide with more than max(2 k, STRIP)
-    rows, k = cols + SKETCH_EXTRA, is first compressed to C = S A, S a
-    fixed k-row matrix whose entries are an integer hash of their indices.
-    Since rank(S A) <= rank(A) <= cols, a C of full column rank certifies
-    that A has it, whatever S is; otherwise A itself is eliminated.  So the
-    rank is exact, and only the speed depends on S (a generic S keeps the
-    rank of A with high probability: Cheung, Kwok and Lau, J. ACM 2013).
-    Below 2 k rows C costs about what A does, and below STRIP rows it gains
-    nothing measurable.  Past NARROW columns the blocked route pays no
-    Python work per row, and S A alone costs more than eliminating A.
-    """
+    """Rank of `a` mod p, by forward elimination only."""
     a = _reduced_copy(a, p)
-    if not a.size:
-        return 0
-    rows, cols = a.shape
-    k = cols + SKETCH_EXTRA
-    if cols <= NARROW and rows > max(2 * k, STRIP) \
-            and len(_rref_narrow(_compressed(a, p, k), p, reduced=False)) == cols:
-        return cols
-    return len(_rref_inplace(a, p, reduced=False))
+    return len(_rref_inplace(a, p, reduced=False)) if a.size else 0
 
 
 def kernel_mod(a, p):

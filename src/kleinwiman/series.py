@@ -8,38 +8,50 @@ random orbit points in the test suite).
 
 The conditions are read on lines through the representative.  A form
 vanishes to order m there exactly when each homogeneous part h_k (k < m)
-of its local expansion in (u, v) is zero.  h_k is a binary form of degree
-k, so it is zero exactly when h_k(1, l) = 0 for the k + 1 slopes
-l = 0 .. k, and h_k(1, l) is the coefficient of t^k on the line
-(u, v) = (t, l t).  Per degree these m(m + 1)/2 rows are the coefficients
-of the expansion times an invertible Vandermonde matrix, so the row space,
-the kernel and its canonical basis are those of the coefficient rows.  On
+of its local expansion in (u, v) is zero.  h_k(1, l) is the coefficient of
+t^k on the line (u, v) = (t, l t), and a binary form of degree k is zero
+once it vanishes at k + 1 distinct slopes.  A class representative P needs
+fewer lines, because every column is a G-invariant form.  The stabilizer
+G_P of P acts on the tangent directions at P, and the leading form h_k0 of
+a form F of order k0 at P is semi-invariant under it, so the zeros of
+h_k0 are a union of G_P-orbits.  The slopes are taken in turn from 0, 1,
+2, ..., each skipped when it lies in the orbit of one already taken, until
+L of them have orbits covering at least m directions.  Then the rows on
+the first min(k + 1, L) lines for each k < m cut out the same kernel as
+the m(m + 1)/2 rows on the slopes 0 .. m - 1: if F satisfies them and
+k0 < m, h_k0 vanishes either at k0 + 1 distinct slopes or on orbits of at
+least m > k0 directions, and is zero.  So the kernel and its canonical
+basis are those of the coefficient rows.  The slope sequence is fixed per
+point, so the lines for m are the first lines for any larger m.  A point
+that is not a class representative is read on the slopes 0 .. m - 1.  On
 a line every form is a polynomial in t alone, and products are
 one-variable truncated products.  The slopes are distinct in F_p only
 when m <= p: a larger multiplicity over F_p is a usage error.
 
-Over F_p the line values of a generator at multiplicity m are an (m, m)
+Over F_p the line values of a generator at multiplicity m are an (L, m)
 array (line, coefficient), and each representative keeps one table per
-generator: its powers 0 .. E below t^M, an (E + 1, M, M) array, built by
-doubling in about log2(E) batched products and grown only when a block
-needs a larger M or E.  A block at m <= M reads the slice [:e + 1, :m, :m],
-and the slice is exact: the slopes 0 .. m - 1 are the first m lines, and
-the coefficients below t^m of a product depend only on those of its
-factors below t^m.  The columns P0[a] P1[b] P2[c] of a block are two
-batched products over chunks of CHUNK_CELLS // m^2 columns, so no
-temporary grows past a few (CHUNK_CELLS)-cell stacks, and the rows are one
-gather of the (line, degree) pairs.  Other fields multiply TruncPoly lines
-one column at a time.
+generator: its powers 0 .. E below t^M, an (E + 1, L, M) array for the L
+lines that cover M directions, built by doubling in about log2(E) batched
+products.  A block that needs a larger E extends it; one that needs a
+larger M rebuilds it at twice its M (at least m, at most p).  A block at
+m <= M reads the slice [:e + 1, :L, :m], L now the lines for m, and the
+slice is exact: those are the first L lines, and the coefficients below
+t^m of a product depend only on those of its factors below t^m.  The
+columns P0[a] P1[b] P2[c] of a block are two batched products over chunks
+of CHUNK_CELLS // (L m) columns, so no temporary grows past a few
+(CHUNK_CELLS)-cell stacks, and the rows are one gather of the (line,
+degree) pairs.  Other fields multiply TruncPoly lines one column at a
+time.
 
 The dimension of a series is a rank: its column count minus the rank of
 its condition matrix (`series_dim`, through `linalg.rank`: over F_p the
-compressed, forward-only `kernels.rank_mod`; over the number fields the
-column count less the certified kernel).  The negative-curve search, the
-golden checks and `series` without `--basis` need nothing more; the
-kernel basis (`series_basis`) is built only on request, from the same
-matrix.
+forward-only `kernels.rank_mod`; over the number fields the column count
+less the certified kernel).  The negative-curve search, the golden checks
+and `series` without `--basis` need nothing more; the kernel basis
+(`series_basis`) is built only on request, from the same matrix.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +60,7 @@ import numpy as np
 from kleinwiman import kernels, linalg
 from kleinwiman.errors import SeriesError, UsageError
 from kleinwiman.fields import PrimeField
+from kleinwiman.groups import PLANE_ORDERS, stabilizer
 from kleinwiman.invariants import KLEIN_WEIGHTS, WIMAN_WEIGHTS, invariant_set
 from kleinwiman.poly import Poly, TruncPoly, local_expand, weighted_basis
 
@@ -114,38 +127,105 @@ def _generator_expansion(preset, field, rep, i):
     return local_expand(invariant_set(preset, field).phi[w], rep, w + 1)
 
 
-def _line_values(field, expansion, m):
-    """An expansion on the lines (u, v) = (t, l t), l = 0 .. m - 1, below t^m.
+def _tangent_maps(preset, field, rep):
+    """The stabilizer of a class representative acting on its tangent
+    directions: per element g, the 2 x 2 matrix (a, b, c, d) taking the
+    direction (u, v) to (a u + b v, c u + d v), up to a scalar.  No maps
+    for a point that is not a class representative."""
+    config = invariant_set(preset, field).config
+    cls = next((c for c in config.classes if c.representative == rep), None)
+    if cls is None:
+        return []
+    mul, sub = field.mul, field.sub
+    h = cls.chart
+    i, j = (k for k in range(3) if k != h)
+    # g (P + u e_i + v e_j) = lambda P + u g e_i + v g e_j, read in the chart
+    return [tuple(sub(g.m[r][c], mul(rep[r], g.m[h][c]))
+                  for r in (i, j) for c in (i, j))
+            for g in stabilizer(config.gens, rep, PLANE_ORDERS[preset] // cls.size)]
+
+
+class _Slopes:
+    """The slopes of the lines (u, v) = (t, l t) through one point: 0, 1,
+    2, ... in turn, each skipped when it lies in the orbit of one already
+    taken.  The orbit of l is where the point's tangent maps send the
+    direction (1, l): a slope, or None for (0, 1).  reach[n] counts the
+    directions in the orbits of slopes[:n + 1]."""
+
+    def __init__(self, field, maps):
+        self.field, self.maps = field, maps
+        self.slopes, self.reach, self.covered = [], [], set()
+        self.next = 0
+
+    def count(self, m):
+        """How many of the slopes have orbits covering m directions;
+        SeriesError over F_p once the slopes run out first."""
+        f = self.field
+        while not self.reach or self.reach[-1] < m:
+            if isinstance(f, PrimeField) and self.next >= f.p:
+                raise SeriesError(f"the slope orbits cover only {len(self.covered)} "
+                                  f"directions over {f.name}, not {m}")
+            slope = f.coerce(self.next)
+            self.next += 1
+            if slope in self.covered:
+                continue
+            orbit = {slope}
+            for a, b, c, d in self.maps:
+                den = f.add(a, f.mul(b, slope))
+                orbit.add(None if f.is_zero(den) else
+                          f.div(f.add(c, f.mul(d, slope)), den))
+            self.slopes.append(slope)
+            self.covered |= orbit
+            self.reach.append(len(self.covered))
+        return bisect_left(self.reach, m) + 1
+
+
+@lru_cache(maxsize=None)
+def _slopes(preset, field, rep):
+    """The point's slope sequence, shared by all its blocks."""
+    return _Slopes(field, _tangent_maps(preset, field, rep))
+
+
+def _block_rows(n, m):
+    """The (line, degree) pairs of a block on n lines: the t^k coefficient
+    on the first min(k + 1, n) lines for each k < m."""
+    return [(line, k) for k in range(m) for line in range(min(k + 1, n))]
+
+
+def _line_values(field, expansion, slopes, m):
+    """An expansion on the lines (u, v) = (t, l t), l in slopes, below t^m.
 
     Entry [l][k] is h_k(1, l), h_k the degree-k part of the expansion: an
-    (m, m) int64 array over F_p, one TruncPoly in u alone per line otherwise.
+    (L, m) int64 array over F_p, one TruncPoly in u alone per line otherwise.
     """
     terms = [(i + j, j, c) for (i, j), c in expansion.terms.items() if i + j < m]
     if isinstance(field, PrimeField):
         p = field.p
-        powers = np.ones((m, 1 + max((j for _, j, _ in terms), default=0)),
+        slopes = np.array(slopes, dtype=np.int64)
+        powers = np.ones((len(slopes), 1 + max((j for _, j, _ in terms), default=0)),
                          dtype=np.int64)
         for j in range(1, powers.shape[1]):
-            powers[:, j] = powers[:, j - 1] * np.arange(m) % p
+            powers[:, j] = powers[:, j - 1] * slopes % p
         diag = np.zeros((m, powers.shape[1]), dtype=np.int64)
         for k, j, c in terms:
             diag[k, j] = c
         return powers @ diag.T % p
     lines = []
-    for slope in range(m):
+    for slope in slopes:
         row = [field.zero] * m
         for k, j, c in terms:
-            row[k] = field.add(row[k], field.mul(c, field.coerce(slope ** j)))
+            row[k] = field.add(row[k], field.mul(c, field.pow(slope, j)))
         lines.append(TruncPoly(field, m, {(k, 0): c for k, c in enumerate(row)}))
     return lines
 
 
 # Over F_p, per (preset, field, representative, generator): the powers
-# 0 .. E of the generator's line values below t^M, one (E + 1, M, M) int64
-# array, grown when a block needs a larger M or E (see the module docstring).
+# 0 .. E of the generator's values on the first L lines below t^M, one
+# (E + 1, L, M) int64 array, L lines covering M directions, grown when a
+# block needs a larger M or E (see the module docstring).
 _power_tables = {}
 
-# Cells of one (columns, m, m) stack of column products: chunks of columns
+# Cells of one (columns, L, m) stack of column products: chunks of columns
 # keep every temporary of a batched product near this size.
 CHUNK_CELLS = 1 << 15
 
@@ -154,14 +234,18 @@ def _power_table(preset, field, rep, i, m, e):
     """Powers 0 .. e (at least) of generator i's line values below t^M,
     M >= m, as the leading axis of an int64 array over F_p.
 
-    A table too narrow for m is rebuilt at m, from powers 0 and 1; one too
-    short for e is extended by doubling: powers n + 1 .. n + k are powers
-    1 .. k times power n, one batched product each.
+    A table too narrow for m is rebuilt from powers 0 and 1 at twice its M
+    (at least m, at most p); one too short for e is extended by doubling:
+    powers n + 1 .. n + k are powers 1 .. k times power n, one batched
+    product each.
     """
     key = (preset, field, rep, i)
     tab = _power_tables.get(key)
-    if tab is None or tab.shape[1] < m:
-        base = _line_values(field, _generator_expansion(preset, field, rep, i), m)
+    if tab is None or tab.shape[2] < m:
+        size = m if tab is None else min(max(m, 2 * tab.shape[2]), field.p)
+        lines = _slopes(preset, field, rep)
+        base = _line_values(field, _generator_expansion(preset, field, rep, i),
+                            lines.slopes[:lines.count(size)], size)
         one = np.zeros_like(base)
         one[:, 0] = 1
         tab = np.stack([one, base])
@@ -184,33 +268,36 @@ def _condition_block(preset, field, rep, m, exps, out=None):
     an int64 array over F_p, written into `out` when given, a list of rows
     otherwise.
 
-    For each k < m, the t^k coefficients on the lines l = 0 .. k: the
-    degree-k part of the expansion is a binary form of degree k, zero
-    exactly when it vanishes at k + 1 distinct slopes.
+    For each k < m, the t^k coefficients on the first min(k + 1, L) lines,
+    L lines covering m directions (see the module docstring).
     """
-    rows = [(line, k) for k in range(m) for line in range(k + 1)]
+    lines = _slopes(preset, field, rep)
+    n = lines.count(m)
+    rows = _block_rows(n, m)
     if isinstance(field, PrimeField):
-        lines, degrees = np.array(rows).T
+        at, degrees = np.array(rows).T
         if out is None:
             out = np.empty((len(rows), len(exps)), dtype=np.int64)
         e = np.array(exps).T
-        tabs = [_power_table(preset, field, rep, i, m, e[i].max())[:, :m, :m]
+        tabs = [_power_table(preset, field, rep, i, m, e[i].max())[:, :n, :m]
                 for i in range(3)]
-        step = max(1, CHUNK_CELLS // (m * m))
+        step = max(1, CHUNK_CELLS // (n * m))
         for s in range(0, len(exps), step):
             a, b, c = e[:, s:s + step]
             cols = kernels.trunc_mul_mod(tabs[0][a], tabs[1][b], field.p)
             cols = kernels.trunc_mul_mod(cols, tabs[2][c], field.p)
-            out[:, s:s + step] = cols[:, lines, degrees].T
+            out[:, s:s + step] = cols[:, at, degrees].T
         return out
 
     def mul(a, b):
         return [x * y for x, y in zip(a, b)]
 
-    one = _line_values(field, TruncPoly(field, m, {(0, 0): field.one}), m)
+    slopes = lines.slopes[:n]
+    one = _line_values(field, TruncPoly(field, m, {(0, 0): field.one}), slopes, m)
     powers = []
     for i in range(3):
-        base = _line_values(field, _generator_expansion(preset, field, rep, i), m)
+        base = _line_values(field, _generator_expansion(preset, field, rep, i),
+                            slopes, m)
         row = [one]
         for _ in range(max(e[i] for e in exps)):
             row.append(mul(row[-1], base))
@@ -271,11 +358,12 @@ def _series_matrix(spec, field):
     reps = [(cls.representative, m) for cls, m in zip(config.classes, mults) if m > 0]
     if isinstance(field, PrimeField):
         # one array, filled block by block, that linalg takes as it is
-        rows = np.empty((sum(m * (m + 1) // 2 for _, m in reps), len(exps)),
-                        dtype=np.int64)
+        counts = [len(_block_rows(_slopes(spec.preset, field, rep).count(m), m))
+                  for rep, m in reps]
+        rows = np.empty((sum(counts), len(exps)), dtype=np.int64)
         start = 0
-        for rep, m in reps:
-            end = start + m * (m + 1) // 2
+        for (rep, m), count in zip(reps, counts):
+            end = start + count
             _condition_block(spec.preset, field, rep, m, exps, rows[start:end])
             start = end
     else:

@@ -6,8 +6,9 @@ import pytest
 from kleinwiman import kernels, linalg, series
 from kleinwiman.cli import dispatch
 from kleinwiman.divisors import negative_curve_search
-from kleinwiman.errors import SeriesError, UsageError
+from kleinwiman.errors import EngineError, SeriesError, UsageError
 from kleinwiman.fields import preset_field
+from kleinwiman.groups import PLANE_ORDERS, act_on_point, stabilizer
 from kleinwiman.invariants import invariant_set
 from kleinwiman.poly import local_expand, local_monomials, weighted_basis
 from kleinwiman.series import (SeriesSpec, _condition_block, check_expected_dim,
@@ -200,11 +201,11 @@ LINE_ROW_CASES = [
     ids=[f"{fx.replace('_', '-')}-{'class%d' % w if isinstance(w, int) else 'general'}"
          f"-d{d}-m{m}" for _, fx, w, d, m in LINE_ROW_CASES])
 def test_line_rows_match_bivariate_rows(preset, fixture, where, d, m, request):
-    """Rows on lines through a point span the same space as the coefficient
-    rows of the local expansion: equal shape and rank, and the same
-    canonical kernel.  `where` is an orbit class, whose representative has
-    a stabilizer that makes most rows redundant, or a general point, where
-    every row counts."""
+    """Rows on lines through a point cut out the same kernel as the
+    coefficient rows of the local expansion: equal rank and the same
+    canonical kernel.  `where` is an orbit class, whose representative
+    reads its rows on fewer than m lines (their stabilizer orbits cover m
+    tangent directions), or a general point, read on all m lines."""
     field = request.getfixturevalue(fixture)
     config = invariant_set(preset, field).config
     rep = config.classes[where].representative if isinstance(where, int) \
@@ -212,7 +213,10 @@ def test_line_rows_match_bivariate_rows(preset, fixture, where, d, m, request):
     exps = weighted_basis(series_weights(preset), d)
     lines = _condition_block(preset, field, rep, m, exps)
     ref = _bivariate_rows(preset, field, rep, m, exps)
-    assert len(lines) == len(ref) == m * (m + 1) // 2
+    count = series._slopes(preset, field, rep).count(m)
+    assert count < m if isinstance(where, int) else count == m
+    assert len(lines) == sum(min(k + 1, count) for k in range(m))
+    assert len(ref) == m * (m + 1) // 2
     n = len(exps)
     assert linalg.rank(lines, n, field) == linalg.rank(ref, n, field)
     k_lines, k_ref = linalg.kernel(lines, n, field), linalg.kernel(ref, n, field)
@@ -225,17 +229,19 @@ def _column_by_column(preset, field, rep, m, exps):
     """The condition block over F_p one column at a time: each generator's
     powers by repeated (lines, m) products, then two products per column."""
     p = field.p
-    one = np.zeros((m, m), dtype=np.int64)
+    lines = series._slopes(preset, field, rep)
+    slopes = lines.slopes[:lines.count(m)]
+    rows = series._block_rows(len(slopes), m)
+    one = np.zeros((len(slopes), m), dtype=np.int64)
     one[:, 0] = 1
     powers = []
     for i in range(3):
         base = series._line_values(
-            field, series._generator_expansion(preset, field, rep, i), m)
+            field, series._generator_expansion(preset, field, rep, i), slopes, m)
         row = [one]
         for _ in range(max(e[i] for e in exps)):
             row.append(kernels.trunc_mul_mod(row[-1], base, p))
         powers.append(row)
-    rows = [(line, k) for k in range(m) for line in range(k + 1)]
     out = np.empty((len(rows), len(exps)), dtype=np.int64)
     for n, (a, b, c) in enumerate(exps):
         col = kernels.trunc_mul_mod(powers[0][a], powers[1][b], p)
@@ -263,7 +269,7 @@ POWER_TABLE_BLOCKS = [
 def test_power_tables_match_column_by_column(klein_modp, wiman_modp):
     """Blocks read from the shared power tables equal the column-by-column
     products, whatever order the tables were built, grown and sliced in;
-    m = p over F_29 uses every slope of the field."""
+    m = p over F_29 is the most a table grows to."""
     fields = {"klein-mod4733": klein_modp, "wiman-mod4951": wiman_modp,
               "mod29": preset_field("modp", 29)}
     seen = set()
@@ -279,11 +285,81 @@ def test_power_tables_match_column_by_column(klein_modp, wiman_modp):
                     for i in range(3)]
             for i, tab in enumerate(held):
                 e = max(x[i] for x in exps)
-                seen.add("cold" if tab is None else "grown" if tab.shape[1] < m
+                seen.add("cold" if tab is None else "grown" if tab.shape[2] < m
                          or len(tab) <= e else "sliced")
             got = _condition_block(preset, field, rep, m, exps)
             assert np.array_equal(got, _column_by_column(preset, field, rep, m, exps))
     assert seen == {"cold", "grown", "sliced"}
+
+
+# (preset, field, degrees, multiplicities): blocks at every class
+# representative, with kernels from everything down to nothing
+ORBIT_LINE_CASES = [
+    ("klein", "klein-mod4733", (42, 60, 144), (4, 8, 13, 27)),
+    ("klein", "klein-exact", (42, 48), (4, 8)),
+    ("wiman", "wiman-mod4951", (60, 90), (5, 8, 12)),
+    ("wiman", "wiman-exact", (30,), (3, 4)),
+    ("klein", "mod29", (168, 240), (14, 22, 29)),
+    ("wiman", "mod19", (90, 120), (11, 19)),
+]
+
+
+class _EverySlope:
+    """The slopes 0 .. m - 1 as series._Slopes gives them for a point with
+    no tangent maps: the block on all m lines."""
+
+    def __init__(self, field, m):
+        self.slopes = [field.coerce(slope) for slope in range(m)]
+
+    def count(self, m):
+        return m
+
+
+def test_orbit_lines_cut_out_the_kernel_of_all_lines(klein_modp, wiman_modp,
+                                                     klein_exact, wiman_exact,
+                                                     monkeypatch):
+    """At every class representative, the block read on the lines whose
+    stabilizer orbits cover m tangent directions has the canonical kernel
+    of the block read on all m slopes 0 .. m - 1; each stabilizer element
+    fixes its point, and there are |G| / |orbit| of them."""
+    fields = {"klein-mod4733": klein_modp, "wiman-mod4951": wiman_modp,
+              "klein-exact": klein_exact, "wiman-exact": wiman_exact,
+              "mod29": preset_field("modp", 29), "mod19": preset_field("modp", 19)}
+    proper = set()
+    for preset, name, degrees, mults in ORBIT_LINE_CASES:
+        field = fields[name]
+        config = invariant_set(preset, field).config
+        for cls in config.classes:
+            rep = cls.representative
+            order = PLANE_ORDERS[preset] // cls.size
+            elements = stabilizer(config.gens, rep, order)
+            assert len({g.projective_key() for g in elements}) == order
+            assert all(act_on_point(g, rep) == rep for g in elements)
+            for d in degrees:
+                exps = weighted_basis(series_weights(preset), d)
+                for m in mults:
+                    lines = _condition_block(preset, field, rep, m, exps)
+                    assert series._slopes(preset, field, rep).count(m) < m
+                    with monkeypatch.context() as patch:
+                        patch.setattr(series, "_slopes",
+                                      lambda *_: _EverySlope(field, m))
+                        patch.setattr(series, "_power_tables", {})
+                        every = _condition_block(preset, field, rep, m, exps)
+                    assert len(every) == m * (m + 1) // 2
+                    n = len(exps)
+                    got, want = (linalg.kernel(lines, n, field),
+                                 linalg.kernel(every, n, field))
+                    assert np.array_equal(got, want) \
+                        if isinstance(want, np.ndarray) else got == want, \
+                        (preset, name, cls.label, d, m)
+                    if 0 < len(want) < n:
+                        proper.add(name)
+    assert proper == set(fields)
+    # slopes run out over F_p once m exceeds the p + 1 tangent directions
+    rep = invariant_set("klein", fields["mod29"]).config.classes[1].representative
+    with pytest.raises(EngineError):
+        series._Slopes(fields["mod29"], series._tangent_maps(
+            "klein", fields["mod29"], rep)).count(31)
 
 
 def test_multiplicity_above_characteristic_is_usage_error(monkeypatch):
@@ -328,9 +404,8 @@ def test_multiplicity_above_characteristic_is_usage_error(monkeypatch):
 
 def test_series_dim_matches_basis(klein_modp, wiman_modp, klein_exact):
     """series_dim, a rank, equals the size of the kernel basis: random Klein
-    and Wiman specs over F_p, some with more than max(2 (cols +
-    SKETCH_EXTRA), STRIP) rows (so the rank is compressed), an untied m3b, no
-    conditions, unrepresentable degrees, and one exact-field spec."""
+    and Wiman specs over F_p, an untied m3b, no conditions, unrepresentable
+    degrees, and one exact-field spec."""
     rng = random.Random(15)
     cases = [(SeriesSpec("klein", 42), klein_modp),
              (SeriesSpec("klein", 43, m3=2), klein_modp),
@@ -338,8 +413,7 @@ def test_series_dim_matches_basis(klein_modp, wiman_modp, klein_exact):
              (SeriesSpec("wiman", 60, m5=5, m4=4, m3=3, m3b=1), wiman_modp),
              (SeriesSpec("wiman", 90, m4=4, m3=8, m3b=7), wiman_modp),
              (SeriesSpec("klein", 42, m3=8), klein_exact),
-             # the paper's curves, dim 1; the 388 x 73 matrix of the Klein
-             # one is compressed, S A is not of full rank, A is eliminated
+             # the paper's curves, dim 1
              (SeriesSpec("wiman", 90, m4=4, m3=8), wiman_modp),
              (SeriesSpec("klein", 144, m4=4, m3=27), klein_modp)]
     for _ in range(10):
@@ -358,12 +432,8 @@ def test_series_dim_matches_basis(klein_modp, wiman_modp, klein_exact):
                                  m3b=rng.choice([None, rng.randint(0, d // 7)])),
                       wiman_modp))
     dims = []
-    tall = 0
     for spec, field in cases:
-        exps, rows = series._series_matrix(spec, field)
-        tall += len(rows) > max(2 * (len(exps) + kernels.SKETCH_EXTRA),
-                                kernels.STRIP)
         dims.append(series_dim(spec, field))
         assert dims[-1] == series_basis(spec, field).dim, spec
     assert dims[:3] == [dim_t("klein", 42), 0, 0] and dims[6:8] == [1, 1]
-    assert any(dims[8:]) and not all(dims[8:]) and tall >= 8
+    assert any(dims[8:]) and not all(dims[8:])
