@@ -7,6 +7,7 @@ engine does not derive (regularity data, search-completeness statements).
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -325,10 +326,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process, built at the first dispatch (which
+    binds the cmd_ functions then); parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return (2 if e.code not in (0, None) else 0), None
     try:

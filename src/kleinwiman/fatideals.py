@@ -5,10 +5,21 @@ resurgence certificates.
 Unlike the invariant series, symbolic powers impose vanishing conditions at
 every point of the configuration (they are not spanned by invariants), so
 the matrices here have one block of rows per point.
+
+Over an exact extension with a partner prime (Q(zeta7) at 4733, Q(sqrt5,
+omega) at 4951), emptiness is settled at that prime first: the point set is
+reduced there once (SimpleExtension.reduce), its conditions are built over
+F_p, and full column rank there proves the exact piece empty, because rank
+can only drop under reduction.  Such a piece forms no exact product; on
+the Klein and Wiman point sets that is every piece below alpha (tested for
+m = 1, 2).  Any other piece, or a point set with a coordinate whose
+denominator vanishes at the prime, takes the exact route
+(linalg.kernel_certified).
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -16,7 +27,7 @@ import numpy as np
 
 from kleinwiman import linalg
 from kleinwiman.divisors import waldschmidt_bounds
-from kleinwiman.errors import FatIdealError
+from kleinwiman.errors import FatIdealError, FieldError
 from kleinwiman.fields import PrimeField
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
                              local_monomials, monomials_of_degree, taylor_table)
@@ -52,6 +63,21 @@ class PointSet:
 
     def __len__(self):
         return len(self.points)
+
+    @cached_property
+    def reduced(self):
+        """The point set at the partner prime of its field (same charts, so
+        its condition matrices reduce these entry by entry), built once;
+        None when the field has no partner prime or a coordinate's
+        denominator vanishes there."""
+        p = getattr(self.field, "partner_prime", None)
+        if p is None:
+            return None
+        try:
+            pts = [tuple(self.field.reduce(c) for c in pt) for pt in self.points]
+        except FieldError:
+            return None
+        return PointSet(self.preset, PrimeField(p), pts, self.charts)
 
 
 def _taylor_array(pointset, c, d, m):
@@ -142,16 +168,37 @@ def membership(f, piece):
     return piece.contains_poly(f)
 
 
+def _empty_at_partner(pointset, m, d):
+    """Whether the degree-d conditions of order m have full column rank at
+    the partner prime of the point set's field.  The reduced point set's
+    matrix is the exact one reduced entry by entry, and rank can only drop
+    under reduction, so full rank there proves the exact piece empty: the
+    certificate linalg.kernel_certified closes, read before any exact
+    product.  False without a reduced point set, and when the conditions
+    are fewer than the columns."""
+    reduced = pointset.reduced
+    ncols = comb(d + 2, 2)
+    if reduced is None or len(reduced) * comb(m + 1, 2) < ncols:
+        return False
+    mat, _ = point_conditions_matrix(reduced, m, d)
+    return linalg.rank(mat, ncols, reduced.field) == ncols
+
+
 def symbolic_piece(pointset, m, d):
     """Exact basis of the forms of degree d vanishing to order >= m at every
     point of the set (all of them for m <= 0: no conditions), built once
-    per point set."""
+    per point set.  Over an extension with a partner prime, an empty piece
+    is settled at that prime (_empty_at_partner); every other piece is the
+    kernel of the exact conditions."""
     key = (max(m, 0), d)
     if key not in pointset.pieces:
         field = pointset.field
-        mat, cols = point_conditions_matrix(pointset, *key)
-        pointset.pieces[key] = GradedPiece(d, field, cols,
-                                           linalg.kernel(mat, len(cols), field))
+        if m >= 1 and _empty_at_partner(pointset, *key):
+            cols, basis = monomials_of_degree(3, d), []
+        else:
+            mat, cols = point_conditions_matrix(pointset, *key)
+            basis = linalg.kernel(mat, len(cols), field)
+        pointset.pieces[key] = GradedPiece(d, field, cols, basis)
     return pointset.pieces[key]
 
 

@@ -333,6 +333,33 @@ class SimpleExtension(Field):
             row = [r + top * c for r, c in zip(row, rows[0])]
             rows.append(row)
         self._red = [[(i, c) for i, c in enumerate(r) if c] for r in rows]
+        self.partner_prime = None
+        self.partner_powers = None
+
+    def set_partner(self, p, gen_image):
+        """Fix the partner map to F_p, g -> gen_image: a ring homomorphism on
+        the elements whose denominators are prime to p, because gen_image is
+        a root of the minimal polynomial mod p (a FieldError otherwise).
+        partner_powers holds gen_image^k mod p for k < deg, the map on the
+        power basis."""
+        if sum(c * pow(gen_image, k, p) for k, c in enumerate(self.minpoly)) % p:
+            raise FieldError(f"{gen_image} is not a root of the minimal "
+                             f"polynomial mod {p}")
+        self.partner_prime = p
+        self.partner_powers = tuple(pow(gen_image, k, p) for k in range(self.deg))
+
+    def reduce(self, x):
+        """The image of x in F_p under the partner map, as an int mod p.
+        A FieldError when x's denominator vanishes mod p or the field has
+        no partner prime."""
+        p = self.partner_prime
+        if p is None:
+            raise FieldError(f"{self.name} has no partner prime")
+        x = self.coerce(x)
+        if x[-1] % p == 0:
+            raise FieldError(f"the denominator of {self.fmt(x)} vanishes mod {p}")
+        num = sum(a * g for a, g in zip(x, self.partner_powers))
+        return num * pow(x[-1], -1, p) % p
 
     def spec_key(self):
         return ("extension", self.minpoly)
@@ -495,17 +522,6 @@ def _attach_prime_constants(field):
     return field
 
 
-def _check_partner_embedding(f):
-    """The partner-prime reduction is a ring hom only if the generator image
-    is a root of the minimal polynomial mod p."""
-    p, g = f.partner_prime, f.partner_gen_image
-    acc, gp = 0, 1
-    for c in f.minpoly:
-        acc = (acc + c * gp) % p
-        gp = gp * g % p
-    assert acc == 0, "partner generator image is not a root mod p"
-
-
 def _check_constant_relations(f):
     c = f.constants
     if "zeta" in c:
@@ -544,9 +560,7 @@ def preset_field(name, p=None):
     if name == "klein-exact":
         f = SimpleExtension((1, 1, 1, 1, 1, 1, 1), gen_name="w", name="Q(zeta7)")
         f.constants["zeta"] = f.gen
-        f.partner_prime = KLEIN_PRIME
-        f.partner_gen_image = 7
-        _check_partner_embedding(f)
+        f.set_partner(KLEIN_PRIME, 7)
         _check_constant_relations(f)
         return f
     if name == "wiman-exact":
@@ -563,9 +577,7 @@ def preset_field(name, p=None):
         p0 = WIMAN_PRIME
         fp = preset_field("modp", p0)
         t0 = (fp.constants["delta"] + fp.constants["omega"]) % p0
-        f.partner_prime = p0
-        f.partner_gen_image = t0
-        _check_partner_embedding(f)
+        f.set_partner(p0, t0)
         _check_constant_relations(f)
         return f
     if name == "klein-mod4733":
@@ -606,7 +618,8 @@ def parse_field_flag(text, preset):
     preset family.  A malformed value, a p that is not an odd prime below
     the mod-p kernels' MAX_PRIME, or a field that lacks a constant the
     preset is built from, is a UsageError.  The klein-char7 model lives over
-    F_7 alone, so any other field is a UsageError there too."""
+    F_7 alone: there 'exact' and 'modp:7' both resolve to F_7, and any other
+    field is a UsageError."""
     if text in (None, "exact"):
         if preset == "klein-char7":
             return preset_field("klein-mod7")

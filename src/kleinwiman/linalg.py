@@ -231,8 +231,10 @@ def kernel_certified(rows, ncols, field):
     Over Q this is kernel_rational.  Over an extension each row is scaled by
     the common denominator of its entries into deg integer rows, row k
     holding the g^k numerators of the entries' Coords.
-    Those rows give the image at the partner prime p, sum_k g(p)^k row_k,
-    and rank_p = ncols there proves the kernel empty.  They are also the
+    Those rows give the image at the partner prime p, sum_k g(p)^k row_k
+    with the powers g(p)^k of the field's partner map (the map of
+    SimpleExtension.reduce, read from its partner_powers), and rank_p =
+    ncols there proves the kernel empty.  They are also the
     rational rows whose kernel inside Q^n is the rational part of the
     kernel, found by kernel_rational and certified complete by
     dim_Q(kernel over Q) <= dim(kernel) <= ncols - rank_p: when the two ends
@@ -248,7 +250,7 @@ def kernel_certified(rows, ncols, field):
         return kernel_rational(rows, ncols)
     if not isinstance(field, SimpleExtension):
         raise FieldError("kernel_certified expects Q or a simple extension")
-    p = getattr(field, "partner_prime", None)
+    p = field.partner_prime
     if rows and p is not None:
         try:
             deg = field.deg
@@ -261,10 +263,9 @@ def kernel_certified(rows, ncols, field):
                 scales = [den // v[deg] for v in coords]
                 ints.extend([v[k] * s for v, s in zip(coords, scales)]
                             for k in range(deg))
-            gpow = [pow(field.partner_gen_image, k, p) for k in range(deg)]
             blocks = (np.array(ints, dtype=object) % p).astype(np.int64)
             image = np.einsum("ikj,k->ij", blocks.reshape(len(rows), deg, ncols),
-                              np.array(gpow, dtype=np.int64)) % p
+                              np.array(field.partner_powers, dtype=np.int64)) % p
             rank_p = kernels.rank_mod(image, p)
             if rank_p == ncols:
                 # rank can only drop under reduction, so full rank at p is

@@ -114,6 +114,13 @@ def wiman_points_modp(wiman_config_modp):
 
 
 @pytest.fixture(scope="session")
+def wiman_points_exact(wiman_exact):
+    from kleinwiman.configs import build_wiman
+    from kleinwiman.fatideals import PointSet
+    return PointSet.from_config(build_wiman(wiman_exact))
+
+
+@pytest.fixture(scope="session")
 def wiman_gens_modp(wiman_points_modp):
     from kleinwiman.fatideals import minimal_generators
     return minimal_generators(wiman_points_modp, 29)

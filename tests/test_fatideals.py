@@ -9,7 +9,7 @@ from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   asymptotic_resurgence_bounds, certified_alpha,
                                   containment_inequality_certificate,
                                   containment_report, jacobian_minor_generators,
-                                  line_product, membership,
+                                  line_product, membership, minimal_generators,
                                   orbit_count_decompositions, point_conditions_matrix,
                                   power_piece, resurgence_certificate,
                                   symbolic_piece, vanishes_to_order)
@@ -336,3 +336,77 @@ def test_conditions_exact_vs_modp_dim(klein_points_exact, klein_points_modp):
     for (m, d) in ((1, 8), (1, 9), (2, 12)):
         assert symbolic_piece(klein_points_exact, m, d).dim \
             == symbolic_piece(klein_points_modp, m, d).dim
+
+
+def _without_reduction(pointset):
+    """A fresh copy of the point set whose pieces all take the exact route."""
+    ps = PointSet(pointset.preset, pointset.field, pointset.points,
+                  pointset.charts)
+    ps.reduced = None
+    return ps
+
+
+def _same_piece(a, b):
+    return (a.rows, a.pivots, a.monomials) == (b.rows, b.pivots, b.monomials)
+
+
+# (preset, m, alpha of the m-th symbolic power, degrees rebuilt on the exact
+# route): the exact Wiman pieces of I^(2) cost about 1 s each near degree 30,
+# so that route is compared on the low degrees and the last empty one
+@pytest.mark.parametrize("preset,m,alpha,exact_degrees", [
+    ("klein", 1, 8, range(1, 9)),
+    ("klein", 2, 16, range(1, 17)),
+    ("wiman", 1, 16, range(1, 16)),
+    ("wiman", 2, 32, [*range(1, 11), 31]),
+])
+def test_partner_check_matches_exact_route(request, preset, m, alpha,
+                                           exact_degrees):
+    """Every piece below alpha is settled empty at the partner prime, and
+    equals the piece the exact conditions give: same rows, pivots and
+    monomials.  At alpha the partner check declines, so the piece is built
+    by the exact route as before."""
+    pointset = request.getfixturevalue(f"{preset}_points_exact")
+    assert pointset.reduced is not None
+    assert pointset.reduced.field.p == pointset.field.partner_prime
+    exact = _without_reduction(pointset)
+    for d in range(1, alpha):
+        assert fatideals._empty_at_partner(pointset, m, d), d
+    assert not fatideals._empty_at_partner(pointset, m, alpha)
+    for d in exact_degrees:
+        piece = symbolic_piece(pointset, m, d)
+        assert _same_piece(piece, symbolic_piece(exact, m, d)), d
+        assert (piece.dim > 0) == (d >= alpha)
+
+
+def test_empty_pieces_build_no_exact_conditions(klein_config_exact, monkeypatch):
+    """The generators of the exact Klein ideal to degree 7, all of whose
+    pieces are empty, build their conditions at F_4733 alone."""
+    fields = []
+    conditions = fatideals.point_conditions_matrix
+
+    def recording(pointset, m, d):
+        fields.append(pointset.field)
+        return conditions(pointset, m, d)
+
+    monkeypatch.setattr(fatideals, "point_conditions_matrix", recording)
+    gens = minimal_generators(PointSet.from_config(klein_config_exact), 7)
+    assert gens.by_degree == {} and gens.complete_through == 7
+    assert [f.name for f in fields] == ["F4733"] * 7
+
+
+def test_partner_check_without_image(klein_exact):
+    """A coordinate with denominator 4733 has no image at the partner
+    prime: the point set has no reduction, and every piece is the one the
+    exact conditions give."""
+    w = klein_exact.gen
+    ps = _five_points(klein_exact,
+                      (klein_exact.coerce(Fraction(1, 4733)), w, klein_exact.one))
+    assert ps.reduced is None
+    for m in (1, 2):
+        for d in range(1, 2 * m + 1):
+            piece = symbolic_piece(ps, m, d)
+            mat, cols = point_conditions_matrix(ps, m, d)
+            expected = GradedPiece(d, klein_exact, cols,
+                                   linalg.kernel(mat, len(cols), klein_exact))
+            assert _same_piece(piece, expected)
+            assert piece.dim == (d == 2 * m)

@@ -384,3 +384,73 @@ def test_extension_coerce_inputs(index):
     other = next(g for g in _oracle_fields() if g.deg != f.deg)
     with pytest.raises(FieldError):
         f.coerce(other.one)
+
+
+def _random_elements(field, seed, count=30):
+    """Elements with small fractional coordinates (denominators below 10,
+    so each has an image at the partner prime)."""
+    rng = random.Random(seed)
+    return [field.coerce(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                               for _ in range(field.deg)))
+            for _ in range(count)]
+
+
+def _reduces_homomorphically(field, elems):
+    """Whether SimpleExtension.reduce commutes with sums, products and
+    inverses on the given elements (an inverse whose own denominator has
+    no image is skipped)."""
+    p, red = field.partner_prime, field.reduce
+    for a, b in zip(elems, elems[1:] + elems[:1]):
+        if red(field.add(a, b)) != (red(a) + red(b)) % p:
+            return False
+        if red(field.mul(a, b)) != red(a) * red(b) % p:
+            return False
+        inv = field.inv(a)
+        if inv[-1] % p and red(inv) * red(a) % p != 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("preset", ["klein-exact", "wiman-exact"])
+def test_reduce_is_a_ring_homomorphism(preset):
+    f = preset_field(preset)
+    assert _reduces_homomorphically(f, _random_elements(f, 23))
+    assert f.reduce(f.one) == 1 and f.reduce(f.zero) == 0
+    assert f.reduce(Fraction(3, 5)) == 3 * pow(5, -1, f.partner_prime) \
+        % f.partner_prime
+
+
+def test_reduce_named_constants(klein_exact, wiman_exact, wiman_modp):
+    """zeta goes to 7 mod 4733; delta and omega to the constants of
+    modp:4951, and so do the constants built from them."""
+    assert klein_exact.reduce(klein_exact.constant("zeta")) == 7
+    assert klein_exact.partner_prime == 4733
+    assert wiman_exact.partner_prime == wiman_modp.p
+    for name in ("delta", "omega", "s", "mu1", "mu2"):
+        assert wiman_exact.reduce(wiman_exact.constant(name)) \
+            == wiman_modp.constant(name), name
+
+
+def test_reduce_denominator_at_partner_prime(klein_exact, wiman_exact):
+    for f in (klein_exact, wiman_exact):
+        p = f.partner_prime
+        with pytest.raises(FieldError):
+            f.reduce(Fraction(1, p))
+        with pytest.raises(FieldError):
+            f.reduce(f.mul(f.gen, f.coerce(Fraction(2, 3 * p))))
+    no_partner = SimpleExtension((15, 0, 1), gen_name="s")
+    with pytest.raises(FieldError):
+        no_partner.reduce(no_partner.gen)
+
+
+def test_reduce_wrong_generator_image_fails(klein_exact, monkeypatch):
+    """Mutation check of the homomorphism test: with g sent to 8, not a root
+    of the cyclotomic polynomial mod 4733, products stop reducing."""
+    p = klein_exact.partner_prime
+    with pytest.raises(FieldError):
+        klein_exact.set_partner(p, 8)
+    assert klein_exact.partner_powers == tuple(pow(7, k, p) for k in range(6))
+    monkeypatch.setattr(klein_exact, "partner_powers",
+                        tuple(pow(8, k, p) for k in range(klein_exact.deg)))
+    assert not _reduces_homomorphically(klein_exact,
+                                        _random_elements(klein_exact, 23))
