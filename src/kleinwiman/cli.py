@@ -192,7 +192,7 @@ def cmd_waldschmidt(args):
 
 def cmd_fatideal(args):
     from kleinwiman.configs import build_config
-    from kleinwiman.fatideals import (PointSet, minimal_generators,
+    from kleinwiman.fatideals import (MAX_DEGREE, PointSet, minimal_generators,
                                       resurgence_certificate)
 
     if args.ledger_dmax is not None and (args.task != "resurgence"
@@ -200,6 +200,11 @@ def cmd_fatideal(args):
         raise UsageError("--ledger-dmax applies only to fatideal resurgence "
                          "for klein")
     _check_klein_ledger_dmax(args.ledger_dmax)
+    for task, option, degree in (("generators", "--depth", args.depth),
+                                 ("contain", "--dmax", args.dmax)):
+        if args.task == task and degree > MAX_DEGREE:
+            raise UsageError(f"{option} {degree}: pieces go up to degree "
+                             f"{MAX_DEGREE}, the widest the mod-p kernels take")
     field = _field_for(args.preset, args.field, default_prime=True)
     cfg = build_config(args.preset, field)
     ps = PointSet.from_config(cfg)

@@ -15,19 +15,32 @@ the Klein and Wiman point sets that is every piece below alpha (tested for
 m = 1, 2).  Any other piece, or a point set with a coordinate whose
 denominator vanishes at the prime, takes the exact route
 (linalg.kernel_certified).
+
+alpha of a symbolic power (certified_alpha) takes one kernel per residue
+class of degrees modulo deg g, where g is a unit form: a line or conic
+vanishing at no point (unit_form).  Multiplying by g changes no vanishing
+order, so in the chain of g to a degree D, whose columns are the monomials
+mu not divisible by the leading monomial of g times g^((D - deg mu) /
+deg g), ordered by deg mu, the first C(d + 2, 2) columns are the degree-d
+forms of the class times a power of g, and every prefix has the rank of
+the monomial conditions of its degree.  The first free column of the
+chain's kernel is the least nonzero degree of the class.  Over an
+extension the chains run at the partner prime: by the same rank-drop
+argument their empty degrees are empty exactly, and the exact pieces are
+built upward from their least nonzero degree until one is nonzero.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import comb
 
 import numpy as np
 
-from kleinwiman import linalg
+from kleinwiman import kernels, linalg
 from kleinwiman.divisors import waldschmidt_bounds
-from kleinwiman.errors import FatIdealError, FieldError
+from kleinwiman.errors import FatIdealError, FieldError, UsageError
 from kleinwiman.fields import PrimeField
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
                              local_monomials, monomials_of_degree, taylor_table)
@@ -41,6 +54,19 @@ REGULARITY = {
     "klein-char7": {"linear": (9, 6), "kind": "upper-bound",
                     "source": "reference-constant"},
 }
+
+
+# Widest degree of a piece: its C(d + 2, 2) monomials are the columns of
+# the mod-p kernels, which take at most kernels.WIDEST.
+MAX_DEGREE = next(d for d in count() if comb(d + 3, 2) > kernels.WIDEST)
+
+
+def _check_degree(d):
+    if d > MAX_DEGREE:
+        raise UsageError(
+            f"degree {d} has {comb(d + 2, 2)} monomials, more than the "
+            f"{kernels.WIDEST} columns of the mod-p kernels: degrees go up to "
+            f"{MAX_DEGREE}")
 
 
 @dataclass
@@ -189,7 +215,9 @@ def symbolic_piece(pointset, m, d):
     point of the set (all of them for m <= 0: no conditions), built once
     per point set.  Over an extension with a partner prime, an empty piece
     is settled at that prime (_empty_at_partner); every other piece is the
-    kernel of the exact conditions."""
+    kernel of the exact conditions.  A degree above MAX_DEGREE is a
+    UsageError."""
+    _check_degree(d)
     key = (max(m, 0), d)
     if key not in pointset.pieces:
         field = pointset.field
@@ -213,6 +241,202 @@ def vanishes_to_order(f, pointset, m):
     return True
 
 
+# The candidate unit forms, in search order: the lines z, x, y and
+# x + a y + b z, then the conics x^2 + a y^2 + b z^2, for 0 <= a, b < 8.
+# Each has leading coefficient 1 on its lex-largest monomial (x > y > z).
+UNIT_FORMS = ([{(0, 0, 1): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}]
+              + [{(1, 0, 0): 1, (0, 1, 0): a, (0, 0, 1): b}
+                 for a in range(8) for b in range(8)]
+              + [{(2, 0, 0): 1, (0, 2, 0): a, (0, 0, 2): b}
+                 for a in range(8) for b in range(8)])
+
+
+def unit_form(pointset):
+    """The first of UNIT_FORMS that vanishes at no point of the set, over
+    the field of the set's chains: the partner prime when the set has a
+    reduction (a form with integer coefficients that is nonzero mod p at a
+    point is nonzero there), the set's own field otherwise.  FatIdealError
+    when every candidate vanishes somewhere."""
+    ps = pointset if pointset.reduced is None else pointset.reduced
+    field = ps.field
+    for terms in UNIT_FORMS:
+        g = Poly(field, {e: field.coerce(c) for e, c in terms.items()})
+        if not any(field.is_zero(g.evaluate(pt)) for pt in ps.points):
+            return g
+    raise FatIdealError(f"no unit form: each candidate line and conic vanishes "
+                        f"at a point of the {pointset.preset} set")
+
+
+def _chain_levels(g, top):
+    """The columns of the chain of g to degree `top`, level by level: (s,
+    mus) for s = top mod deg g, ..., top, with mus the exponents (an array,
+    one row each, in monomials_of_degree order) of the degree-s monomials
+    that the leading monomial of g does not divide.  Column mu stands for
+    mu g^((top - s) / deg g); the first C(d + 2, 2) columns span the
+    degree-d forms times a power of g."""
+    lead, e = max(g.terms), g.degree()
+    levels = []
+    for s in range(top % e, top + 1, e):
+        # monomials_of_degree(3, s): x^a by a descending, then z^c ascending
+        a = np.repeat(np.arange(s, -1, -1), np.arange(1, s + 2))
+        c = np.arange(len(a)) - (s - a) * (s - a + 1) // 2
+        mus = np.stack([a, s - a - c, c], axis=1)
+        levels.append((s, mus[(mus < lead).any(axis=1)]))
+    return levels
+
+
+def chain_matrix(pointset, g, m, top):
+    """Vanishing-to-order-m conditions at every point on the chain of the
+    unit form g to degree `top` (_chain_levels), as (matrix, levels); rows
+    as in point_conditions_matrix, point by point in local_monomials order.
+
+    A column's jet at a point is the jet of mu, read from the Taylor tables
+    as in point_conditions_matrix, times the jet of g^k.  Over F_p each
+    level is one batched product over the points, in float64: the
+    multiplication matrices of the jets of g^k (the powers of the jet of g,
+    reduced) against the gathered monomial jets, below p**2, so that a
+    product's entries stay below len(local_monomials(m)) p**3 and exact
+    (the jets are reduced first where that bound reaches 2**53).  The
+    entries are left unreduced, congruent to the conditions: the mod-p
+    kernels reduce their input.  Over any other field each column is its
+    form mu g^k, expanded at every point by local_expand.
+    """
+    field = pointset.field
+    levels = _chain_levels(g, top)
+    monos = local_monomials(m)
+    if not isinstance(field, PrimeField):
+        gk = [Poly.constant(field, field.one)]
+        for _ in levels[1:]:
+            gk.append(gk[-1] * g)
+        forms = [Poly(field, {tuple(mu): field.one}) * gk[(top - s) // g.degree()]
+                 for s, mus in levels for mu in mus.tolist()]
+        rows = []
+        for pt, chart in zip(pointset.points, pointset.charts):
+            jets = [local_expand(f, pt, m, chart=chart) for f in forms]
+            rows.extend([t.coeff(ij) for t in jets] for ij in monos)
+        return rows, levels
+    p, n, size = field.p, len(pointset), len(monos)
+    ii, jj = np.array(monos, dtype=np.intp).reshape(size, 2).T
+    # the index of u^(i-k) v^(j-l) among monos, or size (a zero appended to
+    # each jet) when it is no monomial: the multiplication matrix's pattern
+    at = {ij: k for k, ij in enumerate(monos)}
+    pattern = np.array([[at.get((i - k, j - l), size) for k, l in monos]
+                        for i, j in monos], dtype=np.intp).reshape(size, size)
+    charts = np.array(pointset.charts, dtype=np.intp)
+    lu, lv = (charts == 0).astype(np.intp), 2 - (charts == 2)
+    tu, tv = (np.stack([_taylor_array(pointset, pt[k], top, m)[:top + 1]
+                        for pt, k in zip(pointset.points, ks.tolist())])
+              for ks in (lu, lv))
+    each = np.arange(n)[:, None]
+
+    def jets(mus):
+        """The jets of the monomials mus at every point, below p**2: the
+        table rows of their exponents, then their entries at monos."""
+        au = tu[each, mus.T[lu]].transpose(0, 2, 1)
+        av = tv[each, mus.T[lv]].transpose(0, 2, 1)
+        return au[:, ii] * av[:, jj]
+
+    def multiplication(jet):
+        return np.concatenate([jet, np.zeros((n, 1), np.int64)], axis=1)[:, pattern]
+
+    terms = np.array(list(g.terms), dtype=np.intp)
+    coeffs = np.array(list(g.terms.values()), dtype=np.int64)
+    times_g = multiplication(jets(terms) @ coeffs % p)
+    power = np.zeros((n, size), dtype=np.int64)
+    power[:, 0] = 1
+    powers = [power]        # the jets of g^k, k = 0, 1, ...
+    for _ in levels[1:]:
+        powers.append(np.einsum("nrs,ns->nr", times_g, powers[-1]) % p)
+    reduce_jets = size * (p - 1) ** 3 >= 2 ** 53
+    out = np.empty((n, size, comb(top + 2, 2)), dtype=np.int64)
+    c = 0
+    for (s, mus), power in zip(levels, reversed(powers)):
+        block = jets(mus)
+        if s < top:
+            if reduce_jets:
+                block %= p
+            block = (multiplication(power).astype(np.float64)
+                     @ block.astype(np.float64))
+        out[:, :, c:c + len(mus)] = block
+        c += len(mus)
+    return out.reshape(n * size, c), levels
+
+
+def _support_end(row, field):
+    """One past the last nonzero entry of a vector: a canonical kernel
+    vector ends at its free column."""
+    if isinstance(row, np.ndarray):
+        return int(np.flatnonzero(row)[-1]) + 1
+    return max(j for j, v in enumerate(row) if not field.is_zero(v)) + 1
+
+
+def _chain(pointset, g, m, top):
+    """One kernel of the chain of g to degree `top`, read as (s, rank,
+    columns, (rows, levels)): s is the least degree of top's class mod
+    deg g with a nonzero piece (None when there is none through top), the
+    degree of the first free column; rows are the kernel vectors whose free
+    column lies in the degree-s prefix, cut to it, a basis of that piece in
+    chain coordinates; levels are the prefix's."""
+    field = pointset.field
+    mat, levels = chain_matrix(pointset, g, m, top)
+    ncols = comb(top + 2, 2)
+    basis = linalg.kernel(mat, ncols, field)
+    if not len(basis):
+        return None, ncols, ncols, None
+    first = _support_end(basis[0], field) - 1
+    c = 0
+    for k, (s, mus) in enumerate(levels):
+        c += len(mus)
+        if first < c:
+            break
+    rows = [row[:c] for row in basis if _support_end(row, field) <= c]
+    if isinstance(basis, np.ndarray):
+        rows = np.array(rows)       # a copy, so that the basis is freed
+    return s, ncols - len(basis), ncols, (rows, levels[:k + 1])
+
+
+def _chain_forms(rows, levels, g, field):
+    """The forms sum over the columns of v_mu mu g^((d - deg mu) / deg g),
+    d the last level's degree, for chain vectors v, as coefficient rows in
+    monomials_of_degree(3, d) order, by Horner's rule in g from the lowest
+    level: (rows, monomials).  Over F_p a form is a dense array indexed by
+    the exponents of x and y."""
+    d = levels[-1][0]
+    cols = monomials_of_degree(3, d)
+    if not isinstance(field, PrimeField):
+        out = []
+        for row in rows:
+            acc, c = Poly.zero(field), 0
+            for _, mus in levels:
+                terms = zip(map(tuple, mus.tolist()), row[c:c + len(mus)])
+                acc = acc * g + Poly(field, dict(terms))
+                c += len(mus)
+            out.append(acc.coeff_vector(cols))
+        return out, cols
+    rows = np.asarray(rows, dtype=np.int64)
+    acc = np.zeros((len(rows), d + 1, d + 1), dtype=np.int64)
+    c = 0
+    for _, mus in levels:
+        if c:
+            prev, acc = acc, np.zeros_like(acc)
+            for (a, b, _), coeff in g.terms.items():
+                acc[:, a:, b:] += coeff * prev[:, :d + 1 - a, :d + 1 - b]
+            acc %= field.p
+        acc[:, mus[:, 0], mus[:, 1]] += rows[:, c:c + len(mus)]
+        c += len(mus)
+    a, b, _ = np.array(cols, dtype=np.intp).reshape(len(cols), 3).T
+    return acc[:, a, b] % field.p, cols
+
+
+def _chain_line(g, top, rank, ncols, s):
+    line = f"chain of {g.text()} to degree {top}: rank {rank} of {ncols} columns"
+    if s is None:
+        return f"{line}, empty through degree {top}"
+    if s >= g.degree():
+        line += f", empty through degree {s - g.degree()}"
+    return f"{line}, nonzero at degree {s}"
+
+
 def certified_alpha(pointset, m, cap=120, progress=None):
     """Least degree alpha with a nonzero piece of the m-th symbolic power
     (m >= 1), with the two certificates that fix it:
@@ -221,58 +445,91 @@ def certified_alpha(pointset, m, cap=120, progress=None):
     - "witness": a nonzero form of degree alpha, re-checked by local expansion
       to vanish to order m at every point.
 
-    A nonzero piece stays nonzero one degree up (multiply by a linear form),
-    so alpha is found by bisection on emptiness: each probe builds its piece,
-    and dimension 0 is full column rank of the conditions.  The witness is
-    the first basis form of the last nonempty probe.  The lower end m - 1 is
-    empty without elimination (a nonzero form of degree d has order at most
-    d at a point).  The upper end is the least degree whose monomials
-    outnumber the conditions, where the piece cannot be empty; when that
-    lies beyond `cap`, the upper end is `cap`, probed once.  Every piece
-    is kept on the point set (symbolic_piece), so the containment loop and
-    the generators read the pieces built here.
-    A failed certificate raises FatIdealError.
+    alpha comes from one kernel per residue class of degrees modulo deg g,
+    for a unit form g (unit_form: nonzero at every point).  Multiplying by
+    g changes no vanishing order, so for d = D mod deg g the degree-d
+    forms sit in degree D as g^((D - d) / deg g) S_d, and they are the
+    first C(d + 2, 2) columns of the chain of g to D (chain_matrix), whose
+    columns are mu g^((D - deg mu) / deg g), mu a monomial that the leading
+    monomial of g does not divide, ordered by deg mu.  Every prefix
+    therefore has the rank of the monomial conditions of its degree: the
+    first free column of the chain's kernel gives the least nonzero degree
+    of the class, every lower degree of the class being empty, and the
+    kernel vectors whose free column lies in the alpha prefix, mapped back
+    to monomials, span the degree-alpha piece, which is stored on the point
+    set for the containment loop and the generators.  The chains run to D,
+    D - 1, ..., D - deg g + 1, each stopping below the least nonzero degree
+    found so far.  D is the least degree whose monomials outnumber the
+    conditions, where the piece cannot be empty, or `cap` when that is
+    lower (FatIdealError when the chains find nothing up to it); no chain
+    runs past MAX_DEGREE, and alpha above it is a UsageError.
+
+    Over an extension with a partner prime the chains run on the point set
+    reduced there.  Rank can only drop under reduction, so their empty
+    degrees are empty exactly; from their least nonzero degree exact pieces
+    (symbolic_piece) are built upward until one is nonzero, and that one is
+    alpha's.  A failed certificate raises FatIdealError.
     """
     if m < 1:
         raise FatIdealError(f"alpha needs a multiplicity m >= 1, got {m}")
-    pieces = {}
-
-    def empty(d):
-        piece = pieces[d] = symbolic_piece(pointset, m, d)
-        ncols = len(piece.monomials)
-        if progress is not None:
-            progress(f"degree {d}: rank {ncols - piece.dim} of {ncols} columns")
-        return piece.dim == 0
-
     conditions = len(pointset) * comb(m + 1, 2)
-    lo, hi = m - 1, m
+    hi = m
     while comb(hi + 2, 2) <= conditions:
         hi += 1
-    if hi > cap:
-        hi = cap
-        if empty(cap):
-            raise FatIdealError(
-                f"no element of the symbolic power found up to degree {cap}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if empty(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo not in pieces:
-        empty(lo)
-    if pieces[lo].dim:
-        raise FatIdealError(f"degree {lo} conditions lost full rank")
-    piece = symbolic_piece(pointset, m, hi)
+    top = min(hi, cap, MAX_DEGREE)
+    chained = pointset if pointset.reduced is None else pointset.reduced
+    g = unit_form(pointset)
+    alpha = None
+    for d in range(top, max(top - g.degree(), -1), -1):
+        # a class need not be read from alpha up: its chain stops below
+        while alpha is not None and d >= alpha:
+            d -= g.degree()
+        if d < 0:
+            continue
+        s, rank, ncols, prefix = _chain(chained, g, m, d)
+        if progress is not None:
+            progress(_chain_line(g, d, rank, ncols, s))
+        if s is not None:
+            alpha, (rows, levels) = s, prefix
+    if alpha is None:
+        _nothing_through(top, cap)
+    if chained is pointset:
+        if (m, alpha) not in pointset.pieces:
+            forms, cols = _chain_forms(rows, levels, g, pointset.field)
+            pointset.pieces[(m, alpha)] = GradedPiece(alpha, pointset.field,
+                                                      cols, forms)
+    else:
+        while not _probe(pointset, m, alpha, progress).dim:
+            alpha += 1
+            if alpha > top:
+                _nothing_through(top, cap)
+    piece = pointset.pieces[(m, alpha)]
     form = piece.basis_poly(0) if piece.dim else None
     if form is None or not vanishes_to_order(form, pointset, m):
         raise FatIdealError(
-            f"no form of degree {hi} vanishing to order {m} re-checks")
-    ncols = len(pieces[lo].monomials)
-    return {"alpha": hi,
-            "empty_below": {"degree": lo, "rank": ncols, "columns": ncols},
-            "witness": {"degree": hi, "order": m, "form": form,
+            f"no form of degree {alpha} vanishing to order {m} re-checks")
+    ncols = comb(alpha + 1, 2)
+    return {"alpha": alpha,
+            "empty_below": {"degree": alpha - 1, "rank": ncols, "columns": ncols},
+            "witness": {"degree": alpha, "order": m, "form": form,
                         "check": "local expansion at every point"}}
+
+
+def _probe(pointset, m, d, progress):
+    """The exact piece of degree d, with its progress line."""
+    piece = symbolic_piece(pointset, m, d)
+    if progress is not None:
+        ncols = len(piece.monomials)
+        progress(f"degree {d}: rank {ncols - piece.dim} of {ncols} columns")
+    return piece
+
+
+def _nothing_through(top, cap):
+    if top == cap:
+        raise FatIdealError(
+            f"no element of the symbolic power found up to degree {cap}")
+    raise UsageError(f"alpha lies above degree {MAX_DEGREE}, the widest the "
+                     f"mod-p kernels take")
 
 
 def alpha_symbolic(pointset, m, cap=120):

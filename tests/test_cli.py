@@ -108,6 +108,8 @@ def test_usage_error_exit_code():
     ["waldschmidt", "--preset", "wiman", "--curve-only"],
     ["series", "--preset", "klein", "--d", "10", "--m5", "1"],
     ["series", "--preset", "klein", "--d", "10", "--m3b", "1"],
+    ["fatideal", "generators", "--preset", "klein-char7", "--depth", "127"],
+    ["fatideal", "contain", "--preset", "klein-char7", "--dmax", "127"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
@@ -116,7 +118,8 @@ def test_usage_error_exit_code():
         "char7-config-other-field", "resurgence-klein-ledger-below-30",
         "waldschmidt-klein-ledger-below-30", "special-without-verify",
         "special-exact-field", "special-char7", "curve-only-with-ledger",
-        "curve-only-wiman", "klein-series-m5", "klein-series-m3b"])
+        "curve-only-wiman", "klein-series-m5", "klein-series-m3b",
+        "generators-depth-above-126", "contain-dmax-above-126"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)
@@ -164,16 +167,18 @@ def test_fatideal_alpha_command():
 
 
 def test_fatideal_alpha_progress(capsys):
-    """One stderr line per probed degree of the bisection; the upper end 16
-    is alpha without a probe, so it has no line."""
+    """One stderr line per chain of the unit form: the degrees modulo 2 up
+    to 16, the least degree whose monomials outnumber the conditions, and
+    up to 15; the first free column of each chain's kernel is the least
+    nonzero degree of its class."""
     code, rep = run_cli(["fatideal", "alpha", "--preset", "klein-char7",
                          "--m", "2"])
     assert code == 0 and rep["results"]["alpha"] == 16
     assert capsys.readouterr().err == (
-        "degree 8: rank 45 of 45 columns\n"
-        "degree 12: rank 91 of 91 columns\n"
-        "degree 14: rank 120 of 120 columns\n"
-        "degree 15: rank 136 of 136 columns\n")
+        "chain of x^2 + y^2 + z^2 to degree 16: rank 144 of 153 columns, "
+        "empty through degree 14, nonzero at degree 16\n"
+        "chain of x^2 + y^2 + z^2 to degree 15: rank 136 of 136 columns, "
+        "empty through degree 15\n")
 
 
 def test_fatideal_contain_dmax_below_alpha():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kleinwiman import cli, fatideals, linalg
-from kleinwiman.errors import FatIdealError
+from kleinwiman.errors import FatIdealError, UsageError
 from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   asymptotic_resurgence_bounds, certified_alpha,
                                   containment_inequality_certificate,
@@ -13,7 +13,7 @@ from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   orbit_count_decompositions, point_conditions_matrix,
                                   power_piece, resurgence_certificate,
                                   symbolic_piece, vanishes_to_order)
-from kleinwiman.fields import RationalField
+from kleinwiman.fields import PrimeField, RationalField
 from kleinwiman.groups import act_on_poly
 from kleinwiman.poly import (Poly, chart_for_point, local_expand, local_monomials,
                              monomials_of_degree, normalize_point)
@@ -101,8 +101,14 @@ def _alpha_by_scan(pointset, m):
     ("char7_points", 1), ("char7_points", 2), ("char7_points", 3),
     ("five_points_zeta7", 1), ("five_points_zeta7", 2), ("five_points_zeta7", 3),
     ("five_points_rational", 1), ("five_points_rational", 2),
-    ("five_points_rational", 3)])
+    ("five_points_rational", 3),
+    # a non-coordinate unit line; two conic chains; no coordinate line
+    # misses all six points
+    ("wiman_points_modp", 1), ("char7_points", 4),
+    ("six_points_zeta7", 1), ("six_points_zeta7", 2)])
 def test_alpha_bisection_matches_scan(points, m, request):
+    """alpha from the chains of the unit form is the least degree of a
+    nonzero piece, found by scanning the degrees."""
     ps = request.getfixturevalue(points)
     cert = certified_alpha(ps, m)
     alpha = cert["alpha"]
@@ -113,8 +119,8 @@ def test_alpha_bisection_matches_scan(points, m, request):
     assert below["degree"] == alpha - 1
     assert below["rank"] == below["columns"] == len(
         symbolic_piece(ps, 0, alpha - 1).monomials)
-    # the bisection reads emptiness from the pieces; rank the conditions
-    # independently: full column rank below alpha, less at alpha
+    # the chains read emptiness from their prefixes; rank the monomial
+    # conditions independently: full column rank below alpha, less at alpha
     mat, cols = point_conditions_matrix(ps, m, alpha - 1)
     assert linalg.rank(mat, len(cols), ps.field) == len(cols)
     mat, cols = point_conditions_matrix(ps, m, alpha)
@@ -125,11 +131,12 @@ def test_alpha_bisection_matches_scan(points, m, request):
 
 def test_each_piece_built_once(char7_config, char7_gens, monkeypatch):
     """No (m, d) piece is built twice on one point set: not by the alpha
-    certificate, not by the containment loop, which starts from the
-    certificate's degree-alpha piece, and not by `fatideal contain` without
-    generators or `fatideal resurgence`, whose alpha(I) probes and
-    generators share the (1, d) pieces.  Each run starts from a fresh point
-    set, as each CLI command does."""
+    certificate, whose chains build no monomial conditions, not by the
+    containment loop, which starts from the certificate's stored
+    degree-alpha piece, and not by `fatideal contain` without generators or
+    `fatideal resurgence`, whose generators read the (1, alpha) piece that
+    the alpha(I) chains stored.  Each run starts from a fresh point set, as
+    each CLI command does."""
     built = []
     conditions = fatideals.point_conditions_matrix
 
@@ -139,18 +146,20 @@ def test_each_piece_built_once(char7_config, char7_gens, monkeypatch):
 
     monkeypatch.setattr(fatideals, "point_conditions_matrix", counting)
     assert certified_alpha(PointSet.from_config(char7_config), 6)["alpha"] == 42
-    assert (6, 42) in built and len(built) == len(set(built))
+    assert (6, 42) not in built and len(built) == len(set(built))
     built.clear()
     rep = containment_report(PointSet.from_config(char7_config), 2, 3, 20,
                              gens=char7_gens)
     assert rep["witness_degree"] == 16
-    assert (2, 16) in built and len(built) == len(set(built))
-    for argv, piece in ((["contain", "--m", "2", "--r", "3", "--dmax", "20"], (1, 8)),
-                        (["resurgence"], (8, 50))):
+    assert (2, 16) not in built and len(built) == len(set(built))
+    for argv, piece, stored in (
+            (["contain", "--m", "2", "--r", "3", "--dmax", "20"], (1, 9), (2, 16)),
+            (["resurgence"], (1, 9), (1, 8))):
         built.clear()
         code, _ = cli.dispatch(["fatideal"] + argv + ["--preset", "klein-char7"])
         assert code == 0
-        assert piece in built and len(built) == len(set(built)), argv
+        assert piece in built and stored not in built, argv
+        assert len(built) == len(set(built)), argv
 
 
 def test_alpha_cap_below_alpha(char7_points):
@@ -410,3 +419,87 @@ def test_partner_check_without_image(klein_exact):
                                    linalg.kernel(mat, len(cols), klein_exact))
             assert _same_piece(piece, expected)
             assert piece.dim == (d == 2 * m)
+
+
+@pytest.mark.parametrize("points, m", [
+    ("char7_points", 1), ("char7_points", 2), ("char7_points", 3),
+    ("char7_points", 6), ("klein_points_modp", 1), ("klein_points_modp", 2)])
+def test_alpha_piece_from_chain(points, m, request):
+    """The degree-alpha piece that certified_alpha stores, read from its
+    chain's kernel, is the monomial piece: same RREF rows, pivots and
+    monomials as symbolic_piece on a fresh copy of the point set."""
+    ps = request.getfixturevalue(points)
+    chained = PointSet(ps.preset, ps.field, ps.points, ps.charts)
+    alpha = certified_alpha(chained, m)["alpha"]
+    stored = chained.pieces[(m, alpha)]
+    fresh = symbolic_piece(PointSet(ps.preset, ps.field, ps.points, ps.charts),
+                           m, alpha)
+    assert stored.dim > 0
+    assert (stored.rows.tolist(), stored.pivots, stored.monomials) \
+        == (fresh.rows.tolist(), fresh.pivots, fresh.monomials)
+
+
+@pytest.mark.parametrize("points, text", [
+    ("klein_points_modp", "z"), ("klein_points_exact", "z"),
+    ("wiman_points_modp", "x + y + 3*z"), ("char7_points", "x^2 + y^2 + z^2")])
+def test_unit_form(points, text, request):
+    """The chosen unit form vanishes at no point: a line for Klein (over
+    F_4733 and, through its reduction, over Q(zeta7)) and Wiman, the conic
+    whose complement is the point set for klein-char7."""
+    ps = request.getfixturevalue(points)
+    g = fatideals.unit_form(ps)
+    assert g.text() == text and g.degree() == (2 if ps.preset == "klein-char7" else 1)
+    chained = ps if ps.reduced is None else ps.reduced
+    assert g.field == chained.field
+    assert all(not g.field.is_zero(g.evaluate(pt)) for pt in chained.points)
+    exact = Poly(ps.field, {e: ps.field.coerce(c) for e, c in g.terms.items()})
+    assert all(not ps.field.is_zero(exact.evaluate(pt)) for pt in ps.points)
+
+
+def test_no_unit_form_on_the_whole_plane():
+    """Every line and every conic over F_7 has a rational point, so on all
+    57 points of PG(2, 7) no candidate is a unit form, and alpha has no
+    chain: a FatIdealError, with no fallback."""
+    field = PrimeField(7)
+    pts = [normalize_point(field, p) for p in
+           [(1, 0, 0)] + [(a, 1, 0) for a in range(7)]
+           + [(a, b, 1) for a in range(7) for b in range(7)]]
+    ps = PointSet("pg27", field, pts, [chart_for_point(field, p) for p in pts])
+    assert len(set(pts)) == 57
+    with pytest.raises(FatIdealError):
+        fatideals.unit_form(ps)
+    with pytest.raises(FatIdealError):
+        certified_alpha(ps, 1)
+
+
+def test_alpha_walks_up_from_partner_prime(klein_exact):
+    """(1:0:0), (0:1:0) and (1:1:4733) are not collinear, but they are mod
+    4733: the chain at the partner prime reads degree 1 as nonzero, and the
+    exact piece there is empty.  alpha trusts only the prime's empty
+    degrees and reaches 2 by exact pieces."""
+    f = klein_exact
+    pts = [(f.one, f.zero, f.zero), (f.zero, f.one, f.zero),
+           (f.one, f.one, f.coerce(4733))]
+    ps = PointSet("three-points", f, pts, [0, 1, 0])
+    assert ps.reduced is not None
+    lines = []
+    cert = certified_alpha(ps, 1, progress=lines.append)
+    assert lines[0].endswith("empty through degree 0, nonzero at degree 1")
+    assert symbolic_piece(ps, 1, 1).dim == 0
+    assert cert["alpha"] == 2
+    assert cert["empty_below"] == {"degree": 1, "rank": 3, "columns": 3}
+    assert vanishes_to_order(cert["witness"]["form"], ps, 1)
+
+
+def test_piece_past_the_kernels_width(char7_points, monkeypatch):
+    """Degree 127 has 8256 monomials, past the 8192 columns of the mod-p
+    kernels: a UsageError before any matrix is formed.  alpha above the
+    widest degree is one too; a smaller widest degree stands in for 126,
+    whose chains would be 8128 columns wide."""
+    assert fatideals.MAX_DEGREE == 126
+    with pytest.raises(UsageError, match="degree 127"):
+        symbolic_piece(char7_points, 1, 127)
+    monkeypatch.setattr(fatideals, "MAX_DEGREE", 10)
+    with pytest.raises(UsageError, match="alpha lies above degree 10"):
+        certified_alpha(PointSet(char7_points.preset, char7_points.field,
+                                 char7_points.points, char7_points.charts), 2)
