@@ -6,28 +6,20 @@ Unlike the invariant series, symbolic powers impose vanishing conditions at
 every point of the configuration (they are not spanned by invariants), so
 the matrices here have one block of rows per point.
 
-Over an exact extension with a partner prime (Q(zeta7) at 4733, Q(sqrt5,
-omega) at 4951), emptiness is settled at that prime first: the point set is
-reduced there once (SimpleExtension.reduce), its conditions are built over
-F_p, and full column rank there proves the exact piece empty, because rank
-can only drop under reduction.  Such a piece forms no exact product; on
-the Klein and Wiman point sets that is every piece below alpha (tested for
-m = 1, 2).  Any other piece, or a point set with a coordinate whose
-denominator vanishes at the prime, takes the exact route
-(linalg.kernel_certified).
-
-alpha of a symbolic power (certified_alpha) takes one kernel per residue
-class of degrees modulo deg g, where g is a unit form: a line or conic
-vanishing at no point (unit_form).  Multiplying by g changes no vanishing
-order, so in the chain of g to a degree D, whose columns are the monomials
-mu not divisible by the leading monomial of g times g^((D - deg mu) /
-deg g), ordered by deg mu, the first C(d + 2, 2) columns are the degree-d
-forms of the class times a power of g, and every prefix has the rank of
-the monomial conditions of its degree.  The first free column of the
-chain's kernel is the least nonzero degree of the class.  Over an
-extension the chains run at the partner prime: by the same rank-drop
-argument their empty degrees are empty exactly, and the exact pieces are
-built upward from their least nonzero degree until one is nonzero.
+Every piece below a least degree is empty, and least_degree proves it once,
+over F_p, with one kernel per residue class of degrees modulo deg g, where
+g is a unit form: a line or conic vanishing at no point (unit_form).
+Multiplying by g changes no vanishing order, so in the chain of g to a
+degree D, whose columns are the monomials mu not divisible by the leading
+monomial of g times g^((D - deg mu) / deg g), ordered by deg mu, the first
+C(d + 2, 2) columns are the degree-d forms of the class times a power of g,
+and every prefix has the rank of the monomial conditions of its degree.
+The first free column of the chain's kernel is the least nonzero degree of
+the class.  An exact point set runs its chains on its reduction at the
+partner prime of its field (PointSet.reduced: Q(zeta7) at 4733, Q(sqrt5,
+omega) at 4951); rank can only drop under reduction, so their empty
+degrees are empty exactly.  The pieces from there on are kernels of their
+conditions (symbolic_piece; linalg.kernel_certified over an extension).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -76,10 +68,11 @@ class PointSet:
     points: list          # normalized projective points
     charts: list          # chart coordinate per point
     # kept so that nothing is built twice for one point set: symbolic_piece's
-    # pieces by (m, d), and over F_p the Taylor tables of the conditions by
-    # (coordinate, m)
+    # pieces by (m, d), over F_p the Taylor tables of the conditions by
+    # (coordinate, m), and least_degree's results by (m, top)
     pieces: dict = dc_field(default_factory=dict, compare=False, repr=False)
     taylor: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    least: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_config(cls, config):
@@ -92,10 +85,13 @@ class PointSet:
 
     @cached_property
     def reduced(self):
-        """The point set at the partner prime of its field (same charts, so
-        its condition matrices reduce these entry by entry), built once;
-        None when the field has no partner prime or a coordinate's
-        denominator vanishes there."""
+        """The point set over F_p that the unit-form chains run on: the set
+        itself over a prime field, otherwise the set at the partner prime
+        of its field (same charts, so its condition matrices reduce these
+        entry by entry), built once; None when the field has no partner
+        prime or a coordinate's denominator vanishes there."""
+        if isinstance(self.field, PrimeField):
+            return self
         p = getattr(self.field, "partner_prime", None)
         if p is None:
             return None
@@ -194,39 +190,18 @@ def membership(f, piece):
     return piece.contains_poly(f)
 
 
-def _empty_at_partner(pointset, m, d):
-    """Whether the degree-d conditions of order m have full column rank at
-    the partner prime of the point set's field.  The reduced point set's
-    matrix is the exact one reduced entry by entry, and rank can only drop
-    under reduction, so full rank there proves the exact piece empty: the
-    certificate linalg.kernel_certified closes, read before any exact
-    product.  False without a reduced point set, and when the conditions
-    are fewer than the columns."""
-    reduced = pointset.reduced
-    ncols = comb(d + 2, 2)
-    if reduced is None or len(reduced) * comb(m + 1, 2) < ncols:
-        return False
-    mat, _ = point_conditions_matrix(reduced, m, d)
-    return linalg.rank(mat, ncols, reduced.field) == ncols
-
-
 def symbolic_piece(pointset, m, d):
     """Exact basis of the forms of degree d vanishing to order >= m at every
-    point of the set (all of them for m <= 0: no conditions), built once
-    per point set.  Over an extension with a partner prime, an empty piece
-    is settled at that prime (_empty_at_partner); every other piece is the
-    kernel of the exact conditions.  A degree above MAX_DEGREE is a
-    UsageError."""
+    point of the set (all of them for m <= 0: no conditions), the kernel of
+    the conditions, built once per point set.  A degree above MAX_DEGREE is
+    a UsageError."""
     _check_degree(d)
     key = (max(m, 0), d)
     if key not in pointset.pieces:
         field = pointset.field
-        if m >= 1 and _empty_at_partner(pointset, *key):
-            cols, basis = monomials_of_degree(3, d), []
-        else:
-            mat, cols = point_conditions_matrix(pointset, *key)
-            basis = linalg.kernel(mat, len(cols), field)
-        pointset.pieces[key] = GradedPiece(d, field, cols, basis)
+        mat, cols = point_conditions_matrix(pointset, *key)
+        pointset.pieces[key] = GradedPiece(d, field, cols,
+                                           linalg.kernel(mat, len(cols), field))
     return pointset.pieces[key]
 
 
@@ -252,16 +227,14 @@ UNIT_FORMS = ([{(0, 0, 1): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}]
 
 
 def unit_form(pointset):
-    """The first of UNIT_FORMS that vanishes at no point of the set, over
-    the field of the set's chains: the partner prime when the set has a
-    reduction (a form with integer coefficients that is nonzero mod p at a
-    point is nonzero there), the set's own field otherwise.  FatIdealError
-    when every candidate vanishes somewhere."""
-    ps = pointset if pointset.reduced is None else pointset.reduced
-    field = ps.field
+    """The first of UNIT_FORMS that vanishes at no point of a set over F_p;
+    one with integer coefficients that is nonzero at the reduction of a
+    point is nonzero at the point itself.  FatIdealError when every
+    candidate vanishes somewhere."""
+    field = pointset.field
     for terms in UNIT_FORMS:
         g = Poly(field, {e: field.coerce(c) for e, c in terms.items()})
-        if not any(field.is_zero(g.evaluate(pt)) for pt in ps.points):
+        if not any(field.is_zero(g.evaluate(pt)) for pt in pointset.points):
             return g
     raise FatIdealError(f"no unit form: each candidate line and conic vanishes "
                         f"at a point of the {pointset.preset} set")
@@ -286,36 +259,24 @@ def _chain_levels(g, top):
 
 
 def chain_matrix(pointset, g, m, top):
-    """Vanishing-to-order-m conditions at every point on the chain of the
-    unit form g to degree `top` (_chain_levels), as (matrix, levels); rows
-    as in point_conditions_matrix, point by point in local_monomials order.
+    """Vanishing-to-order-m conditions at every point of a set over F_p on
+    the chain of the unit form g to degree `top` (_chain_levels), as
+    (matrix, levels); rows as in point_conditions_matrix, point by point in
+    local_monomials order.
 
     A column's jet at a point is the jet of mu, read from the Taylor tables
-    as in point_conditions_matrix, times the jet of g^k.  Over F_p each
-    level is one batched product over the points, in float64: the
-    multiplication matrices of the jets of g^k (the powers of the jet of g,
-    reduced) against the gathered monomial jets, below p**2, so that a
-    product's entries stay below len(local_monomials(m)) p**3 and exact
-    (the jets are reduced first where that bound reaches 2**53).  The
-    entries are left unreduced, congruent to the conditions: the mod-p
-    kernels reduce their input.  Over any other field each column is its
-    form mu g^k, expanded at every point by local_expand.
+    as in point_conditions_matrix, times the jet of g^k.  Each level is one
+    batched product over the points, in float64: the multiplication
+    matrices of the jets of g^k (the powers of the jet of g, reduced)
+    against the gathered monomial jets, below p**2, so that a product's
+    entries stay below len(local_monomials(m)) p**3 and exact (the jets are
+    reduced first where that bound reaches 2**53).  The entries are left
+    unreduced, congruent to the conditions: the mod-p kernels reduce their
+    input.
     """
-    field = pointset.field
     levels = _chain_levels(g, top)
     monos = local_monomials(m)
-    if not isinstance(field, PrimeField):
-        gk = [Poly.constant(field, field.one)]
-        for _ in levels[1:]:
-            gk.append(gk[-1] * g)
-        forms = [Poly(field, {tuple(mu): field.one}) * gk[(top - s) // g.degree()]
-                 for s, mus in levels for mu in mus.tolist()]
-        rows = []
-        for pt, chart in zip(pointset.points, pointset.charts):
-            jets = [local_expand(f, pt, m, chart=chart) for f in forms]
-            rows.extend([t.coeff(ij) for t in jets] for ij in monos)
-        return rows, levels
-    p, n, size = field.p, len(pointset), len(monos)
+    p, n, size = pointset.field.p, len(pointset), len(monos)
     ii, jj = np.array(monos, dtype=np.intp).reshape(size, 2).T
     # the index of u^(i-k) v^(j-l) among monos, or size (a zero appended to
     # each jet) when it is no monomial: the multiplication matrix's pattern
@@ -362,14 +323,6 @@ def chain_matrix(pointset, g, m, top):
     return out.reshape(n * size, c), levels
 
 
-def _support_end(row, field):
-    """One past the last nonzero entry of a vector: a canonical kernel
-    vector ends at its free column."""
-    if isinstance(row, np.ndarray):
-        return int(np.flatnonzero(row)[-1]) + 1
-    return max(j for j, v in enumerate(row) if not field.is_zero(v)) + 1
-
-
 def _chain(pointset, g, m, top):
     """One kernel of the chain of g to degree `top`, read as (s, rank,
     columns, (rows, levels)): s is the least degree of top's class mod
@@ -377,43 +330,31 @@ def _chain(pointset, g, m, top):
     degree of the first free column; rows are the kernel vectors whose free
     column lies in the degree-s prefix, cut to it, a basis of that piece in
     chain coordinates; levels are the prefix's."""
-    field = pointset.field
     mat, levels = chain_matrix(pointset, g, m, top)
     ncols = comb(top + 2, 2)
-    basis = linalg.kernel(mat, ncols, field)
+    basis = linalg.kernel(mat, ncols, pointset.field)
     if not len(basis):
         return None, ncols, ncols, None
-    first = _support_end(basis[0], field) - 1
+    # one past the last nonzero entry: a canonical kernel vector ends at
+    # its free column
+    ends = ncols - np.argmax(basis[:, ::-1] != 0, axis=1)
     c = 0
     for k, (s, mus) in enumerate(levels):
         c += len(mus)
-        if first < c:
+        if ends[0] <= c:
             break
-    rows = [row[:c] for row in basis if _support_end(row, field) <= c]
-    if isinstance(basis, np.ndarray):
-        rows = np.array(rows)       # a copy, so that the basis is freed
-    return s, ncols - len(basis), ncols, (rows, levels[:k + 1])
+    # a copy, so that the basis is freed
+    return s, ncols - len(basis), ncols, (basis[ends <= c, :c], levels[:k + 1])
 
 
 def _chain_forms(rows, levels, g, field):
     """The forms sum over the columns of v_mu mu g^((d - deg mu) / deg g),
-    d the last level's degree, for chain vectors v, as coefficient rows in
-    monomials_of_degree(3, d) order, by Horner's rule in g from the lowest
-    level: (rows, monomials).  Over F_p a form is a dense array indexed by
-    the exponents of x and y."""
+    d the last level's degree, for chain vectors v over F_p, as coefficient
+    rows in monomials_of_degree(3, d) order, by Horner's rule in g from the
+    lowest level: (rows, monomials).  A form is built as a dense array
+    indexed by the exponents of x and y."""
     d = levels[-1][0]
     cols = monomials_of_degree(3, d)
-    if not isinstance(field, PrimeField):
-        out = []
-        for row in rows:
-            acc, c = Poly.zero(field), 0
-            for _, mus in levels:
-                terms = zip(map(tuple, mus.tolist()), row[c:c + len(mus)])
-                acc = acc * g + Poly(field, dict(terms))
-                c += len(mus)
-            out.append(acc.coeff_vector(cols))
-        return out, cols
-    rows = np.asarray(rows, dtype=np.int64)
     acc = np.zeros((len(rows), d + 1, d + 1), dtype=np.int64)
     c = 0
     for _, mus in levels:
@@ -437,6 +378,77 @@ def _chain_line(g, top, rank, ncols, s):
     return f"{line}, nonzero at degree {s}"
 
 
+def _top(pointset, m, cap):
+    """The highest degree least_degree reads: the least degree whose
+    monomials outnumber the conditions, where the piece cannot be empty,
+    or `cap` (None for none) or MAX_DEGREE when lower."""
+    conditions = len(pointset) * comb(m + 1, 2)
+    hi = m
+    while comb(hi + 2, 2) <= conditions:
+        hi += 1
+    return min(hi, MAX_DEGREE if cap is None else cap, MAX_DEGREE)
+
+
+def least_degree(pointset, m, cap=None, progress=None):
+    """A degree below which every piece of the m-th symbolic power (m >= 1)
+    is empty: alpha itself over F_p, a lower bound on it over an extension,
+    and m (every nonzero form vanishing to order m has degree at least m)
+    for a set with no reduction (PointSet.reduced).  Kept on the point set
+    by (m, top), top = _top(pointset, m, cap).
+
+    The chains of a unit form g (unit_form: nonzero at every point) run on
+    the reduced set.  Multiplying by g changes no vanishing order, so for
+    d = D mod deg g the degree-d forms sit in degree D as
+    g^((D - d) / deg g) S_d, and they are the first C(d + 2, 2) columns of
+    the chain of g to D (chain_matrix), whose columns are
+    mu g^((D - deg mu) / deg g), mu a monomial that the leading monomial of
+    g does not divide, ordered by deg mu.  Every prefix therefore has the
+    rank of the monomial conditions of its degree: the first free column of
+    the chain's kernel gives the least nonzero degree of the class, every
+    lower degree of the class being empty, and the kernel vectors whose
+    free column lies in the least prefix, mapped back to monomials, span
+    that degree's piece, which over F_p is stored on the point set for
+    certified_alpha, the containment loop and the generators.
+    The chains run to top, top - 1, ..., top - deg g + 1, each stopping
+    below the least nonzero degree found so far, with one progress line
+    each.  Over an extension rank can only drop under reduction, so the
+    empty degrees at the prime are empty exactly.
+
+    Nothing nonzero through top, or m above it, is a FatIdealError when top
+    is `cap` and a UsageError when it is MAX_DEGREE (alpha lies above the
+    widest degree), raised before any matrix is built when m > top.
+    """
+    top = _top(pointset, m, cap)
+    if m > top:
+        _nothing_through(top, cap)
+    chained = pointset.reduced
+    if chained is None:
+        return m
+    key = (m, top)
+    if key not in pointset.least:
+        g = unit_form(chained)
+        alpha = None
+        for d in range(top, max(top - g.degree(), -1), -1):
+            # a class need not be read from alpha up: its chain stops below
+            while alpha is not None and d >= alpha:
+                d -= g.degree()
+            if d < 0:
+                continue
+            s, rank, ncols, prefix = _chain(chained, g, m, d)
+            if progress is not None:
+                progress(_chain_line(g, d, rank, ncols, s))
+            if s is not None:
+                alpha, (rows, levels) = s, prefix
+        if alpha is None:
+            _nothing_through(top, cap)
+        if chained is pointset and (m, alpha) not in pointset.pieces:
+            forms, cols = _chain_forms(rows, levels, g, pointset.field)
+            pointset.pieces[(m, alpha)] = GradedPiece(alpha, pointset.field,
+                                                      cols, forms)
+        pointset.least[key] = alpha
+    return pointset.least[key]
+
+
 def certified_alpha(pointset, m, cap=120, progress=None):
     """Least degree alpha with a nonzero piece of the m-th symbolic power
     (m >= 1), with the two certificates that fix it:
@@ -445,67 +457,30 @@ def certified_alpha(pointset, m, cap=120, progress=None):
     - "witness": a nonzero form of degree alpha, re-checked by local expansion
       to vanish to order m at every point.
 
-    alpha comes from one kernel per residue class of degrees modulo deg g,
-    for a unit form g (unit_form: nonzero at every point).  Multiplying by
-    g changes no vanishing order, so for d = D mod deg g the degree-d
-    forms sit in degree D as g^((D - d) / deg g) S_d, and they are the
-    first C(d + 2, 2) columns of the chain of g to D (chain_matrix), whose
-    columns are mu g^((D - deg mu) / deg g), mu a monomial that the leading
-    monomial of g does not divide, ordered by deg mu.  Every prefix
-    therefore has the rank of the monomial conditions of its degree: the
-    first free column of the chain's kernel gives the least nonzero degree
-    of the class, every lower degree of the class being empty, and the
-    kernel vectors whose free column lies in the alpha prefix, mapped back
-    to monomials, span the degree-alpha piece, which is stored on the point
-    set for the containment loop and the generators.  The chains run to D,
-    D - 1, ..., D - deg g + 1, each stopping below the least nonzero degree
-    found so far.  D is the least degree whose monomials outnumber the
-    conditions, where the piece cannot be empty, or `cap` when that is
-    lower (FatIdealError when the chains find nothing up to it); no chain
-    runs past MAX_DEGREE, and alpha above it is a UsageError.
-
-    Over an extension with a partner prime the chains run on the point set
-    reduced there.  Rank can only drop under reduction, so their empty
-    degrees are empty exactly; from their least nonzero degree exact pieces
-    (symbolic_piece) are built upward until one is nonzero, and that one is
-    alpha's.  A failed certificate raises FatIdealError.
+    Every piece below least_degree is empty.  From there pieces are built
+    upward (symbolic_piece, with a progress line for each one built) until
+    one is nonzero, and that one is alpha's; over F_p it is the first,
+    stored by least_degree.  No nonzero piece through `cap` is a
+    FatIdealError, alpha above MAX_DEGREE a UsageError, and a witness that
+    does not re-check a FatIdealError.
     """
     if m < 1:
         raise FatIdealError(f"alpha needs a multiplicity m >= 1, got {m}")
-    conditions = len(pointset) * comb(m + 1, 2)
-    hi = m
-    while comb(hi + 2, 2) <= conditions:
-        hi += 1
-    top = min(hi, cap, MAX_DEGREE)
-    chained = pointset if pointset.reduced is None else pointset.reduced
-    g = unit_form(pointset)
-    alpha = None
-    for d in range(top, max(top - g.degree(), -1), -1):
-        # a class need not be read from alpha up: its chain stops below
-        while alpha is not None and d >= alpha:
-            d -= g.degree()
-        if d < 0:
-            continue
-        s, rank, ncols, prefix = _chain(chained, g, m, d)
-        if progress is not None:
-            progress(_chain_line(g, d, rank, ncols, s))
-        if s is not None:
-            alpha, (rows, levels) = s, prefix
-    if alpha is None:
-        _nothing_through(top, cap)
-    if chained is pointset:
-        if (m, alpha) not in pointset.pieces:
-            forms, cols = _chain_forms(rows, levels, g, pointset.field)
-            pointset.pieces[(m, alpha)] = GradedPiece(alpha, pointset.field,
-                                                      cols, forms)
-    else:
-        while not _probe(pointset, m, alpha, progress).dim:
-            alpha += 1
-            if alpha > top:
-                _nothing_through(top, cap)
-    piece = pointset.pieces[(m, alpha)]
-    form = piece.basis_poly(0) if piece.dim else None
-    if form is None or not vanishes_to_order(form, pointset, m):
+    alpha = least_degree(pointset, m, cap, progress)
+    top = _top(pointset, m, cap)
+    while True:
+        built = (m, alpha) not in pointset.pieces
+        piece = symbolic_piece(pointset, m, alpha)
+        if built and progress is not None:
+            ncols = len(piece.monomials)
+            progress(f"degree {alpha}: rank {ncols - piece.dim} of {ncols} columns")
+        if piece.dim:
+            break
+        alpha += 1
+        if alpha > top:
+            _nothing_through(top, cap)
+    form = piece.basis_poly(0)
+    if not vanishes_to_order(form, pointset, m):
         raise FatIdealError(
             f"no form of degree {alpha} vanishing to order {m} re-checks")
     ncols = comb(alpha + 1, 2)
@@ -513,15 +488,6 @@ def certified_alpha(pointset, m, cap=120, progress=None):
             "empty_below": {"degree": alpha - 1, "rank": ncols, "columns": ncols},
             "witness": {"degree": alpha, "order": m, "form": form,
                         "check": "local expansion at every point"}}
-
-
-def _probe(pointset, m, d, progress):
-    """The exact piece of degree d, with its progress line."""
-    piece = symbolic_piece(pointset, m, d)
-    if progress is not None:
-        ncols = len(piece.monomials)
-        progress(f"degree {d}: rank {ncols - piece.dim} of {ncols} columns")
-    return piece
 
 
 def _nothing_through(top, cap):
@@ -557,13 +523,14 @@ class GeneratorSet:
 
 
 def minimal_generators(pointset, up_to_degree):
-    """Minimal generators of the point ideal, degree by degree: in degree d
-    the new generators complete a basis of I_d modulo the degree-d part of
+    """Minimal generators of the point ideal, degree by degree from
+    least_degree (every lower piece is empty): in degree d the new
+    generators complete a basis of I_d modulo the degree-d part of
     S_1 * I_(d-1)."""
     field = pointset.field
-    gens = GeneratorSet(pointset)
+    gens = GeneratorSet(pointset, complete_through=up_to_degree)
     prev_basis = []  # basis polys of I_(d-1)
-    for d in range(1, up_to_degree + 1):
+    for d in range(least_degree(pointset, 1), up_to_degree + 1):
         piece = symbolic_piece(pointset, 1, d)
         cols = piece.monomials
         products = []
@@ -580,7 +547,6 @@ def minimal_generators(pointset, up_to_degree):
                 span = GradedPiece(d, field, cols, list(span.rows) + [vec])
         if new:
             gens.by_degree[d] = new
-        gens.complete_through = d
         prev_basis = basis
     return gens
 

@@ -110,6 +110,7 @@ def test_usage_error_exit_code():
     ["series", "--preset", "klein", "--d", "10", "--m3b", "1"],
     ["fatideal", "generators", "--preset", "klein-char7", "--depth", "127"],
     ["fatideal", "contain", "--preset", "klein-char7", "--dmax", "127"],
+    ["fatideal", "alpha", "--preset", "klein-char7", "--m", "127", "--cap", "200"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
@@ -119,7 +120,8 @@ def test_usage_error_exit_code():
         "waldschmidt-klein-ledger-below-30", "special-without-verify",
         "special-exact-field", "special-char7", "curve-only-with-ledger",
         "curve-only-wiman", "klein-series-m5", "klein-series-m3b",
-        "generators-depth-above-126", "contain-dmax-above-126"])
+        "generators-depth-above-126", "contain-dmax-above-126",
+        "alpha-m-above-126"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)
@@ -164,6 +166,17 @@ def test_fatideal_alpha_command():
     code, _ = run_cli(["fatideal", "alpha", "--preset", "klein-char7",
                        "--m", "3", "--cap", "10"])
     assert code == 1
+
+
+def test_fatideal_alpha_m_above_cap(capsys):
+    """alpha >= m, so an --m above --cap fails before any matrix is built:
+    the chain to degree 120 alone would take tens of GiB."""
+    code, rep = run_cli(["fatideal", "alpha", "--preset", "klein-char7",
+                         "--m", "127"])
+    assert (code, rep) == (1, None)
+    assert capsys.readouterr().err == ("verification failure: no element of "
+                                       "the symbolic power found up to degree "
+                                       "120\n")
 
 
 def test_fatideal_alpha_progress(capsys):

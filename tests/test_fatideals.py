@@ -9,7 +9,8 @@ from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   asymptotic_resurgence_bounds, certified_alpha,
                                   containment_inequality_certificate,
                                   containment_report, jacobian_minor_generators,
-                                  line_product, membership, minimal_generators,
+                                  least_degree, line_product, membership,
+                                  minimal_generators,
                                   orbit_count_decompositions, point_conditions_matrix,
                                   power_piece, resurgence_certificate,
                                   symbolic_piece, vanishes_to_order)
@@ -347,10 +348,16 @@ def test_conditions_exact_vs_modp_dim(klein_points_exact, klein_points_modp):
             == symbolic_piece(klein_points_modp, m, d).dim
 
 
+def _copy(pointset):
+    """A fresh copy of the point set: nothing built or kept yet."""
+    return PointSet(pointset.preset, pointset.field, pointset.points,
+                    pointset.charts)
+
+
 def _without_reduction(pointset):
-    """A fresh copy of the point set whose pieces all take the exact route."""
-    ps = PointSet(pointset.preset, pointset.field, pointset.points,
-                  pointset.charts)
+    """A fresh copy of the point set with no reduction: no chain runs on
+    it, and every piece is a kernel of its exact conditions."""
+    ps = _copy(pointset)
     ps.reduced = None
     return ps
 
@@ -370,37 +377,101 @@ def _same_piece(a, b):
 ])
 def test_partner_check_matches_exact_route(request, preset, m, alpha,
                                            exact_degrees):
-    """Every piece below alpha is settled empty at the partner prime, and
-    equals the piece the exact conditions give: same rows, pivots and
-    monomials.  At alpha the partner check declines, so the piece is built
-    by the exact route as before."""
+    """The chains at the partner prime find every piece below alpha empty
+    and the one at alpha nonzero, and the exact conditions agree: on a copy
+    with no reduction the exact pieces are empty below alpha and nonzero at
+    it."""
     pointset = request.getfixturevalue(f"{preset}_points_exact")
     assert pointset.reduced is not None
     assert pointset.reduced.field.p == pointset.field.partner_prime
+    assert least_degree(pointset, m) == alpha
     exact = _without_reduction(pointset)
-    for d in range(1, alpha):
-        assert fatideals._empty_at_partner(pointset, m, d), d
-    assert not fatideals._empty_at_partner(pointset, m, alpha)
     for d in exact_degrees:
-        piece = symbolic_piece(pointset, m, d)
-        assert _same_piece(piece, symbolic_piece(exact, m, d)), d
-        assert (piece.dim > 0) == (d >= alpha)
+        assert (symbolic_piece(exact, m, d).dim > 0) == (d >= alpha), d
 
 
 def test_empty_pieces_build_no_exact_conditions(klein_config_exact, monkeypatch):
     """The generators of the exact Klein ideal to degree 7, all of whose
-    pieces are empty, build their conditions at F_4733 alone."""
-    fields = []
-    conditions = fatideals.point_conditions_matrix
+    pieces are empty, build one chain at F_4733 and no conditions at all:
+    the chain proves every piece below alpha = 8 empty."""
+    fields = {"point_conditions_matrix": [], "chain_matrix": []}
 
-    def recording(pointset, m, d):
-        fields.append(pointset.field)
-        return conditions(pointset, m, d)
+    def recorder(name):
+        built = getattr(fatideals, name)
 
-    monkeypatch.setattr(fatideals, "point_conditions_matrix", recording)
+        def recording(pointset, *args):
+            fields[name].append(pointset.field.name)
+            return built(pointset, *args)
+        return recording
+
+    for name in fields:
+        monkeypatch.setattr(fatideals, name, recorder(name))
     gens = minimal_generators(PointSet.from_config(klein_config_exact), 7)
     assert gens.by_degree == {} and gens.complete_through == 7
-    assert [f.name for f in fields] == ["F4733"] * 7
+    assert fields == {"point_conditions_matrix": [], "chain_matrix": ["F4733"]}
+
+
+@pytest.mark.parametrize("points, m, alpha", [
+    ("char7_points", 1, 8), ("char7_points", 2, 16), ("klein_points_modp", 1, 8),
+    ("klein_points_modp", 2, 16)])
+def test_least_degree_over_prime_field(points, m, alpha, request):
+    """Over F_p least_degree is alpha, and it stores the (m, alpha) piece
+    read from its chain, with nothing else built."""
+    ps = _copy(request.getfixturevalue(points))
+    assert ps.reduced is ps
+    assert least_degree(ps, m) == alpha
+    assert list(ps.pieces) == [(m, alpha)] and ps.pieces[(m, alpha)].dim > 0
+
+
+@pytest.mark.parametrize("points, m, alpha", [
+    ("klein_points_exact", 1, 8), ("klein_points_exact", 2, 16),
+    ("wiman_points_exact", 1, 16), ("wiman_points_exact", 2, 32)])
+def test_least_degree_over_extension(points, m, alpha, request):
+    """Over Q(zeta7) and Q(sqrt5, omega) the chains at the partner prime
+    give alpha itself for m = 1, 2, and build no exact piece."""
+    ps = _copy(request.getfixturevalue(points))
+    assert least_degree(ps, m) == alpha
+    assert ps.pieces == {}
+
+
+def test_least_degree_without_reduction(five_points_rational):
+    """Q has no partner prime: the bound is m, read with no chain and no
+    piece; certified_alpha walks up from it (see
+    test_alpha_bisection_matches_scan)."""
+    ps = _copy(five_points_rational)
+    assert ps.reduced is None
+    assert [least_degree(ps, m) for m in (1, 2, 3)] == [1, 2, 3]
+    assert ps.pieces == {} and ps.least == {}
+
+
+def test_generators_below_alpha(char7_points):
+    """Through degree 5, below alpha(I) = 8, there is no generator, and the
+    set is complete through 5."""
+    gens = minimal_generators(char7_points, 5)
+    assert gens.by_degree == {} and gens.complete_through == 5
+
+
+def test_witness_recheck_can_fail(char7_config, char7_points, monkeypatch):
+    """The witness re-check is not a formality.  The line product vanishes
+    to order 3 at every point but not to order 4; and a chain whose form
+    misses a point makes certified_alpha raise."""
+    F = line_product(char7_config)
+    assert vanishes_to_order(F, char7_points, 3)
+    assert not vanishes_to_order(F, char7_points, 4)
+    forms_of_chain = fatideals._chain_forms
+    calls = []
+
+    def mutated(rows, levels, g, field):
+        forms, cols = forms_of_chain(rows, levels, g, field)
+        bad = forms[:1].copy()
+        bad[0, 0] = (bad[0, 0] + 1) % field.p      # + x^alpha
+        calls.append(cols[0])
+        return bad, cols
+
+    monkeypatch.setattr(fatideals, "_chain_forms", mutated)
+    with pytest.raises(FatIdealError, match="no form of degree 8"):
+        certified_alpha(_copy(char7_points), 1)
+    assert calls == [(8, 0, 0)]
 
 
 def test_partner_check_without_image(klein_exact):
@@ -447,9 +518,9 @@ def test_unit_form(points, text, request):
     F_4733 and, through its reduction, over Q(zeta7)) and Wiman, the conic
     whose complement is the point set for klein-char7."""
     ps = request.getfixturevalue(points)
-    g = fatideals.unit_form(ps)
+    chained = ps.reduced
+    g = fatideals.unit_form(chained)
     assert g.text() == text and g.degree() == (2 if ps.preset == "klein-char7" else 1)
-    chained = ps if ps.reduced is None else ps.reduced
     assert g.field == chained.field
     assert all(not g.field.is_zero(g.evaluate(pt)) for pt in chained.points)
     exact = Poly(ps.field, {e: ps.field.coerce(c) for e, c in g.terms.items()})
