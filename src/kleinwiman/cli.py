@@ -20,13 +20,10 @@ SCHEMA = "kleinwiman-report/4"
 
 
 def jsonable(v):
-    from kleinwiman.divisors import DivisorClass
     from kleinwiman.poly import Poly
 
     if isinstance(v, Fraction):
         return str(v) if v.denominator != 1 else int(v)
-    if isinstance(v, DivisorClass):
-        return v.as_text()
     if isinstance(v, Poly):
         return v.text()
     if isinstance(v, dict):

@@ -74,10 +74,6 @@ class LineConfiguration:
     def num_lines(self):
         return len(self.lines)
 
-    @property
-    def num_points(self):
-        return sum(c.size for c in self.classes)
-
     def class_sizes(self):
         return [c.size for c in self.classes]
 

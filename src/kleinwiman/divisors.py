@@ -102,7 +102,6 @@ def klein_dk(k):
     return DivisorClass.make("klein", 28 * k + 2, 2 * k, 5 * k)
 
 
-KLEIN_LIMIT_CLASS = DivisorClass.make("klein", 28, 2, 5)
 WIMAN_NEF_CANDIDATE = DivisorClass.make("wiman", 36, 1, 2, 3)
 KLEIN_CURVE_42 = DivisorClass.make("klein", 42, 0, 8)
 WIMAN_CURVE_90 = DivisorClass.make("wiman", 90, 0, 4, 8)

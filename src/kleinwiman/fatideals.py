@@ -122,9 +122,10 @@ def point_conditions_matrix(pointset, m, d):
     Each point contributes one row per local monomial u^i v^j (in
     local_monomials order): the coefficient of u^i v^j in the expansion of
     each column monomial, the product of the two coordinates' Taylor table
-    entries.  Over F_p the result is one int64 array, each point's block
-    gathered from the Taylor tables kept on the point set by one index array
-    of column exponents, otherwise a list of rows.
+    entries.  Over F_p the result is one int64 array (within
+    kernels.MAX_BYTES), each point's block gathered from the Taylor tables
+    kept on the point set by one index array of column exponents, otherwise
+    a list of rows.
     """
     field = pointset.field
     cols = monomials_of_degree(3, d)
@@ -133,7 +134,7 @@ def point_conditions_matrix(pointset, m, d):
     prime = isinstance(field, PrimeField)
     if prime:
         ii, jj = np.array(monos, dtype=np.intp).reshape(len(monos), 2).T
-        out = np.empty((len(pointset) * len(monos), len(cols)), dtype=np.int64)
+        out = kernels.empty((len(pointset) * len(monos), len(cols)))
     else:
         out = []
     for n, (pt, chart) in enumerate(zip(pointset.points, pointset.charts)):
@@ -272,11 +273,12 @@ def chain_matrix(pointset, g, m, top):
     entries stay below len(local_monomials(m)) p**3 and exact (the jets are
     reduced first where that bound reaches 2**53).  The entries are left
     unreduced, congruent to the conditions: the mod-p kernels reduce their
-    input.
+    input.  The matrix is allocated first, within kernels.MAX_BYTES.
     """
     levels = _chain_levels(g, top)
     monos = local_monomials(m)
     p, n, size = pointset.field.p, len(pointset), len(monos)
+    out = kernels.empty((n, size, comb(top + 2, 2)))
     ii, jj = np.array(monos, dtype=np.intp).reshape(size, 2).T
     # the index of u^(i-k) v^(j-l) among monos, or size (a zero appended to
     # each jet) when it is no monomial: the multiplication matrix's pattern
@@ -309,7 +311,6 @@ def chain_matrix(pointset, g, m, top):
     for _ in levels[1:]:
         powers.append(np.einsum("nrs,ns->nr", times_g, powers[-1]) % p)
     reduce_jets = size * (p - 1) ** 3 >= 2 ** 53
-    out = np.empty((n, size, comb(top + 2, 2)), dtype=np.int64)
     c = 0
     for (s, mus), power in zip(levels, reversed(powers)):
         block = jets(mus)
@@ -596,24 +597,6 @@ def line_product(config):
     for line in config.lines:
         acc = acc * line
     return acc.canonical_scale()
-
-
-def orbit_count_decompositions(sizes, total):
-    """All ways to write `total` as a nonnegative combination of orbit sizes
-    (brute force; the audit behind the generator identification)."""
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(sizes):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        k = 0
-        while k * sizes[i] <= left:
-            rec(i + 1, left - k * sizes[i], acc + [k])
-            k += 1
-    rec(0, total, [])
-    return out
 
 
 def containment_report(pointset, m, r, d_max, gens=None):

@@ -523,21 +523,24 @@ def _attach_prime_constants(field):
 
 
 def _check_constant_relations(f):
+    """FieldError unless each named constant of f satisfies its relation."""
     c = f.constants
-    if "zeta" in c:
-        z = c["zeta"]
-        assert f.pow(z, 7) == f.one and z != f.one, "zeta must have order 7"
-    if "delta" in c:
-        assert f.mul(c["delta"], c["delta"]) == f.coerce(5), "delta^2 != 5"
-    if "omega" in c:
-        om = c["omega"]
-        assert f.is_zero(f.add(f.add(f.mul(om, om), om), f.one)), "omega relation fails"
-    if "s" in c:
-        assert f.mul(c["s"], c["s"]) == f.coerce(-15), "s^2 != -15"
-    if "mu1" in c:
-        two = f.coerce(2)
-        assert f.mul(c["mu1"], two) == f.sub(c["delta"], f.one)
-        assert f.mul(c["mu2"], two) == f.neg(f.add(f.one, c["delta"]))
+    two = f.coerce(2)
+    relations = {
+        "zeta": ("zeta must have order 7",
+                 lambda z: f.pow(z, 7) == f.one and z != f.one),
+        "delta": ("delta^2 != 5", lambda d: f.mul(d, d) == f.coerce(5)),
+        "omega": ("omega^2 + omega + 1 != 0",
+                  lambda om: f.is_zero(f.add(f.add(f.mul(om, om), om), f.one))),
+        "s": ("s^2 != -15", lambda s: f.mul(s, s) == f.coerce(-15)),
+        "mu1": ("2 mu1 != delta - 1",
+                lambda mu: f.mul(mu, two) == f.sub(c["delta"], f.one)),
+        "mu2": ("2 mu2 != -1 - delta",
+                lambda mu: f.mul(mu, two) == f.neg(f.add(f.one, c["delta"]))),
+    }
+    for name, (message, holds) in relations.items():
+        if name in c and not holds(c[name]):
+            raise FieldError(f"{f.name}: {message}")
 
 
 # frozen presentation of Q(sqrt5, omega) by the primitive element t = delta+omega;

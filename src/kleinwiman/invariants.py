@@ -208,8 +208,9 @@ def identity_checks(inv):
 
 def verify_klein_relation(inv):
     """Check the degree-42 identity between the square of the line product
-    and the algebra generators; on residual failure re-derive the
-    coefficients by exact linear solve and report them."""
+    and the algebra generators: it holds when the residual is zero.  On
+    residual failure re-derive the coefficients by exact linear solve and
+    report them, a diagnostic that does not make the frozen ones hold."""
     field = inv.field
     phi4, phi6, phi14, phi21 = inv.phi[4], inv.phi[6], inv.phi[14], inv.phi[21]
     mono_polys = {e: phi4 ** e[0] * phi6 ** e[1] * phi14 ** e[2]
@@ -224,7 +225,6 @@ def verify_klein_relation(inv):
         solved = solve_klein_relation(inv)
         report["coefficients"] = solved
         report["rederived"] = True
-        report["holds"] = solved is not None
     return report
 
 
@@ -313,11 +313,6 @@ def klein_curve_local(inv, point, order):
     """Local expansion of the degree-42 combination tuned to the triple points."""
     return _klein_curve({d: local_expand(inv.psi[d], point, order)
                          for d in (4, 6, 12, 14)}, inv.field)
-
-
-def klein_curve_in_generators(inv):
-    """The degree-42 combination as a weighted polynomial in the generators."""
-    return _klein_curve(inv.psi_in_phi, inv.field)
 
 
 def _wiman_curve(p, field):

@@ -15,7 +15,11 @@ and each product and centring moves half the bytes.  The unblocked loop
 works in int64.
 """
 
+import math
+
 import numpy as np
+
+from kleinwiman.errors import UsageError
 
 # m * p**2 (truncated products) must stay below 2**63 for the int64
 # accumulation; every preset prime is tiny compared to this.
@@ -48,6 +52,23 @@ assert MAX_PRIME + WIDEST * MAX_PRIME ** 2 // 4 < 2 ** 52 \
 SINGLE = 61
 assert SINGLE + WIDEST * (SINGLE + 1) ** 2 // 4 < 2 ** 23 \
     <= 67 + WIDEST * 68 ** 2 // 4
+
+# Largest int64 array a matrix builder allocates, in bytes: 1 GiB.  It admits
+# the chain of the Klein alpha(I^(19)) at full width (9,310 x 8,128, 0.6 GB)
+# and the 804 class of the Klein search (3,625 x 1,982, 57 MB); an
+# elimination then adds a floating-point copy of the same size.
+MAX_BYTES = 1 << 30
+
+
+def empty(shape):
+    """np.empty(shape, int64) within MAX_BYTES, a UsageError naming the
+    shape and size past it (raised before anything is allocated)."""
+    size = 8 * math.prod(shape)
+    if size > MAX_BYTES:
+        raise UsageError(f"a {' x '.join(map(str, shape))} int64 matrix needs "
+                         f"{size / 2 ** 30:.2f} GiB, past the "
+                         f"{MAX_BYTES / 2 ** 30:g} GiB bound of one array")
+    return np.empty(shape, dtype=np.int64)
 
 
 def _check_prime(p):

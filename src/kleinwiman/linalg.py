@@ -86,12 +86,6 @@ def kernel_field(rows, ncols, field):
     return basis
 
 
-def rank_field(rows, field):
-    if not rows:
-        return 0
-    return len(rref_field(rows, field)[1])
-
-
 def reduce_against_rref(rref_rows, pivots, vec, field):
     """Residual of vec after reduction by an RREF row basis."""
     v = list(vec)

@@ -104,10 +104,6 @@ class Poly:
             return -1
         return max(self.wdeg(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {self.wdeg(e) for e in self.terms}
-        return len(degs) <= 1
-
     def sorted_terms(self):
         return sorted(self.terms.items(),
                       key=lambda item: (-self.wdeg(item[0]), tuple(-k for k in item[0])))
@@ -481,12 +477,3 @@ def local_expand(f, center, m, chart=None):
                 else:
                     acc[k] = v
     return TruncPoly(field, m, acc)
-
-
-def multiplicity_at(f, center, cap=None):
-    """Order of vanishing of f at a projective point (None if f is 0 there
-    beyond the cap)."""
-    if cap is None:
-        cap = f.degree() + 1 if f.degree() >= 0 else 1
-    t = local_expand(f, center, cap + 1)
-    return t.order_of_vanishing()

@@ -333,16 +333,11 @@ class SeriesBasis:
                                        ("v1", "v2", "v3"))
                 for v in self.vectors]
 
-    def expanded(self, i):
-        """Basis element i, expanded into the coordinate ring."""
-        inv = invariant_set(self.spec.preset, self.field)
-        gens = [inv.phi[w] for w in series_weights(self.spec.preset)]
-        return self.weighted_polys()[i].substitute(gens)
-
 
 def _series_matrix(spec, field):
     """The column exponents of the series (its weighted monomials) and its
-    condition matrix: an int64 array over F_p, a list of rows otherwise.
+    condition matrix: an int64 array over F_p (within kernels.MAX_BYTES), a
+    list of rows otherwise.
 
     A multiplicity above p is a usage error, raised before any row is built.
     """
@@ -360,7 +355,7 @@ def _series_matrix(spec, field):
         # one array, filled block by block, that linalg takes as it is
         counts = [len(_block_rows(_slopes(spec.preset, field, rep).count(m), m))
                   for rep, m in reps]
-        rows = np.empty((sum(counts), len(exps)), dtype=np.int64)
+        rows = kernels.empty((sum(counts), len(exps)))
         start = 0
         for (rep, m), count in zip(reps, counts):
             end = start + count
@@ -385,15 +380,3 @@ def series_dim(spec, field):
     its condition matrix, with no kernel basis built."""
     exps, rows = _series_matrix(spec, field)
     return len(exps) - linalg.rank(rows, len(exps), field)
-
-
-def check_expected_dim(spec, field):
-    """dim >= edim is a theorem; a violation means the engine is broken."""
-    dim = series_dim(spec, field)
-    e = edim(spec)
-    if dim < e:
-        raise SeriesError(
-            f"series dimension {dim} fell below expected dimension {e} "
-            f"for {spec}; this indicates a defect in the engine")
-    return {"spec": spec, "dim": dim, "edim": e, "equal": dim == e}
-

@@ -411,7 +411,7 @@ def test_criterion_11_property_suites():
     from kleinwiman.fatideals import (PointSet, membership, power_piece,
                                       minimal_generators, symbolic_piece)
     from kleinwiman.configs import build_klein_char7
-    from kleinwiman.series import SeriesSpec, check_expected_dim, series_dim
+    from kleinwiman.series import SeriesSpec, edim, series_dim
 
     # field axioms on randomized triples in every preset
     rng = random.Random(20240819)
@@ -443,8 +443,7 @@ def test_criterion_11_property_suites():
         d = 2 * rng2.randrange(2, 31)
         spec = SeriesSpec("klein", d, m4=rng2.randrange(0, d // 4 + 1),
                           m3=rng2.randrange(0, d // 4 + 1))
-        r = check_expected_dim(spec, Kp)
-        good &= r["dim"] >= r["edim"]
+        good &= series_dim(spec, Kp) >= edim(spec)
     ok &= _line("dim >= edim on 50 random specs (degree <= 60)", good)
     # monotonicity / inclusion of fat-ideal pieces
     c7 = build_klein_char7()

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import kleinwiman
-from kleinwiman.cli import dispatch, jsonable
+from kleinwiman import invariants
+from kleinwiman.cli import dispatch, jsonable, main
 
 
 def run_cli(args):
@@ -251,6 +253,74 @@ def test_invariants_verify_klein_modp():
     checks = rep["results"]["verification"]
     assert checks["degree42_relation"]["holds"]
     assert checks["image_of_triple_point"] == ["3", "4731", "4685"]
+
+
+def test_wrong_klein_relation_fails(monkeypatch, capsys):
+    """Mutation check: with one frozen coefficient of the degree-42 relation
+    changed, the residual is nonzero and the relation fails, although the
+    exact solve still re-derives the true coefficients."""
+    monkeypatch.setattr(invariants, "KLEIN_RELATION",
+                        {**invariants.KLEIN_RELATION, (9, 1, 0): 2049})
+    code, rep = run_cli(["invariants", "--preset", "klein", "--field", "mod4733",
+                         "--verify"])
+    relation = rep["results"]["verification"]["degree42_relation"]
+    assert code == 1
+    assert not relation["holds"] and relation["rederived"]
+    assert relation["coefficients"]["(9, 1, 0)"] == 2048
+    code, rep = run_cli(["golden", "--suite", "klein-core"])
+    assert code == 1 and rep["results"]["failed"] == 1
+    assert "[FAIL] degree-42 relation: rederived=True\n" in capsys.readouterr().err
+
+
+def test_fatideal_generators_command():
+    """The minimal generators of the char-7 ideal of 49 points: three of
+    degree 8 and one of degree 9."""
+    code, rep = run_cli(["fatideal", "generators", "--preset", "klein-char7",
+                         "--depth", "13"])
+    assert code == 0
+    results = rep["results"]
+    assert results["generators_by_degree"] == {"8": 3, "9": 1}
+    assert (results["alpha"], results["omega"]) == (8, 9)
+
+
+def test_main_prints_the_dispatched_report(capsys):
+    """main prints the report as sorted-key JSON and returns the exit code;
+    a usage error prints nothing on stdout."""
+    argv = ["waldschmidt", "--preset", "wiman"]
+    code, rep = dispatch(argv)
+    assert main(argv) == code == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(jsonable(rep), sort_keys=True, indent=1) + "\n"
+    assert json.loads(out)["results"] == jsonable(rep["results"])
+    assert main(["series", "--preset", "klein", "--d", "-3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# address space of the child below: numpy and the engine fit in it, the
+# 3.78 GiB matrix the command below would ask for does not
+CHILD_AS_BYTES = 3_000_000 * 1024
+
+
+def _limit_address_space():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = CHILD_AS_BYTES if hard == resource.RLIM_INFINITY \
+        else min(CHILD_AS_BYTES, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_oversized_fat_point_input_is_usage_error():
+    """A chain of 49 x 1275 rows by 8128 columns (3.78 GiB) is refused by
+    the byte bound before numpy is asked for it: exit 2, no traceback."""
+    src = os.path.dirname(os.path.dirname(kleinwiman.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kleinwiman.cli", "fatideal", "contain",
+         "--preset", "klein-char7", "--m", "50", "--r", "1", "--dmax", "126"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage error: a 49 x 1275 x 8128 int64 matrix")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("suite", ["klein-core", "wiman-core", "char7"])

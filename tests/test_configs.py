@@ -37,7 +37,7 @@ def test_build_closes_no_group(monkeypatch, build, field, ngens, nlines):
 def test_klein_counts(klein_config_exact):
     assert klein_config_exact.num_lines == 21
     assert klein_config_exact.class_sizes() == [21, 28]
-    assert klein_config_exact.num_points == 49
+    assert len(klein_config_exact.all_points()) == 49
 
 
 def test_klein_triple_point_is_one_one_one(klein_config_exact):
@@ -64,7 +64,7 @@ def test_klein_requires_seventh_root():
 def test_wiman_counts(wiman_config_modp):
     assert wiman_config_modp.num_lines == 45
     assert wiman_config_modp.class_sizes() == [36, 45, 60, 60]
-    assert wiman_config_modp.num_points == 201
+    assert len(wiman_config_modp.all_points()) == 201
 
 
 def test_wiman_coordinate_points_are_quadruple(wiman_config_modp):

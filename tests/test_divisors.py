@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kleinwiman.divisors import (CLASS_SIZES, DivisorClass, KLEIN_CURVE_42,
-                                 KLEIN_LIMIT_CLASS, SEARCH_PLANS, WIMAN_CURVE_90,
+                                 SEARCH_PLANS, WIMAN_CURVE_90,
                                  WIMAN_NEF_CANDIDATE, _virtual_dim, combine,
                                  intersect, klein_dk, klein_lower_bound,
                                  klein_upper_bound_identity, line_class,
@@ -40,7 +40,8 @@ def test_bilinearity_and_symmetry():
 
 
 def test_limit_class_orthogonal_to_lines():
-    assert intersect(KLEIN_LIMIT_CLASS, line_class("klein")) == 0
+    limit = DivisorClass.make("klein", 28, 2, 5)
+    assert intersect(limit, line_class("klein")) == 0
     for k in (1, 2, Fraction(16, 7), 7):
         assert intersect(klein_dk(k), line_class("klein")) > 0
 

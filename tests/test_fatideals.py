@@ -10,8 +10,7 @@ from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   containment_inequality_certificate,
                                   containment_report, jacobian_minor_generators,
                                   least_degree, line_product, membership,
-                                  minimal_generators,
-                                  orbit_count_decompositions, point_conditions_matrix,
+                                  minimal_generators, point_conditions_matrix,
                                   power_piece, resurgence_certificate,
                                   symbolic_piece, vanishes_to_order)
 from kleinwiman.fields import PrimeField, RationalField
@@ -262,13 +261,6 @@ def test_monotonicity_properties(char7_points, char7_gens):
         sm = symbolic_piece(char7_points, r, d)
         for f in pw.basis_polys():
             assert membership(f, sm)
-
-
-def test_orbit_count_audits():
-    assert orbit_count_decompositions((28, 21, 24, 56, 42, 84, 168), 49) \
-        == [(1, 1, 0, 0, 0, 0, 0)]
-    assert orbit_count_decompositions((60, 45, 36, 72, 90, 180, 360), 201) \
-        == [(2, 1, 1, 0, 0, 0, 0)]
 
 
 def test_char7_line_product_membership(char7_config, char7_points, char7_gens):

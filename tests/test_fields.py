@@ -6,7 +6,7 @@ import pytest
 
 from kleinwiman.errors import FieldError
 from kleinwiman.fields import (PrimeField, RationalField,
-                               SimpleExtension,
+                               SimpleExtension, _check_constant_relations,
                                is_irreducible_monic_int, preset_field,
                                tonelli_sqrt)
 
@@ -31,6 +31,18 @@ def test_mod4733_seventh_root():
     assert w == 7
     assert pow(7, 7, 4733) == 1
     assert all(pow(7, k, 4733) != 1 for k in range(1, 7))
+
+
+def test_constant_relation_failure_is_field_error():
+    """The named constants are checked by a FieldError, which python -O
+    keeps: a zeta of order other than 7 is rejected."""
+    f = PrimeField(4733)
+    f.constants["zeta"] = 2
+    assert pow(2, 7, 4733) != 1
+    with pytest.raises(FieldError, match="zeta must have order 7"):
+        _check_constant_relations(f)
+    f.constants["zeta"] = 7
+    _check_constant_relations(f)
 
 
 def test_wiman_primitive_element_presentation(wiman_exact):
