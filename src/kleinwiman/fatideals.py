@@ -7,8 +7,14 @@ every point of the configuration (they are not spanned by invariants), so
 the matrices here have one block of rows per point.
 
 Every piece below a least degree is empty, and least_degree proves it once,
-over F_p, with one kernel per residue class of degrees modulo deg g, where
-g is a unit form: a line or conic vanishing at no point (unit_form).
+over F_p.  It first divides out the lines of the configuration that are
+fixed components (_peel): on the blowup a line through the points P is
+L = H - sum E_P, and D = dH - sum m_P E_P meets it in D.L = d - sum_(P on
+L) m_P, so when that is negative L divides every form of the piece
+(Bezout on the line).  What is left is a residual system of lower degree
+and lower orders, one per point, read with one kernel per residue class of
+degrees modulo deg g, where g is a unit form: a line or conic vanishing at
+no point (unit_form).
 Multiplying by g changes no vanishing order, so in the chain of g to a
 degree D, whose columns are the monomials mu not divisible by the leading
 monomial of g times g^((D - deg mu) / deg g), ordered by deg mu, the first
@@ -22,6 +28,7 @@ degrees are empty exactly.  The pieces from there on are kernels of their
 conditions (symbolic_piece; linalg.kernel_certified over an extension).
 """
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
@@ -31,11 +38,13 @@ from math import comb
 import numpy as np
 
 from kleinwiman import kernels, linalg
+from kleinwiman.configs import line_coeffs
 from kleinwiman.divisors import waldschmidt_bounds
 from kleinwiman.errors import FatIdealError, FieldError, UsageError
 from kleinwiman.fields import PrimeField
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
-                             local_monomials, monomials_of_degree, taylor_table)
+                             local_monomials, monomials_of_degree, normalize_point,
+                             taylor_table)
 
 # regularity data imported from the reference results, never computed here:
 # reg(I^r) for r >= 2 is linear of the recorded shape, and the char-7 value
@@ -67,6 +76,9 @@ class PointSet:
     field: object
     points: list          # normalized projective points
     charts: list          # chart coordinate per point
+    # coefficient vectors (on x, y, z) of lines of the plane, the
+    # configuration's lines for a set from_config: least_degree peels them
+    lines: list = dc_field(default_factory=list)
     # kept so that nothing is built twice for one point set: symbolic_piece's
     # pieces by (m, d), over F_p the Taylor tables of the conditions by
     # (coordinate, m), and least_degree's results by (m, top)
@@ -78,7 +90,8 @@ class PointSet:
     def from_config(cls, config):
         pts = config.all_points()
         charts = [chart_for_point(config.field, p) for p in pts]
-        return cls(config.preset, config.field, pts, charts)
+        return cls(config.preset, config.field, pts, charts,
+                   [line_coeffs(line) for line in config.lines])
 
     def __len__(self):
         return len(self.points)
@@ -89,7 +102,10 @@ class PointSet:
         itself over a prime field, otherwise the set at the partner prime
         of its field (same charts, so its condition matrices reduce these
         entry by entry), built once; None when the field has no partner
-        prime or a coordinate's denominator vanishes there."""
+        prime or a coordinate's denominator vanishes there.  Its lines are
+        the distinct reductions of the set's lines (two lines that meet mod
+        p count once); it has none when a coefficient has no image, or when
+        two points meet mod p, as the peel counts each point once."""
         if isinstance(self.field, PrimeField):
             return self
         p = getattr(self.field, "partner_prime", None)
@@ -99,7 +115,15 @@ class PointSet:
             pts = [tuple(self.field.reduce(c) for c in pt) for pt in self.points]
         except FieldError:
             return None
-        return PointSet(self.preset, PrimeField(p), pts, self.charts)
+        fp = PrimeField(p)
+        try:
+            lines = [normalize_point(fp, [self.field.reduce(c) for c in line])
+                     for line in self.lines]
+        except FieldError:
+            lines = []
+        if len(set(pts)) < len(pts):
+            lines = []
+        return PointSet(self.preset, fp, pts, self.charts, list(dict.fromkeys(lines)))
 
 
 def _taylor_array(pointset, c, d, m):
@@ -206,15 +230,50 @@ def symbolic_piece(pointset, m, d):
     return pointset.pieces[key]
 
 
+def _monomial_tables(pointset, idx, top, m):
+    """For the points idx of a set over F_p: a function taking monomial
+    exponents mus (an array, one row each, of degree at most top) to the
+    expansions of their two chart factors below order m, (au, av), each of
+    shape (len(idx), m, len(mus)): au[n, i, t] is the coefficient of u^i in
+    the u factor of mus[t] at point idx[n].  Both are read from the Taylor
+    tables kept on the point set, stacked once."""
+    charts = np.array(pointset.charts, dtype=np.intp)[idx]
+    lu, lv = (charts == 0).astype(np.intp), 2 - (charts == 2)
+    tu, tv = (np.stack([_taylor_array(pointset, pointset.points[n][k], top, m)[:top + 1]
+                        for n, k in zip(idx, ks.tolist())])
+              for ks in (lu, lv))
+    each = np.arange(len(idx))[:, None]
+
+    def tables(mus):
+        return (tu[each, mus.T[lu]].transpose(0, 2, 1),
+                tv[each, mus.T[lv]].transpose(0, 2, 1))
+    return tables
+
+
 def vanishes_to_order(f, pointset, m):
     """Direct membership in the m-th symbolic power: the local expansion at
     every point has order >= m.  Equivalent to membership in the kernel of
-    the condition matrix, with no elimination."""
-    for pt, chart in zip(pointset.points, pointset.charts):
-        t = local_expand(f, pt, m, chart=chart)
-        if not t.is_zero():
-            return False
-    return True
+    the condition matrix, with no elimination.  Over F_p the factors of the
+    form's monomials are read from the Taylor tables (_monomial_tables),
+    and one batched product gives the coefficient of u^i v^j at each point,
+    for i, j < m: those with i + j < m must vanish."""
+    field = pointset.field
+    if not isinstance(field, PrimeField):
+        for pt, chart in zip(pointset.points, pointset.charts):
+            t = local_expand(f, pt, m, chart=chart)
+            if not t.is_zero():
+                return False
+        return True
+    if f.is_zero() or m < 1 or not len(pointset):
+        return True
+    p = field.p
+    exps = np.array(list(f.terms), dtype=np.intp)
+    coeffs = np.array(list(f.terms.values()), dtype=np.int64)
+    au, av = _monomial_tables(pointset, range(len(pointset)), f.degree(), m)(exps)
+    # each entry of the product is a sum of terms below p**2: exact in int64
+    jets = (au * coeffs % p) @ av.transpose(0, 2, 1) % p
+    ii, jj = np.array(local_monomials(m), dtype=np.intp).T
+    return not jets[:, ii, jj].any()
 
 
 # The candidate unit forms, in search order: the lines z, x, y and
@@ -226,19 +285,29 @@ UNIT_FORMS = ([{(0, 0, 1): 1}, {(1, 0, 0): 1}, {(0, 1, 0): 1}]
               + [{(2, 0, 0): 1, (0, 2, 0): a, (0, 0, 2): b}
                  for a in range(8) for b in range(8)])
 
+# The monomials of the candidates, and their coefficients there, one row
+# per candidate.
+UNIT_MONOMIALS = np.array(sorted({e for terms in UNIT_FORMS for e in terms}),
+                          dtype=np.int64)
+UNIT_COEFFS = np.array([[terms.get(tuple(e), 0) for e in UNIT_MONOMIALS.tolist()]
+                        for terms in UNIT_FORMS], dtype=np.int64)
+
 
 def unit_form(pointset):
-    """The first of UNIT_FORMS that vanishes at no point of a set over F_p;
-    one with integer coefficients that is nonzero at the reduction of a
-    point is nonzero at the point itself.  FatIdealError when every
-    candidate vanishes somewhere."""
+    """The first of UNIT_FORMS that vanishes at no point of a set over F_p,
+    found by evaluating every candidate at every point in one product; one
+    with integer coefficients that is nonzero at the reduction of a point
+    is nonzero at the point itself.  FatIdealError when every candidate
+    vanishes somewhere."""
     field = pointset.field
-    for terms in UNIT_FORMS:
-        g = Poly(field, {e: field.coerce(c) for e, c in terms.items()})
-        if not any(field.is_zero(g.evaluate(pt)) for pt in pointset.points):
-            return g
-    raise FatIdealError(f"no unit form: each candidate line and conic vanishes "
-                        f"at a point of the {pointset.preset} set")
+    pts = np.array(pointset.points, dtype=np.int64).reshape(len(pointset), 3)
+    values = np.prod(pts[:, None, :] ** UNIT_MONOMIALS, axis=2) % field.p
+    nowhere = np.flatnonzero((UNIT_COEFFS @ values.T % field.p).all(axis=1))
+    if not nowhere.size:
+        raise FatIdealError(f"no unit form: each candidate line and conic "
+                            f"vanishes at a point of the {pointset.preset} set")
+    terms = UNIT_FORMS[nowhere[0]]
+    return Poly(field, {e: field.coerce(c) for e, c in terms.items()})
 
 
 def _chain_levels(g, top):
@@ -259,11 +328,33 @@ def _chain_levels(g, top):
     return levels
 
 
-def chain_matrix(pointset, g, m, top):
-    """Vanishing-to-order-m conditions at every point of a set over F_p on
-    the chain of the unit form g to degree `top` (_chain_levels), as
-    (matrix, levels); rows as in point_conditions_matrix, point by point in
-    local_monomials order.
+def chain_matrix(pointset, g, orders, top):
+    """Vanishing conditions at the points of a set over F_p, to order
+    orders[n] at point n (no rows where it is 0 or less), on the chain of
+    the unit form g to degree `top` (_chain_levels), as (matrix, levels);
+    rows as in point_conditions_matrix, point by point in local_monomials
+    order.  The points of one order are one batch (_chain_blocks), whose
+    blocks are written to their rows level by level.  The matrix is
+    allocated first, within kernels.MAX_BYTES."""
+    levels = _chain_levels(g, top)
+    orders = np.maximum(np.asarray(orders, dtype=np.intp), 0)
+    sizes = orders * (orders + 1) // 2
+    out = kernels.empty((int(sizes.sum()), comb(top + 2, 2)))
+    first = np.cumsum(sizes) - sizes
+    for m in sorted(set(orders.tolist()) - {0}):
+        idx = np.flatnonzero(orders == m)
+        rows = (first[idx, None] + np.arange(comb(m + 1, 2))).ravel()
+        c = 0
+        for block in _chain_blocks(pointset, idx, g, m, levels):
+            out[rows, c:c + block.shape[2]] = block.reshape(len(rows), -1)
+            c += block.shape[2]
+    return out, levels
+
+
+def _chain_blocks(pointset, idx, g, m, levels):
+    """The conditions of order m at the points idx of a set over F_p on the
+    chain's levels, one (len(idx), len(local_monomials(m)), len(mus)) block
+    per level.
 
     A column's jet at a point is the jet of mu, read from the Taylor tables
     as in point_conditions_matrix, times the jet of g^k.  Each level is one
@@ -273,30 +364,22 @@ def chain_matrix(pointset, g, m, top):
     entries stay below len(local_monomials(m)) p**3 and exact (the jets are
     reduced first where that bound reaches 2**53).  The entries are left
     unreduced, congruent to the conditions: the mod-p kernels reduce their
-    input.  The matrix is allocated first, within kernels.MAX_BYTES.
+    input.
     """
-    levels = _chain_levels(g, top)
+    top = levels[-1][0]
     monos = local_monomials(m)
-    p, n, size = pointset.field.p, len(pointset), len(monos)
-    out = kernels.empty((n, size, comb(top + 2, 2)))
+    p, n, size = pointset.field.p, len(idx), len(monos)
     ii, jj = np.array(monos, dtype=np.intp).reshape(size, 2).T
     # the index of u^(i-k) v^(j-l) among monos, or size (a zero appended to
     # each jet) when it is no monomial: the multiplication matrix's pattern
     at = {ij: k for k, ij in enumerate(monos)}
     pattern = np.array([[at.get((i - k, j - l), size) for k, l in monos]
                         for i, j in monos], dtype=np.intp).reshape(size, size)
-    charts = np.array(pointset.charts, dtype=np.intp)
-    lu, lv = (charts == 0).astype(np.intp), 2 - (charts == 2)
-    tu, tv = (np.stack([_taylor_array(pointset, pt[k], top, m)[:top + 1]
-                        for pt, k in zip(pointset.points, ks.tolist())])
-              for ks in (lu, lv))
-    each = np.arange(n)[:, None]
+    tables = _monomial_tables(pointset, idx, max(top, g.degree()), m)
 
     def jets(mus):
-        """The jets of the monomials mus at every point, below p**2: the
-        table rows of their exponents, then their entries at monos."""
-        au = tu[each, mus.T[lu]].transpose(0, 2, 1)
-        av = tv[each, mus.T[lv]].transpose(0, 2, 1)
+        """The jets of the monomials mus at every point, below p**2."""
+        au, av = tables(mus)
         return au[:, ii] * av[:, jj]
 
     def multiplication(jet):
@@ -311,7 +394,6 @@ def chain_matrix(pointset, g, m, top):
     for _ in levels[1:]:
         powers.append(np.einsum("nrs,ns->nr", times_g, powers[-1]) % p)
     reduce_jets = size * (p - 1) ** 3 >= 2 ** 53
-    c = 0
     for (s, mus), power in zip(levels, reversed(powers)):
         block = jets(mus)
         if s < top:
@@ -319,19 +401,18 @@ def chain_matrix(pointset, g, m, top):
                 block %= p
             block = (multiplication(power).astype(np.float64)
                      @ block.astype(np.float64))
-        out[:, :, c:c + len(mus)] = block
-        c += len(mus)
-    return out.reshape(n * size, c), levels
+        yield block
 
 
-def _chain(pointset, g, m, top):
-    """One kernel of the chain of g to degree `top`, read as (s, rank,
-    columns, (rows, levels)): s is the least degree of top's class mod
-    deg g with a nonzero piece (None when there is none through top), the
-    degree of the first free column; rows are the kernel vectors whose free
-    column lies in the degree-s prefix, cut to it, a basis of that piece in
-    chain coordinates; levels are the prefix's."""
-    mat, levels = chain_matrix(pointset, g, m, top)
+def _chain(pointset, g, orders, top):
+    """One kernel of the chain of g to degree `top` at the per-point
+    orders, read as (s, rank, columns, (rows, levels)): s is the least
+    degree of top's class mod deg g with a nonzero piece (None when there
+    is none through top), the degree of the first free column; rows are the
+    kernel vectors whose free column lies in the degree-s prefix, cut to
+    it, a basis of that piece in chain coordinates; levels are the
+    prefix's."""
+    mat, levels = chain_matrix(pointset, g, orders, top)
     ncols = comb(top + 2, 2)
     basis = linalg.kernel(mat, ncols, pointset.field)
     if not len(basis):
@@ -348,6 +429,25 @@ def _chain(pointset, g, m, top):
     return s, ncols - len(basis), ncols, (basis[ends <= c, :c], levels[:k + 1])
 
 
+def _times(acc, terms, p):
+    """Forms times the form with these terms ((exponent, coefficient)
+    pairs), mod p.  A form is a dense array indexed by the exponents of x
+    and y, large enough to hold the product."""
+    out = np.zeros_like(acc)
+    n = acc.shape[1]
+    for (a, b, _), coeff in terms:
+        out[:, a:, b:] += coeff * acc[:, :n - a, :n - b]
+    return out % p
+
+
+def _read_forms(acc, d):
+    """Dense forms of degree d as coefficient rows in monomials_of_degree(3,
+    d) order: (rows, monomials)."""
+    cols = monomials_of_degree(3, d)
+    a, b, _ = np.array(cols, dtype=np.intp).reshape(len(cols), 3).T
+    return acc[:, a, b], cols
+
+
 def _chain_forms(rows, levels, g, field):
     """The forms sum over the columns of v_mu mu g^((d - deg mu) / deg g),
     d the last level's degree, for chain vectors v over F_p, as coefficient
@@ -355,28 +455,85 @@ def _chain_forms(rows, levels, g, field):
     lowest level: (rows, monomials).  A form is built as a dense array
     indexed by the exponents of x and y."""
     d = levels[-1][0]
-    cols = monomials_of_degree(3, d)
     acc = np.zeros((len(rows), d + 1, d + 1), dtype=np.int64)
     c = 0
     for _, mus in levels:
         if c:
-            prev, acc = acc, np.zeros_like(acc)
-            for (a, b, _), coeff in g.terms.items():
-                acc[:, a:, b:] += coeff * prev[:, :d + 1 - a, :d + 1 - b]
-            acc %= field.p
+            acc = _times(acc, g.terms.items(), field.p)
         acc[:, mus[:, 0], mus[:, 1]] += rows[:, c:c + len(mus)]
         c += len(mus)
+    return _read_forms(acc % field.p, d)
+
+
+def _times_lines(forms, cols, lines, p):
+    """Forms of one degree (coefficient rows on the monomials cols) times
+    the product of lines (coefficient vectors on x, y, z), as rows on the
+    monomials of the product's degree: (rows, monomials)."""
+    d = sum(cols[0]) + len(lines)
+    acc = np.zeros((len(forms), d + 1, d + 1), dtype=np.int64)
     a, b, _ = np.array(cols, dtype=np.intp).reshape(len(cols), 3).T
-    return acc[:, a, b] % field.p, cols
+    acc[:, a, b] = forms
+    for line in lines:
+        acc = _times(acc, zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line), p)
+    return _read_forms(acc, d)
 
 
-def _chain_line(g, top, rank, ncols, s):
-    line = f"chain of {g.text()} to degree {top}: rank {rank} of {ncols} columns"
+def _incidence(pointset):
+    """Line-point incidence of a set over F_p, as a 0/1 (lines, points)
+    array: one product of the lines' coefficient vectors by the points."""
+    lines = np.array(pointset.lines, dtype=np.int64).reshape(len(pointset.lines), 3)
+    pts = np.array(pointset.points, dtype=np.int64).reshape(len(pointset), 3)
+    return (lines @ pts.T % pointset.field.p == 0).astype(np.intp)
+
+
+def _peel(pointset, m, top):
+    """The lines of a set over F_p that divide every form of degree at most
+    `top` vanishing to order m at each point, as (peeled, orders): the
+    indices of the lines peeled, in rounds, and per point the order that
+    the quotient by their product must have there.
+
+    A form of degree d that a line does not divide meets it in at most d
+    points counted with multiplicity (Bezout), so a line whose points carry
+    orders summing to more than d (each counted as at least 0) divides it.
+    The lines of one round are distinct, so their product divides it too;
+    the quotient has degree d less the number of lines, and the order at
+    each point drops by the number of those lines through it, since the
+    product of k distinct lines through a point has order k there.  The
+    rounds go on while a line is forced, on the quotient, and a line may be
+    peeled in several.  A line forced at degree d is forced at every lower
+    degree, so the peel holds for every degree through top; when more
+    lines are peeled than top, every piece through top is empty."""
+    orders = np.full(len(pointset), m, dtype=np.intp)
+    peeled = []
+    if pointset.lines:
+        on = _incidence(pointset)
+        while len(peeled) <= top:
+            forced = np.flatnonzero(on @ np.maximum(orders, 0) > top - len(peeled))
+            if not forced.size:
+                break
+            peeled += forced.tolist()
+            orders -= on[forced].sum(axis=0)
+    return peeled, orders
+
+
+def _peel_line(top, s, orders):
+    left = Counter(o for o in orders.tolist() if o > 0)
+    conditions = ", ".join(f"order {o} at {n} points" for o, n in sorted(left.items()))
+    lines = f"{s} lines" if s > 1 else "1 line"
+    return (f"the product of {lines} divides every form through degree "
+            f"{top}: residual degree {top - s}, {conditions or 'no conditions'}")
+
+
+def _chain_line(g, top, rank, ncols, s, shift):
+    """A chain's progress line, in the degrees of the forms before the
+    peeled lines (shift of them) were divided out."""
+    line = (f"chain of {g.text()} to degree {top + shift}: rank {rank} of "
+            f"{ncols} columns")
     if s is None:
-        return f"{line}, empty through degree {top}"
+        return f"{line}, empty through degree {top + shift}"
     if s >= g.degree():
-        line += f", empty through degree {s - g.degree()}"
-    return f"{line}, nonzero at degree {s}"
+        line += f", empty through degree {s - g.degree() + shift}"
+    return f"{line}, nonzero at degree {s + shift}"
 
 
 def _top(pointset, m, cap):
@@ -397,27 +554,39 @@ def least_degree(pointset, m, cap=None, progress=None):
     for a set with no reduction (PointSet.reduced).  Kept on the point set
     by (m, top), top = _top(pointset, m, cap).
 
-    The chains of a unit form g (unit_form: nonzero at every point) run on
-    the reduced set.  Multiplying by g changes no vanishing order, so for
-    d = D mod deg g the degree-d forms sit in degree D as
-    g^((D - d) / deg g) S_d, and they are the first C(d + 2, 2) columns of
-    the chain of g to D (chain_matrix), whose columns are
+    Everything runs on the reduced set.  First the lines are peeled
+    (_peel): on the blowup, a line L through the points P of the set is
+    H - sum E_P, and D = dH - sum m E_P meets it in D.L = d - sum_(P on L)
+    m_P; when that is negative, L is a fixed component of |D|.  So every
+    form through top is the product of the s peeled lines times a form of
+    degree s less, with the orders left at the points (no matrix at all
+    when s > top), and alpha is s plus the least degree of that residual
+    system, read from its chains.
+
+    The chains of a unit form g (unit_form: nonzero at every point) take
+    one order per point (chain_matrix).  Multiplying by g changes no
+    vanishing order, so for d = D mod deg g the degree-d forms sit in
+    degree D as g^((D - d) / deg g) S_d, and they are the first
+    C(d + 2, 2) columns of the chain of g to D, whose columns are
     mu g^((D - deg mu) / deg g), mu a monomial that the leading monomial of
     g does not divide, ordered by deg mu.  Every prefix therefore has the
     rank of the monomial conditions of its degree: the first free column of
     the chain's kernel gives the least nonzero degree of the class, every
     lower degree of the class being empty, and the kernel vectors whose
     free column lies in the least prefix, mapped back to monomials, span
-    that degree's piece, which over F_p is stored on the point set for
-    certified_alpha, the containment loop and the generators.
-    The chains run to top, top - 1, ..., top - deg g + 1, each stopping
-    below the least nonzero degree found so far, with one progress line
-    each.  Over an extension rank can only drop under reduction, so the
+    that degree's piece.  Over F_p that piece times the product of the
+    peeled lines is alpha's, stored on the point set for certified_alpha,
+    the containment loop and the generators.  The chains run to top - s,
+    top - s - 1, ..., top - s - deg g + 1, each stopping below the least
+    nonzero degree found so far, with one progress line each (in the
+    degrees before the peel), after one for the peel when it divides out a
+    line.  Over an extension rank can only drop under reduction, so the
     empty degrees at the prime are empty exactly.
 
     Nothing nonzero through top, or m above it, is a FatIdealError when top
     is `cap` and a UsageError when it is MAX_DEGREE (alpha lies above the
-    widest degree), raised before any matrix is built when m > top.
+    widest degree), raised before any matrix is built when m > top or more
+    lines than top are peeled.
     """
     top = _top(pointset, m, cap)
     if m > top:
@@ -427,26 +596,35 @@ def least_degree(pointset, m, cap=None, progress=None):
         return m
     key = (m, top)
     if key not in pointset.least:
+        peeled, orders = _peel(chained, m, top)
+        s = len(peeled)
+        if s > top:
+            _nothing_through(top, cap)
+        if s and progress is not None:
+            progress(_peel_line(top, s, orders))
         g = unit_form(chained)
         alpha = None
-        for d in range(top, max(top - g.degree(), -1), -1):
+        for d in range(top - s, max(top - s - g.degree(), -1), -1):
             # a class need not be read from alpha up: its chain stops below
             while alpha is not None and d >= alpha:
                 d -= g.degree()
             if d < 0:
                 continue
-            s, rank, ncols, prefix = _chain(chained, g, m, d)
+            least, rank, ncols, prefix = _chain(chained, g, orders, d)
             if progress is not None:
-                progress(_chain_line(g, d, rank, ncols, s))
-            if s is not None:
-                alpha, (rows, levels) = s, prefix
+                progress(_chain_line(g, d, rank, ncols, least, s))
+            if least is not None:
+                alpha, (rows, levels) = least, prefix
         if alpha is None:
             _nothing_through(top, cap)
-        if chained is pointset and (m, alpha) not in pointset.pieces:
-            forms, cols = _chain_forms(rows, levels, g, pointset.field)
-            pointset.pieces[(m, alpha)] = GradedPiece(alpha, pointset.field,
-                                                      cols, forms)
-        pointset.least[key] = alpha
+        if chained is pointset and (m, s + alpha) not in pointset.pieces:
+            field = pointset.field
+            forms, cols = _chain_forms(rows, levels, g, field)
+            if s:
+                forms, cols = _times_lines(forms, cols,
+                                           [pointset.lines[i] for i in peeled], field.p)
+            pointset.pieces[(m, s + alpha)] = GradedPiece(s + alpha, field, cols, forms)
+        pointset.least[key] = s + alpha
     return pointset.least[key]
 
 

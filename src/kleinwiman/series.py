@@ -237,7 +237,7 @@ def _power_table(preset, field, rep, i, m, e):
     A table too narrow for m is rebuilt from powers 0 and 1 at twice its M
     (at least m, at most p); one too short for e is extended by doubling:
     powers n + 1 .. n + k are powers 1 .. k times power n, one batched
-    product each.
+    product each, in an array allocated first, within kernels.MAX_BYTES.
     """
     key = (preset, field, rep, i)
     tab = _power_tables.get(key)
@@ -251,7 +251,7 @@ def _power_table(preset, field, rep, i, m, e):
         tab = np.stack([one, base])
     n = len(tab) - 1
     if n < e:
-        grown = np.empty((e + 1,) + tab.shape[1:], dtype=np.int64)
+        grown = kernels.empty((e + 1,) + tab.shape[1:])
         grown[:n + 1] = tab
         while n < e:
             k = min(n, e - n)
@@ -265,8 +265,8 @@ def _power_table(preset, field, rep, i, m, e):
 
 def _condition_block(preset, field, rep, m, exps, out=None):
     """Rows of vanishing conditions (below order m) at one representative:
-    an int64 array over F_p, written into `out` when given, a list of rows
-    otherwise.
+    an int64 array over F_p, written into `out` when given (allocated
+    within kernels.MAX_BYTES otherwise), a list of rows otherwise.
 
     For each k < m, the t^k coefficients on the first min(k + 1, L) lines,
     L lines covering m directions (see the module docstring).
@@ -277,7 +277,7 @@ def _condition_block(preset, field, rep, m, exps, out=None):
     if isinstance(field, PrimeField):
         at, degrees = np.array(rows).T
         if out is None:
-            out = np.empty((len(rows), len(exps)), dtype=np.int64)
+            out = kernels.empty((len(rows), len(exps)))
         e = np.array(exps).T
         tabs = [_power_table(preset, field, rep, i, m, e[i].max())[:, :n, :m]
                 for i in range(3)]

@@ -196,6 +196,23 @@ def test_fatideal_alpha_progress(capsys):
         "empty through degree 15\n")
 
 
+def test_fatideal_alpha_progress_after_peel(capsys):
+    """At m = 6 every line carries 8 * 6 = 48 > 44 conditions through the
+    top degree, 44: one line for the peel of the 21 lines, then one per
+    chain of the residual system (degree 23, orders 2 and 3), its degrees
+    read with the 21 added back and its columns those of the residual."""
+    code, rep = run_cli(["fatideal", "alpha", "--preset", "klein-char7",
+                         "--m", "6"])
+    assert code == 0 and rep["results"]["alpha"] == 42
+    assert capsys.readouterr().err == (
+        "the product of 21 lines divides every form through degree 44: "
+        "residual degree 23, order 2 at 21 points, order 3 at 28 points\n"
+        "chain of x^2 + y^2 + z^2 to degree 44: rank 231 of 300 columns, "
+        "empty through degree 40, nonzero at degree 42\n"
+        "chain of x^2 + y^2 + z^2 to degree 41: rank 231 of 231 columns, "
+        "empty through degree 41\n")
+
+
 def test_fatideal_contain_dmax_below_alpha():
     """A --dmax below alpha(I) = 8 checks no degree, like one below
     alpha(I^(m)) only: no symbolic element is found, so none is uncontained."""
@@ -308,19 +325,52 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
-def test_oversized_fat_point_input_is_usage_error():
-    """A chain of 49 x 1275 rows by 8128 columns (3.78 GiB) is refused by
-    the byte bound before numpy is asked for it: exit 2, no traceback."""
+# Runs the alpha certificate of the 50th symbolic power of klein-char7 to
+# degree 126 on a copy without its lines, which nothing peels, and reports a
+# usage error as the CLI does.
+UNPEELED_ALPHA_50 = """
+import sys
+from kleinwiman.configs import build_config
+from kleinwiman.errors import UsageError
+from kleinwiman.fatideals import PointSet, certified_alpha
+ps = PointSet.from_config(build_config("klein-char7"))
+ps.lines = []
+try:
+    certified_alpha(ps, 50, cap=126)
+except UsageError as e:
+    print(f"usage error: {e}", file=sys.stderr)
+    sys.exit(2)
+"""
+
+
+def _run_limited(argv):
     src = os.path.dirname(os.path.dirname(kleinwiman.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kleinwiman.cli", "fatideal", "contain",
-         "--preset", "klein-char7", "--m", "50", "--r", "1", "--dmax", "126"],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=_limit_address_space)
+    return subprocess.run([sys.executable] + argv, env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=_limit_address_space)
+
+
+def test_oversized_fat_point_input_is_usage_error():
+    """A chain of 49 x 1275 rows by 8128 columns (3.78 GiB), at order 50 on
+    the 49 points with no line to peel, is refused by the byte bound before
+    numpy is asked for it: a UsageError, no traceback."""
+    proc = _run_limited(["-c", UNPEELED_ALPHA_50])
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("usage error: a 49 x 1275 x 8128 int64 matrix")
+    assert proc.stderr.startswith("usage error: a 62475 x 8128 int64 matrix")
     assert "Traceback" not in proc.stderr
+
+
+def test_peeled_fat_point_input_needs_no_matrix():
+    """With its lines, the same order is settled by the peel: every line
+    divides every form of I^(50) through degree 126 until the degree is
+    used up, so alpha lies above the cap, and the command exits 0 with
+    alpha_symbolic null, within the child's address-space limit."""
+    proc = _run_limited(["-m", "kleinwiman.cli", "fatideal", "contain",
+                         "--preset", "klein-char7", "--m", "50", "--r", "1",
+                         "--dmax", "126"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    results = json.loads(proc.stdout)["results"]
+    assert results["alpha_symbolic"] is None and results["degrees_checked"] == []
 
 
 @pytest.mark.parametrize("suite", ["klein-core", "wiman-core", "char7"])

@@ -340,10 +340,12 @@ def test_conditions_exact_vs_modp_dim(klein_points_exact, klein_points_modp):
             == symbolic_piece(klein_points_modp, m, d).dim
 
 
-def _copy(pointset):
-    """A fresh copy of the point set: nothing built or kept yet."""
+def _copy(pointset, lines=None):
+    """A fresh copy of the point set, with its lines or the ones given:
+    nothing built or kept yet."""
     return PointSet(pointset.preset, pointset.field, pointset.points,
-                    pointset.charts)
+                    pointset.charts,
+                    pointset.lines if lines is None else lines)
 
 
 def _without_reduction(pointset):
@@ -566,3 +568,79 @@ def test_piece_past_the_kernels_width(char7_points, monkeypatch):
     with pytest.raises(UsageError, match="alpha lies above degree 10"):
         certified_alpha(PointSet(char7_points.preset, char7_points.field,
                                  char7_points.points, char7_points.charts), 2)
+
+
+def _alpha_and_piece(pointset, m):
+    """least_degree of the m-th symbolic power on a fresh copy of a set over
+    F_p, and the (m, alpha) piece it stores, as RREF rows, pivots and
+    monomials."""
+    ps = _copy(pointset)
+    alpha = least_degree(ps, m)
+    piece = ps.pieces[(m, alpha)]
+    return alpha, (piece.rows.tolist(), piece.pivots, piece.monomials)
+
+
+@pytest.mark.parametrize("points, m, peeled", [
+    ("char7_points", 3, 21), ("char7_points", 6, 21), ("char7_points", 8, 21),
+    ("char7_points", 10, 42), ("klein_points_modp", 6, 21),
+    ("wiman_points_modp", 2, 0), ("klein_points_exact", 2, 0)])
+def test_peel_keeps_alpha_and_piece(points, m, peeled, request):
+    """Peeling the lines changes neither alpha nor the degree-alpha piece:
+    both equal those of a copy with no lines, whose chains eliminate the
+    whole system.  At m = 10 the lines are peeled in two rounds.  Over
+    Q(zeta7) the peel runs on the reduction at 4733, whose lines are the 21
+    lines reduced."""
+    ps = request.getfixturevalue(points).reduced
+    assert len(ps.lines) == len(request.getfixturevalue(points).lines) > 0
+    assert len(fatideals._peel(ps, m, fatideals._top(ps, m, None))[0]) == peeled
+    assert _alpha_and_piece(ps, m) == _alpha_and_piece(_copy(ps, lines=[]), m)
+
+
+def test_no_peel_when_points_meet_at_the_prime(klein_exact):
+    """(1:1:1) and (1:1:4734) are distinct over Q(zeta7) but meet mod 4733:
+    the reduction lists that point twice, and a peel would count it twice
+    on the line x = y, so the reduced set carries no lines."""
+    f = klein_exact
+    pts = [normalize_point(f, p) for p in
+           ((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, 4734), (0, 0, 1))]
+    ps = PointSet("five-points", f, pts, [chart_for_point(f, p) for p in pts],
+                  [(f.one, f.neg(f.one), f.zero)])
+    reduced = ps.reduced
+    assert reduced.points[2] == reduced.points[3] and reduced.lines == []
+
+
+def test_third_symbolic_power_char7_is_the_line_product(char7_config, char7_points):
+    """Through degree 23 every line carries 8 * 3 = 24 > 23 conditions, so
+    the 21 lines divide every form, and no order is left at any point: alpha
+    is 21, and the piece there is spanned by the product of the lines, with
+    no matrix rank read."""
+    ps = _copy(char7_points)
+    lines = []
+    assert certified_alpha(ps, 3, progress=lines.append)["alpha"] == 21
+    piece = ps.pieces[(3, 21)]
+    assert piece.dim == 1 and membership(line_product(char7_config), piece)
+    assert lines[0] == ("the product of 21 lines divides every form through "
+                        "degree 23: residual degree 2, no conditions")
+
+
+@pytest.mark.parametrize("m", [2, 6])
+def test_false_incidence_is_caught(char7_points, m, monkeypatch):
+    """Mutation: with line 0 said to pass through a point it misses, the
+    peel is wrong (at m = 2 it forces line 0, at m = 6 it leaves too low an
+    order at that point), and either the witness fails its re-check or alpha
+    and its piece differ from those of the copy with no lines."""
+    true = _alpha_and_piece(_copy(char7_points, lines=[]), m)
+    incidence = fatideals._incidence
+    missed = int(np.flatnonzero(incidence(char7_points)[0] == 0)[0])
+
+    def false(pointset):
+        on = incidence(pointset)
+        on[0, missed] = 1
+        return on
+
+    monkeypatch.setattr(fatideals, "_incidence", false)
+    try:
+        certified_alpha(_copy(char7_points), m)
+    except FatIdealError:
+        return
+    assert _alpha_and_piece(char7_points, m) != true

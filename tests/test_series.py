@@ -297,6 +297,23 @@ def test_power_tables_match_column_by_column(klein_modp, wiman_modp):
     assert seen == {"cold", "grown", "sliced"}
 
 
+def test_power_table_and_block_allocations_are_bounded(klein_modp, monkeypatch):
+    """A power table grown past kernels.MAX_BYTES, and a condition block
+    allocated by _condition_block itself, are a UsageError naming the shape
+    before anything is allocated; the table held stays as it was."""
+    monkeypatch.setattr(series, "_power_tables", {})
+    rep = invariant_set("klein", klein_modp).config.classes[0].representative
+    tab = series._power_table("klein", klein_modp, rep, 0, 4, 3)
+    monkeypatch.setattr(kernels, "MAX_BYTES", 2 * tab.nbytes)
+    with pytest.raises(UsageError, match=r"a 21 x \d+ x \d+ int64 matrix"):
+        series._power_table("klein", klein_modp, rep, 0, 4, 20)
+    assert series._power_tables[("klein", klein_modp, rep, 0)] is tab
+    exps = weighted_basis(series_weights("klein"), 48)
+    monkeypatch.setattr(kernels, "MAX_BYTES", 8 * len(exps))
+    with pytest.raises(UsageError, match=rf"a \d+ x {len(exps)} int64 matrix"):
+        _condition_block("klein", klein_modp, rep, 2, exps)
+
+
 # (preset, field, degrees, multiplicities): blocks at every class
 # representative, with kernels from everything down to nothing
 ORBIT_LINE_CASES = [
