@@ -7,7 +7,8 @@ from itertools import product
 from math import isqrt
 
 from kleinwiman.errors import EngineError
-from kleinwiman.series import SeriesSpec, series_dim
+from kleinwiman.series import (SeriesSpec, check_search_width, series_dim,
+                               series_dims)
 
 # orbit sizes per class, fixing the intersection form H^2 = 1,
 # E_class^2 = -(orbit size)
@@ -148,6 +149,12 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
     would change which candidates get series computations.  Candidates are
     integer tuples (d, m_1, ..., m_n) with the intersection form on ints; a
     DivisorClass is made only for a class that enters the ledger.
+
+    Each degree lists its candidates against the ledger as it stands, then
+    computes their dimensions in order from one condition block per orbit
+    class (`series_dims`), checking each against the classes found earlier
+    in the degree.  A degree past the width of the mod-p kernels is a usage
+    error before the first degree.
     """
     if preset not in SEARCH_PLANS:
         raise EngineError(f"no negative-curve search plan for preset {preset!r}")
@@ -155,6 +162,7 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
     sizes = CLASS_SIZES[preset]
     solved = bounds.index(None)
     iterated = [i for i, q in enumerate(bounds) if q is not None]
+    check_search_width(preset, d_max)
     keys = ["m" + label[1:] for label in CLASS_LABELS[preset]]
     ledger = [line_class(preset)]
     found = [(int(c.degree), *map(int, c.mults)) for c in ledger]
@@ -163,6 +171,7 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
         return d * old[0] - sum(s * a * b for s, a, b in zip(sizes, mults, old[1:]))
 
     for d in range(start, d_max + 1, step):
+        listed = {}     # spec -> candidate, in search order
         for values in product(*(range(d // q + 1) for q in bounds if q)):
             mults = list(values)
             r = d * d - sum(sizes[i] * m * m for i, m in zip(iterated, mults))
@@ -174,14 +183,20 @@ def negative_curve_search(preset, field, d_max, log=None, progress=None):
             if any(square + sizes[i] * (2 * mults[i] - 1) < 0
                    for i in iterated if mults[i]):
                 continue
-            dim = series_dim(SeriesSpec(preset, d, **dict(zip(keys, mults))), field)
+            listed[SeriesSpec(preset, d, **dict(zip(keys, mults)))] = (d, *mults)
+        # a class found in this degree is checked against its later candidates
+        new = []
+        for spec, dim in series_dims(list(listed), field, keep=lambda spec: all(
+                meet(d, listed[spec][1:], old) >= 0 for old in new)):
+            candidate = listed[spec]
             if log is not None:
-                log.append({"candidate": (d, *mults), "dim": dim})
+                log.append({"candidate": candidate, "dim": dim})
             if progress is not None:
-                progress(f"candidate ({','.join(map(str, (d, *mults)))}) dim {dim}")
+                progress(f"candidate ({','.join(map(str, candidate))}) dim {dim}")
             if dim > 0:
-                ledger.append(DivisorClass.make(preset, d, *mults))
-                found.append((d, *mults))
+                ledger.append(DivisorClass.make(preset, *candidate))
+                new.append(candidate)
+        found += new
     return ledger
 
 

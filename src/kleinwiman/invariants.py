@@ -8,7 +8,7 @@ factor the degree-24 invariant).
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from kleinwiman import linalg
 from kleinwiman.configs import build_klein, build_wiman
@@ -44,9 +44,15 @@ class InvariantSet:
         self.field = field
         self.config = config
         self.phi = phi                  # degree -> Poly in S
-        self.psi = psi                  # degree -> Poly in S
+        self._psi = psi                 # the same for psi, or a function giving it
         self.psi_in_phi = psi_in_phi    # degree -> weighted Poly in the generators
         self.extra = extra or {}
+
+    @cached_property
+    def psi(self):
+        """degree -> normalized invariant, a Poly in S; built at the first
+        read when the set was given a function for it."""
+        return self._psi() if callable(self._psi) else self._psi
 
 
 def _scaled(f, fr):
@@ -105,11 +111,15 @@ def fixed_forms(gens, degree):
             for v in linalg.kernel(rows, len(monos), field)]
 
 
-def _wiman_psi(phi6, phi12, phi30):
+def _wiman_psi_low(phi6, phi12):
+    """The normalized Wiman invariants psi6 and psi12 in terms of phi6 and
+    phi12 (forms in S, or the weighted generator variables)."""
+    return _scaled(phi6, 2), _scaled(phi6 ** 2 - phi12, 18)
+
+
+def _wiman_psi(phi6, phi12, phi30, psi6, psi12):
     """The normalized Wiman invariants psi6, psi12, psi24, psi30 in terms of
-    phi6, phi12, phi30 (forms in S, or the weighted generator variables)."""
-    psi6 = _scaled(phi6, 2)
-    psi12 = _scaled(phi6 ** 2 - phi12, 18)
+    phi6, phi12, phi30, given psi6 and psi12 (from _wiman_psi_low)."""
     psi24 = (psi6 ** 4 - _scaled(psi6 ** 2 * psi12, Fraction(1, 2))
              + _scaled(psi12 ** 2, Fraction(1, 15)))
     psi30 = _scaled(
@@ -130,8 +140,8 @@ def wiman_invariants(field):
     phi6 = _normalize_leading(sextics[0], 6)
     phi12 = _normalize_leading(hessian_det(phi6), 12)
     phi30 = _normalize_leading(bordered_hessian_det(phi6, phi12), 30)
-    psi = _wiman_psi(phi6, phi12, phi30)
-    psi6, psi12 = psi[6], psi[12]
+    # psi24 and psi30 are built when first read: no search reads them
+    psi6, psi12 = _wiman_psi_low(phi6, phi12)
     # calibrate the square root of -15: the degree-12 conjugate factor built
     # with +s must vanish on the first triple orbit
     s = field.constant("s")
@@ -143,9 +153,11 @@ def wiman_invariants(field):
         if not field.is_zero(upsilon.evaluate(p3)):
             raise EngineError("neither square root of -15 matches the triple orbit")
     upsilon_bar = _upsilon(psi6, psi12, field.neg(s))
+    v = _weighted_vars(field, WIMAN_WEIGHTS)
     return InvariantSet("wiman", field, config,
-                        {6: phi6, 12: phi12, 30: phi30}, psi,
-                        _wiman_psi(*_weighted_vars(field, WIMAN_WEIGHTS)),
+                        {6: phi6, 12: phi12, 30: phi30},
+                        lambda: _wiman_psi(phi6, phi12, phi30, psi6, psi12),
+                        _wiman_psi(*v, *_wiman_psi_low(*v[:2])),
                         extra={"s": s, "upsilon12": upsilon,
                                "upsilon12_bar": upsilon_bar})
 

@@ -10,23 +10,25 @@ The conditions are read on lines through the representative.  A form
 vanishes to order m there exactly when each homogeneous part h_k (k < m)
 of its local expansion in (u, v) is zero.  h_k(1, l) is the coefficient of
 t^k on the line (u, v) = (t, l t), and a binary form of degree k is zero
-once it vanishes at k + 1 distinct slopes.  A class representative P needs
-fewer lines, because every column is a G-invariant form.  The stabilizer
-G_P of P acts on the tangent directions at P, and the leading form h_k0 of
-a form F of order k0 at P is semi-invariant under it, so the zeros of
-h_k0 are a union of G_P-orbits.  The slopes are taken in turn from 0, 1,
-2, ..., each skipped when it lies in the orbit of one already taken, until
-L of them have orbits covering at least m directions.  Then the rows on
-the first min(k + 1, L) lines for each k < m cut out the same kernel as
-the m(m + 1)/2 rows on the slopes 0 .. m - 1: if F satisfies them and
-k0 < m, h_k0 vanishes either at k0 + 1 distinct slopes or on orbits of at
-least m > k0 directions, and is zero.  So the kernel and its canonical
-basis are those of the coefficient rows.  The slope sequence is fixed per
-point, so the lines for m are the first lines for any larger m.  A point
-that is not a class representative is read on the slopes 0 .. m - 1.  On
-a line every form is a polynomial in t alone, and products are
-one-variable truncated products.  The slopes are distinct in F_p only
-when m <= p: a larger multiplicity over F_p is a usage error.
+once it vanishes at k + 1 distinct directions.  A class representative P
+needs fewer lines, because every column is a G-invariant form.  The
+stabilizer G_P of P acts on the tangent directions at P, and the leading
+form h_k0 of a form F of order k0 at P is semi-invariant under it, so the
+zeros of h_k0 are a union of G_P-orbits.  The slopes are taken in turn
+from 0, 1, 2, ..., each skipped when it lies in the orbit of one already
+taken; the first lines.count(n) of them have orbits covering at least n
+directions.  The rows of order k are the t^k coefficients on the first
+lines.count(k + 1) lines (`_block_rows`).  They cut out the same kernel as
+the m(m + 1)/2 rows on the slopes 0 .. m - 1: if F satisfies them and has
+order k0 < m, h_k0 vanishes on the orbits of lines covering more than k0
+directions, and is zero.  So the kernel and its canonical basis are those
+of the coefficient rows.  A point that is not a class representative has
+no tangent maps, and reads order k on k + 1 lines.  The rows of each order
+do not depend on m, and the rows are ordered by order, then line: the
+block at m is exactly the row prefix of the block at any larger M.  On a
+line every form is a polynomial in t alone, and products are one-variable
+truncated products.  The slopes are distinct in F_p only when m <= p: a
+larger multiplicity over F_p is a usage error.
 
 Over F_p the line values of a generator at multiplicity m are an (L, m)
 array (line, coefficient), and each representative keeps one table per
@@ -43,8 +45,17 @@ of CHUNK_CELLS // (L m) columns, so no temporary grows past a few
 degree) pairs.  Other fields multiply TruncPoly lines one column at a
 time.
 
+The series of one degree share their blocks (`_series_matrices`): each
+orbit class has one block, at the largest multiplicity that the series
+read ask of it, and the matrix of a series stacks its classes' row
+prefixes.  The negative-curve search reads each degree's candidates this
+way (`series_dims`), and a single series is the case of one.  A degree
+with more weighted monomials than the mod-p kernels take columns
+(kernels.WIDEST; `dim_t` counts them without listing them) is a usage
+error.
+
 The dimension of a series is a rank: its column count minus the rank of
-its condition matrix (`series_dim`, through `linalg.rank`: over F_p the
+its condition matrix (`series_dims`, through `linalg.rank`: over F_p the
 forward-only `kernels.rank_mod`; over the number fields the column count
 less the certified kernel).  The negative-curve search, the golden checks
 and `series` without `--basis` need nothing more; the kernel basis
@@ -54,6 +65,8 @@ and `series` without `--basis` need nothing more; the kernel basis
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from math import gcd
 
 import numpy as np
 
@@ -104,8 +117,39 @@ def series_weights(preset):
 
 
 def dim_t(preset, d):
-    """Dimension of the degree-d piece of the invariant generator algebra."""
-    return len(weighted_basis(series_weights(preset), d))
+    """Dimension of the degree-d piece of the invariant generator algebra:
+    the exponents (a, b, c) with w0 a + w1 b + w2 c = d, counted without
+    listing them.  For each c, the b in 0 .. r // w1 (r = d - w2 c) with
+    w1 b = r mod w0 are those from the least one in steps of w0 / gcd."""
+    w0, w1, w2 = series_weights(preset)
+    step = w0 // gcd(w0, w1)
+    count = 0
+    for r in range(d, -1, -w2):
+        top = r // w1
+        first = next((b for b in range(min(step, top + 1))
+                      if (r - w1 * b) % w0 == 0), None)
+        if first is not None:
+            count += (top - first) // step + 1
+    return count
+
+
+def check_width(preset, degrees):
+    """A UsageError for the first of the degrees with more weighted
+    monomials than the mod-p kernels take columns (kernels.WIDEST)."""
+    for d in degrees:
+        count = dim_t(preset, d)
+        if count > kernels.WIDEST:
+            raise UsageError(f"degree {d} has {count} weighted monomials, more "
+                             f"than the {kernels.WIDEST} columns of the mod-p "
+                             "kernels")
+
+
+def check_search_width(preset, d_max):
+    """check_width for every degree up to d_max, read on the top w0 of them:
+    multiplication by the generator of the least weight w0 embeds the
+    monomials of degree d - w0 in degree d."""
+    w0 = series_weights(preset)[0]
+    check_width(preset, range(max(d_max - w0 + 1, 0), d_max + 1))
 
 
 def edim(spec):
@@ -186,10 +230,13 @@ def _slopes(preset, field, rep):
     return _Slopes(field, _tangent_maps(preset, field, rep))
 
 
-def _block_rows(n, m):
-    """The (line, degree) pairs of a block on n lines: the t^k coefficient
-    on the first min(k + 1, n) lines for each k < m."""
-    return [(line, k) for k in range(m) for line in range(min(k + 1, n))]
+def _block_rows(lines, m):
+    """The (line, degree) pairs of a block below order m: for each k < m,
+    the t^k coefficient on the first lines.count(k + 1) lines, those whose
+    orbits cover k + 1 directions (k + 1 lines off a class representative).
+    The pairs of each k do not depend on m, so the pairs for m are the first
+    ones for any larger m."""
+    return [(line, k) for k in range(m) for line in range(lines.count(k + 1))]
 
 
 def _line_values(field, expansion, slopes, m):
@@ -268,12 +315,13 @@ def _condition_block(preset, field, rep, m, exps, out=None):
     an int64 array over F_p, written into `out` when given (allocated
     within kernels.MAX_BYTES otherwise), a list of rows otherwise.
 
-    For each k < m, the t^k coefficients on the first min(k + 1, L) lines,
-    L lines covering m directions (see the module docstring).
+    For each k < m, the t^k coefficients on the lines whose orbits cover
+    k + 1 directions (see the module docstring): the block at m is the row
+    prefix of the block at any larger m.
     """
     lines = _slopes(preset, field, rep)
     n = lines.count(m)
-    rows = _block_rows(n, m)
+    rows = _block_rows(lines, m)
     if isinstance(field, PrimeField):
         at, degrees = np.array(rows).T
         if out is None:
@@ -334,43 +382,81 @@ class SeriesBasis:
                 for v in self.vectors]
 
 
-def _series_matrix(spec, field):
-    """The column exponents of the series (its weighted monomials) and its
-    condition matrix: an int64 array over F_p (within kernels.MAX_BYTES), a
-    list of rows otherwise.
+def _series_matrices(specs, field, keep=None):
+    """The column exponents and the condition matrix of each series in
+    `specs` (one preset and degree, any multiplicities) that `keep` (by
+    default every one) accepts at its turn: yields (spec, exponents, rows),
+    rows an int64 array over F_p, a list of rows otherwise.
 
-    A multiplicity above p is a usage error, raised before any row is built.
+    Each orbit class has one block, built (through kernels.MAX_BYTES) at the
+    first series read, at the largest multiplicity of the class among the
+    specs, at most p over F_p; a series' matrix is the row prefixes of its
+    classes' blocks, stacked, and a view when they are adjacent.  A degree
+    with more columns than kernels.WIDEST is a usage error before any of
+    them, and a multiplicity above p is one at its spec's turn, before any
+    row of it is built.  The blocks go with the generator.
     """
-    mults = spec.class_multiplicities()
-    if isinstance(field, PrimeField) and max(mults) > field.p:
-        raise UsageError(f"multiplicity {max(mults)} exceeds the characteristic "
-                         f"{field.p}: the conditions need that many distinct "
-                         "slopes in the field")
-    exps = weighted_basis(series_weights(spec.preset), spec.d)
-    if not exps:
-        return exps, []
-    config = invariant_set(spec.preset, field).config
-    reps = [(cls.representative, m) for cls, m in zip(config.classes, mults) if m > 0]
-    if isinstance(field, PrimeField):
-        # one array, filled block by block, that linalg takes as it is
-        counts = [len(_block_rows(_slopes(spec.preset, field, rep).count(m), m))
-                  for rep, m in reps]
-        rows = kernels.empty((sum(counts), len(exps)))
-        start = 0
-        for (rep, m), count in zip(reps, counts):
-            end = start + count
-            _condition_block(spec.preset, field, rep, m, exps, rows[start:end])
-            start = end
-    else:
-        rows = [row for rep, m in reps
-                for row in _condition_block(spec.preset, field, rep, m, exps)]
-    return exps, rows
+    if not specs:
+        return
+    preset, d = specs[0].preset, specs[0].d
+    check_width(preset, [d])
+    exps = weighted_basis(series_weights(preset), d)
+    config = invariant_set(preset, field).config
+    reps = [cls.representative for cls in config.classes]
+    prime = isinstance(field, PrimeField)
+    top = [max((m for m in ms if not prime or m <= field.p), default=0)
+           for ms in zip(*(spec.class_multiplicities() for spec in specs))]
+    blocks = None
+    for spec in specs:
+        if keep is not None and not keep(spec):
+            continue
+        mults = spec.class_multiplicities()
+        if prime and max(mults) > field.p:
+            raise UsageError(f"multiplicity {max(mults)} exceeds the "
+                             f"characteristic {field.p}: the conditions need "
+                             "that many distinct slopes in the field")
+        if not exps:
+            yield spec, exps, []
+            continue
+        if blocks is None:
+            # per class the order of each row: a prefix below m is bisected
+            orders = [[k for _, k in _block_rows(_slopes(preset, field, rep), m)]
+                      for rep, m in zip(reps, top)]
+            starts = list(accumulate(map(len, orders), initial=0))
+            # one array, filled block by block, whose row slices linalg
+            # takes as they are
+            blocks = kernels.empty((starts[-1], len(exps))) if prime else []
+            for i, (rep, m) in enumerate(zip(reps, top)):
+                if not m:
+                    continue
+                if prime:
+                    _condition_block(preset, field, rep, m, exps,
+                                     blocks[starts[i]:starts[i + 1]])
+                else:
+                    blocks += _condition_block(preset, field, rep, m, exps)
+        parts = [(start, start + bisect_left(ks, m))
+                 for ks, m, start in zip(orders, mults, starts) if m]
+        if all(a[1] == b[0] for a, b in zip(parts, parts[1:])):
+            rows = blocks[parts[0][0]:parts[-1][1]] if parts else blocks[:0]
+        elif prime:
+            rows = np.concatenate([blocks[a:b] for a, b in parts])
+        else:
+            rows = [row for a, b in parts for row in blocks[a:b]]
+        yield spec, exps, rows
+
+
+def series_dims(specs, field, keep=None):
+    """The dimension of each series in `specs` (one preset and degree) that
+    `keep` accepts at its turn, from the shared blocks of _series_matrices:
+    yields (spec, dim)."""
+    for spec, exps, rows in _series_matrices(specs, field, keep):
+        yield spec, len(exps) - linalg.rank(rows, len(exps), field)
 
 
 def series_basis(spec, field):
     """Exact basis of the invariant series; empty when the degree is not
     representable in the weighted generator algebra."""
-    exps, rows = _series_matrix(spec, field)
+    _, exps, rows = next(_series_matrices([spec], field))
     return SeriesBasis(spec, field, exps, linalg.kernel(rows, len(exps), field)
                        if exps else [])
 
@@ -378,5 +464,4 @@ def series_basis(spec, field):
 def series_dim(spec, field):
     """Dimension of the invariant series: its column count minus the rank of
     its condition matrix, with no kernel basis built."""
-    exps, rows = _series_matrix(spec, field)
-    return len(exps) - linalg.rank(rows, len(exps), field)
+    return next(series_dims([spec], field))[1]

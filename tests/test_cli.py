@@ -113,6 +113,9 @@ def test_usage_error_exit_code():
     ["fatideal", "generators", "--preset", "klein-char7", "--depth", "127"],
     ["fatideal", "contain", "--preset", "klein-char7", "--dmax", "127"],
     ["fatideal", "alpha", "--preset", "klein-char7", "--m", "127", "--cap", "200"],
+    ["series", "--preset", "klein", "--d", "20000", "--m3", "1", "--field", "mod4733"],
+    ["series", "--preset", "klein", "--d", "200000", "--m3", "1", "--field",
+     "mod4733"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
@@ -123,7 +126,7 @@ def test_usage_error_exit_code():
         "special-exact-field", "special-char7", "curve-only-with-ledger",
         "curve-only-wiman", "klein-series-m5", "klein-series-m3b",
         "generators-depth-above-126", "contain-dmax-above-126",
-        "alpha-m-above-126"])
+        "alpha-m-above-126", "series-d-past-width", "series-d-far-past-width"])
 def test_bad_input_is_usage_error(argv):
     """Rejected before any engine work: exit 2, no report."""
     assert run_cli(argv) == (2, None)
@@ -371,6 +374,114 @@ def test_peeled_fat_point_input_needs_no_matrix():
     assert proc.returncode == 0 and proc.stderr == ""
     results = json.loads(proc.stdout)["results"]
     assert results["alpha_symbolic"] is None and results["degrees_checked"] == []
+
+
+def test_series_past_width_is_usage_error():
+    """A degree of 119,061,905 weighted monomials is counted, not listed, and
+    refused against the 8192 columns of the mod-p kernels: exit 2 within the
+    child's address-space limit, no traceback."""
+    proc = _run_limited(["-m", "kleinwiman.cli", "series", "--preset", "klein",
+                         "--d", "200000", "--m3", "1", "--field", "mod4733"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("usage error: degree 200000 has 119061905 weighted "
+                           "monomials, more than the 8192 columns of the mod-p "
+                           "kernels\n")
+
+
+# Runs each argv of the JSON list in argv[1] in a process forked from one
+# that has imported the CLI (with no BLAS threads, which a fork would not
+# copy), under an alarm of argv[2] seconds, with its stdout discarded, and
+# reports an uncaught exception as the interpreter would: a traceback on
+# stderr and exit code 1.  Prints [exit code, stderr] per argv as JSON.
+SWEEP = """
+import os
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+import json, signal, sys, tempfile, traceback
+from kleinwiman.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with tempfile.TemporaryFile() as err:
+        sys.stdout.flush()
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(err.fileno(), 2)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            signal.alarm(int(sys.argv[2]))
+            code = 1
+            try:
+                code = main(argv)
+            except Exception:
+                traceback.print_exc()
+            finally:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        err.seek(0)
+        results.append([os.waitstatus_to_exitcode(status), err.read().decode()])
+print(json.dumps(results))
+"""
+
+# (command, prime of its field, first degree past the width bound, options):
+# each option at 0, 1, p, p + 1 and that degree
+SWEEP_CASES = [
+    (["series", "--preset", "klein", "--field", "modp:29"], 29, 1648, ["--d"]),
+    (["series", "--preset", "klein", "--field", "modp:29", "--d", "60"], 29, 1648,
+     ["--m4", "--m3"]),
+    (["series", "--preset", "wiman", "--field", "modp:19", "--d", "60"], 19, 2406,
+     ["--m5", "--m4", "--m3", "--m3b"]),
+    (["negsearch", "--preset", "klein", "--field", "modp:29"], 29, 1648,
+     ["--dmax"]),
+]
+
+
+def test_option_boundary_sweep():
+    """The options the series and the search read, each at 0, 1, p, p + 1
+    and the first degree past the width bound, one process per value under
+    the address-space limit and a 20 s alarm: exit 0, 1 or 2, never a
+    traceback."""
+    argvs = [base + [option, str(value)]
+             for base, p, wide, options in SWEEP_CASES for option in options
+             for value in (0, 1, p, p + 1, wide)]
+    proc = _run_limited(["-c", SWEEP, json.dumps(argvs), "20"])
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs) == 40
+    for argv, (code, err) in zip(argvs, results):
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    # p + 1 and past the width bound are refused, p is not
+    codes = {tuple(argv[-2:]): code for argv, (code, _) in zip(argvs, results)}
+    assert codes[("--m3", "30")] == codes[("--d", "1648")] == 2
+    assert codes[("--m5", "19")] == codes[("--dmax", "29")] == 0
+
+
+def test_wiman_psi_built_only_when_read():
+    """The Wiman search, series and certificates read phi alone, so psi24
+    and psi30 stay unbuilt; `invariants` builds them at its read, and its
+    report is the one pinned from the eager build."""
+    script = (
+        "import contextlib, hashlib, io\n"
+        "from kleinwiman.cli import dispatch, main\n"
+        "from kleinwiman.fields import WIMAN_PRIME, preset_field\n"
+        "from kleinwiman.invariants import wiman_invariants\n"
+        "inv = wiman_invariants(preset_field('modp', WIMAN_PRIME))\n"
+        "for argv in (['negsearch', '--preset', 'wiman', '--dmax', '36'],\n"
+        "             ['series', '--preset', 'wiman', '--d', '90', '--m4', '4',\n"
+        "              '--m3', '8'], ['waldschmidt', '--preset', 'wiman']):\n"
+        "    assert dispatch(argv)[0] == 0\n"
+        "print('psi' in vars(inv))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    main(['invariants', '--preset', 'wiman', '--field', 'modp:4951'])\n"
+        "print(hashlib.sha256(out.getvalue().encode()).hexdigest(),\n"
+        "      sorted(inv.psi))\n")
+    src = os.path.dirname(os.path.dirname(kleinwiman.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-2:] == [
+        "False", "704970078a592e415b1423bea4fe6d08309ada35ddf37a55c96d3360857ae474 "
+        "[6, 12, 24, 30]"]
 
 
 @pytest.mark.parametrize("suite", ["klein-core", "wiman-core", "char7"])

@@ -137,6 +137,25 @@ def test_search_log_pinned(preset, d_max, klein_modp, wiman_modp):
                      f"dim {e['dim']}" for e in log]
 
 
+@pytest.mark.parametrize("preset, exact, modp, d_max, tried", [
+    ("klein", "klein_exact", "klein_modp", 24, 16),
+    ("wiman", "wiman_exact", "wiman_modp", 12, 5),
+], ids=["klein", "wiman"])
+def test_search_over_number_field_matches_prime_field(preset, exact, modp, d_max,
+                                                      tried, request):
+    """Over Q(zeta7) and Q(sqrt5, omega) each degree's blocks are lists of
+    rows, and a candidate's matrix their stacked prefixes: the search logs
+    equal those over F_4733 and F_4951, a nonempty series included."""
+    logs = []
+    for fixture in (exact, modp):
+        log = []
+        negative_curve_search(preset, request.getfixturevalue(fixture), d_max,
+                              log=log)
+        logs.append(log)
+    assert logs[0] == logs[1] and len(logs[0]) == tried
+    assert any(entry["dim"] for entry in logs[0])
+
+
 def test_ledger_entries_postconditions(klein_modp):
     """Every found class has negative self-intersection, meets earlier entries
     nonnegatively, and has a nonempty series."""

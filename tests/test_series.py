@@ -63,6 +63,20 @@ def test_dim_t_values():
     assert dim_t("wiman", 90) == 18
 
 
+def test_dim_t_counts_the_weighted_basis():
+    """dim_t counts the weighted monomials without listing them: the same
+    count as weighted_basis.  The first degrees past kernels.WIDEST are 1648
+    (Klein) and 2406 (Wiman): times the generator of least weight w0, no
+    degree below has more monomials than one of the w0 just below."""
+    for preset, first in (("klein", 1648), ("wiman", 2406)):
+        weights = series_weights(preset)
+        assert all(dim_t(preset, d) == len(weighted_basis(weights, d))
+                   for d in range(300))
+        assert dim_t(preset, first) > kernels.WIDEST >= max(
+            dim_t(preset, d) for d in range(first - weights[0], first))
+    assert dim_t("klein", 20000) == 1191905
+
+
 def test_series_dims_klein(klein_modp):
     assert series_dim(SeriesSpec("klein", 18, m4=4), klein_modp) == 1
     assert series_dim(SeriesSpec("klein", 42, m3=8), klein_modp) == 1
@@ -194,6 +208,7 @@ LINE_ROW_CASES = [
     ("wiman", "wiman_modp", 1, 90, 4),
     ("wiman", "wiman_modp", 2, 90, 8),
     ("wiman", "wiman_modp", 0, 60, 7),
+    ("wiman", "wiman_modp", 3, 84, 7),
     ("wiman", "wiman_modp", (5, 7, 1), 84, 5),
     ("klein", "klein_exact", 0, 18, 4),
     ("klein", "klein_exact", 1, 42, 8),
@@ -220,7 +235,8 @@ def test_line_rows_match_bivariate_rows(preset, fixture, where, d, m, request):
     ref = _bivariate_rows(preset, field, rep, m, exps)
     count = series._slopes(preset, field, rep).count(m)
     assert count < m if isinstance(where, int) else count == m
-    assert len(lines) == sum(min(k + 1, count) for k in range(m))
+    assert len(lines) == sum(series._slopes(preset, field, rep).count(k + 1)
+                             for k in range(m))
     assert len(ref) == m * (m + 1) // 2
     n = len(exps)
     assert linalg.rank(lines, n, field) == linalg.rank(ref, n, field)
@@ -230,13 +246,41 @@ def test_line_rows_match_bivariate_rows(preset, fixture, where, d, m, request):
         else k_lines == k_ref
 
 
+# (preset, field, degree, multiplicities): at every class representative
+PREFIX_CASES = [
+    ("klein", "klein_modp", 60, (2, 4, 9, 13)),
+    ("wiman", "wiman_modp", 90, (3, 8, 12)),
+    ("klein", "klein_exact", 42, (3, 8)),
+]
+
+
+@pytest.mark.parametrize("preset, fixture, d, mults", PREFIX_CASES,
+                         ids=[fx.replace("_", "-") for _, fx, _, _ in PREFIX_CASES])
+def test_block_is_row_prefix_of_larger_block(preset, fixture, d, mults, request):
+    """A representative's block at m is the first len(_block_rows(lines, m))
+    rows of its block at any larger M: the rows of each order do not depend
+    on the multiplicity."""
+    field = request.getfixturevalue(fixture)
+    exps = weighted_basis(series_weights(preset), d)
+    for cls in invariant_set(preset, field).config.classes:
+        rep = cls.representative
+        lines = series._slopes(preset, field, rep)
+        top = _condition_block(preset, field, rep, mults[-1], exps)
+        for m in mults[:-1]:
+            block = _condition_block(preset, field, rep, m, exps)
+            n = len(series._block_rows(lines, m))
+            assert len(block) == n < len(top)
+            assert np.array_equal(block, top[:n]) if isinstance(top, np.ndarray) \
+                else block == top[:n], (cls.label, m)
+
+
 def _column_by_column(preset, field, rep, m, exps):
     """The condition block over F_p one column at a time: each generator's
     powers by repeated (lines, m) products, then two products per column."""
     p = field.p
     lines = series._slopes(preset, field, rep)
     slopes = lines.slopes[:lines.count(m)]
-    rows = series._block_rows(len(slopes), m)
+    rows = series._block_rows(lines, m)
     one = np.zeros((len(slopes), m), dtype=np.int64)
     one[:, 0] = 1
     powers = []
