@@ -222,12 +222,10 @@ def cmd_fatideal(args):
         from kleinwiman.fatideals import containment_report
         rep = containment_report(ps, args.m, args.r, args.dmax)
         rep["field"] = field.name
-        if "witness" in rep:
-            rep["witness"] = rep["witness"].text()
         rep["source"] = "computed (regularity constants: reference)"
         return 0, rep
     if args.task == "resurgence":
-        return resurgence_certificate(cfg, ps, field, args.ledger_dmax)
+        return resurgence_certificate(cfg, ps, args.ledger_dmax)
     raise UsageError(f"unknown fatideal task {args.task!r}")
 
 

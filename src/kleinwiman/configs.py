@@ -256,45 +256,51 @@ def build_config(preset, field=None):
 def verify_orbit_decomposition(config, check_special=False):
     """Audit the classification: multiplicities, pairwise coverage, orbit
     structure, and (over prime fields, on request) the special orbits cut out
-    by pairs of fundamental invariants."""
+    by pairs of fundamental invariants.  Coverage is counted from the
+    multiplicity audit's incidences: two distinct lines meet in one point, so
+    with distinct lines and distinct class points (as tuples, each scaled to
+    last nonzero coordinate 1), each on two lines or more, the class points
+    are the pairwise intersections iff sum C(n_p, 2) = C(L, 2)."""
     field = config.field
     report = {"preset": config.preset, "classes": [], "ok": True}
     coeffs = [line_coeffs(line) for line in config.lines]
-    classified = set()
+    incidences = []                  # n_p, the lines through p, per point
     for cls in config.classes:
         entry = {"label": cls.label, "multiplicity": cls.multiplicity,
-                 "size": cls.size}
-        for p in cls.points:
-            inc = sum(1 for c in coeffs if point_on_line(field, p, c))
+                 "size": cls.size, "multiplicity_audit": "ok"}
+        counts = [sum(1 for c in coeffs if point_on_line(field, p, c))
+                  for p in cls.points]
+        incidences.extend(counts)
+        for p, inc in zip(cls.points, counts):
             if inc != cls.multiplicity:
                 entry["multiplicity_audit"] = f"point {p} lies on {inc} lines"
                 report["ok"] = False
                 break
-        else:
-            entry["multiplicity_audit"] = "ok"
         if config.gens:
             orb = orbit(config.gens, cls.representative)
             entry["single_orbit"] = (set(orb) == set(cls.points))
             if not entry["single_orbit"]:
                 report["ok"] = False
-        classified.update(cls.points)
         report["classes"].append(entry)
-    # every pairwise intersection of lines falls in exactly one class
-    seen = set()
-    coverage_ok = True
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            p = line_intersection(field, coeffs[i], coeffs[j])
-            seen.add(p)
-            if p not in classified:
-                coverage_ok = False
-    report["pairwise_coverage"] = coverage_ok and (seen == classified)
+    points = config.all_points()
+    num = len(coeffs)
+    report["pairwise_coverage"] = (
+        len({normalize_point(field, c) for c in coeffs}) == num
+        and len(set(points)) == len(points)
+        and all(p[chart_for_point(field, p)] == field.one for p in points)
+        and min(incidences, default=0) >= 2
+        and sum(n * (n - 1) // 2 for n in incidences) == num * (num - 1) // 2)
     report["ok"] = report["ok"] and report["pairwise_coverage"]
     if check_special:
         report["special_orbits"] = _special_orbit_counts(config)
         report["ok"] = report["ok"] and all(
             v["count"] == v["expected"] for v in report["special_orbits"].values())
     return report
+
+
+# (degree of the form whose zeros are scanned, degree of the other, expected
+# count of common zeros) per preset
+SPECIAL_ORBITS = {"klein": [(4, 6, 24), (4, 14, 56)], "wiman": [(6, 12, 72)]}
 
 
 def _special_orbit_counts(config):
@@ -309,19 +315,15 @@ def _special_orbit_counts(config):
     field = config.field
     if not isinstance(field, PrimeField):
         raise ConfigError("special-orbit scan runs over prime-field presets only")
-    inv = invariant_set(config.preset, field)
-    if config.preset == "klein":
-        pairs = {"phi4^phi6": (inv.phi[4], inv.phi[6], 24),
-                 "phi4^phi14": (inv.phi[4], inv.phi[14], 56)}
-    elif config.preset == "wiman":
-        pairs = {"phi6^phi12": (inv.phi[6], inv.phi[12], 72)}
-    else:
+    if config.preset not in SPECIAL_ORBITS:
         raise ConfigError("no special orbits recorded for this preset")
-    out = {}
-    for name, (f, g, expect) in pairs.items():
-        locus = projective_zero_locus(f)
-        count = sum(1 for p in locus if field.is_zero(g.evaluate(p)))
-        out[name] = {"count": count, "expected": expect}
+    phi = invariant_set(config.preset, field).phi
+    out, loci = {}, {}
+    for a, b, expect in SPECIAL_ORBITS[config.preset]:
+        if a not in loci:
+            loci[a] = projective_zero_locus(phi[a])
+        count = sum(1 for p in loci[a] if field.is_zero(phi[b].evaluate(p)))
+        out[f"phi{a}^phi{b}"] = {"count": count, "expected": expect}
     return out
 
 

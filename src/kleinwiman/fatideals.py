@@ -152,7 +152,7 @@ def point_conditions_matrix(pointset, m, d):
     a list of rows.
     """
     field = pointset.field
-    cols = monomials_of_degree(3, d)
+    cols = monomials_of_degree(d)
     monos = local_monomials(m)
     exps = np.array(cols, dtype=np.intp).reshape(len(cols), 3)
     prime = isinstance(field, PrimeField)
@@ -320,7 +320,7 @@ def _chain_levels(g, top):
     lead, e = max(g.terms), g.degree()
     levels = []
     for s in range(top % e, top + 1, e):
-        # monomials_of_degree(3, s): x^a by a descending, then z^c ascending
+        # monomials_of_degree(s): x^a by a descending, then z^c ascending
         a = np.repeat(np.arange(s, -1, -1), np.arange(1, s + 2))
         c = np.arange(len(a)) - (s - a) * (s - a + 1) // 2
         mus = np.stack([a, s - a - c, c], axis=1)
@@ -441,9 +441,9 @@ def _times(acc, terms, p):
 
 
 def _read_forms(acc, d):
-    """Dense forms of degree d as coefficient rows in monomials_of_degree(3,
-    d) order: (rows, monomials)."""
-    cols = monomials_of_degree(3, d)
+    """Dense forms of degree d as coefficient rows in monomials_of_degree(d)
+    order: (rows, monomials)."""
+    cols = monomials_of_degree(d)
     a, b, _ = np.array(cols, dtype=np.intp).reshape(len(cols), 3).T
     return acc[:, a, b], cols
 
@@ -451,7 +451,7 @@ def _read_forms(acc, d):
 def _chain_forms(rows, levels, g, field):
     """The forms sum over the columns of v_mu mu g^((d - deg mu) / deg g),
     d the last level's degree, for chain vectors v over F_p, as coefficient
-    rows in monomials_of_degree(3, d) order, by Horner's rule in g from the
+    rows in monomials_of_degree(d) order, by Horner's rule in g from the
     lowest level: (rows, monomials).  A form is built as a dense array
     indexed by the exponents of x and y."""
     d = levels[-1][0]
@@ -741,7 +741,7 @@ def jacobian_minor_generators(f, g):
 
 def power_piece(gens, r, d):
     """Degree-d piece of the r-th ordinary power: the span of all r-fold
-    products of generators times filling monomials."""
+    products of generators times filling monomials, empty below r * alpha."""
     field = gens.pointset.field
     alpha = gens.alpha
     if alpha is None:
@@ -750,8 +750,10 @@ def power_piece(gens, r, d):
         raise FatIdealError(
             f"generators known only through degree {gens.complete_through}; "
             f"degree {d - (r - 1) * alpha} needed for (r={r}, d={d})")
+    cols = monomials_of_degree(d)
+    if r * alpha > d:
+        return GradedPiece(d, field, cols, [])
     flat = gens.all_generators()
-    cols = monomials_of_degree(3, d)
     rows = []
     products = {(): Poly.constant(field, field.one)}
     for key in combinations_with_replacement(range(len(flat)), r):
@@ -763,7 +765,7 @@ def power_piece(gens, r, d):
             if sub not in products:
                 products[sub] = products[key[:j - 1]] * flat[key[j - 1]]
         prod = products[key]
-        for e in monomials_of_degree(3, d - degsum):
+        for e in monomials_of_degree(d - degsum):
             rows.append((prod * Poly(field, {e: field.one})).coeff_vector(cols))
     return GradedPiece(d, field, cols, rows)
 
@@ -856,7 +858,7 @@ def extreme_failure(pointset, gens, f):
             "in_square": membership(f, power_piece(gens, 2, d))}
 
 
-def resurgence_certificate(config, pointset, field, ledger_dmax=None):
+def resurgence_certificate(config, pointset, ledger_dmax=None):
     """The resurgence certificates of a preset, as (exit code, report):
 
     - the extreme containment failure (3, 2), witnessed by the product of the
@@ -872,7 +874,7 @@ def resurgence_certificate(config, pointset, field, ledger_dmax=None):
     divisors.waldschmidt_bounds, and with ledger_dmax the lower end is the
     larger of the curve and the ledger certificates.
     """
-    preset = config.preset
+    preset, field = config.preset, config.field
     f = line_product(config)
     # the square of the ideal in degree d needs the generators through d - alpha
     gens = minimal_generators(pointset, f.degree() - alpha_symbolic(pointset, 1))

@@ -101,7 +101,7 @@ def fixed_forms(gens, degree):
     """Basis of the forms of the given degree that every generator fixes: the
     kernel of the stacked (g - 1) on the monomials of that degree."""
     field = gens[0].field
-    monos = monomials_of_degree(3, degree)
+    monos = monomials_of_degree(degree)
     rows = []
     for g in gens:
         images = [act_on_poly(g, Poly(field, {e: field.one})) for e in monos]

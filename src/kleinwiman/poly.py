@@ -8,14 +8,15 @@ from kleinwiman.errors import FieldError
 DEFAULT_VARS = ("x", "y", "z")
 
 
-def monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree d, lexicographically descending."""
-    return list(weighted_basis((1,) * nvars, d))
+def monomials_of_degree(d):
+    """All exponent tuples (a, b, c) of total degree d, lexicographically
+    descending."""
+    return list(weighted_basis((1, 1, 1), d))
 
 
 @lru_cache(maxsize=None)
 def weighted_basis(weights, d):
-    """Exponent tuples with weight-dot equal to d, lexicographically
+    """Exponent tuples (a, b, c) with weight-dot equal to d, lexicographically
     descending, as a tuple (cached per weights tuple and degree).
 
     The order is the column order used by every series matrix, so it is part
@@ -23,19 +24,15 @@ def weighted_basis(weights, d):
     """
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    *head, last = weights
+    wa, wb, wc = weights
     out = []
-
-    def rec(i, rem, prefix):
-        if i == len(head):
+    for a in range(d // wa, -1, -1):
+        rest = d - a * wa
+        for b in range(rest // wb, -1, -1):
             # the last exponent is solved, not searched
-            if rem % last == 0:
-                out.append(prefix + (rem // last,))
-            return
-        for e in range(rem // head[i], -1, -1):
-            rec(i + 1, rem - e * head[i], prefix + (e,))
-
-    rec(0, d, ())
+            c, r = divmod(rest - b * wb, wc)
+            if r == 0:
+                out.append((a, b, c))
     return tuple(out)
 
 

@@ -422,37 +422,65 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(results))
 """
 
-# (command, prime of its field, first degree past the width bound, options):
-# each option at 0, 1, p, p + 1 and that degree
+# (command, options, values): each option at each value.  The series and
+# the search take 0, 1, p, p + 1 and the first degree past the width bound;
+# the fat-point options 1, 126 (the top degree) and 127, and --ledger-dmax
+# 29, 30 (the least the Klein ledger takes) and 1648 (past the width bound).
+# The widest allowed --dmax 126, --depth 126 and --ledger-dmax 1647 are long
+# runs, not crashes, and stay out.
 SWEEP_CASES = [
-    (["series", "--preset", "klein", "--field", "modp:29"], 29, 1648, ["--d"]),
-    (["series", "--preset", "klein", "--field", "modp:29", "--d", "60"], 29, 1648,
-     ["--m4", "--m3"]),
-    (["series", "--preset", "wiman", "--field", "modp:19", "--d", "60"], 19, 2406,
-     ["--m5", "--m4", "--m3", "--m3b"]),
-    (["negsearch", "--preset", "klein", "--field", "modp:29"], 29, 1648,
-     ["--dmax"]),
+    (["series", "--preset", "klein", "--field", "modp:29"], ["--d"],
+     (0, 1, 29, 30, 1648)),
+    (["series", "--preset", "klein", "--field", "modp:29", "--d", "60"],
+     ["--m4", "--m3"], (0, 1, 29, 30, 1648)),
+    (["series", "--preset", "wiman", "--field", "modp:19", "--d", "60"],
+     ["--m5", "--m4", "--m3", "--m3b"], (0, 1, 19, 20, 2406)),
+    (["negsearch", "--preset", "klein", "--field", "modp:29"], ["--dmax"],
+     (0, 1, 29, 30, 1648)),
+    (["fatideal", "alpha", "--preset", "klein-char7"], ["--m", "--cap"],
+     (1, 126, 127)),
+    (["fatideal", "contain", "--preset", "klein-char7", "--dmax", "20"],
+     ["--m", "--r"], (126,)),
+    (["fatideal", "contain", "--preset", "klein-char7"], ["--dmax"], (1, 127)),
+    (["fatideal", "generators", "--preset", "klein-char7"], ["--depth"],
+     (1, 127)),
+    (["fatideal", "resurgence", "--preset", "klein", "--field", "mod4733"],
+     ["--ledger-dmax"], (29, 30, 1648)),
+    (["waldschmidt", "--preset", "klein", "--field", "modp:29"],
+     ["--ledger-dmax"], (29, 30, 1648)),
 ]
 
 
 def test_option_boundary_sweep():
-    """The options the series and the search read, each at 0, 1, p, p + 1
-    and the first degree past the width bound, one process per value under
-    the address-space limit and a 20 s alarm: exit 0, 1 or 2, never a
+    """The integer options at their boundary values, one process per value
+    under the address-space limit and a 20 s alarm: exit 0, 1 or 2, never a
     traceback."""
     argvs = [base + [option, str(value)]
-             for base, p, wide, options in SWEEP_CASES for option in options
-             for value in (0, 1, p, p + 1, wide)]
+             for base, options, values in SWEEP_CASES for option in options
+             for value in values]
     proc = _run_limited(["-c", SWEEP, json.dumps(argvs), "20"])
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    assert len(results) == len(argvs) == 40
+    assert len(results) == len(argvs) == 58
     for argv, (code, err) in zip(argvs, results):
         assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
-    # p + 1 and past the width bound are refused, p is not
-    codes = {tuple(argv[-2:]): code for argv, (code, _) in zip(argvs, results)}
-    assert codes[("--m3", "30")] == codes[("--d", "1648")] == 2
-    assert codes[("--m5", "19")] == codes[("--dmax", "29")] == 0
+    # p + 1, past the width bound, past the top degree and below the ledger's
+    # least degree are refused; p, the top degree and the r-th power of an
+    # ideal with nothing in degree 20 are not
+    codes = {" ".join(argv): code for argv, (code, _) in zip(argvs, results)}
+    for argv, code in (
+            ("series --preset klein --field modp:29 --d 60 --m3 30", 2),
+            ("series --preset klein --field modp:29 --d 1648", 2),
+            ("series --preset wiman --field modp:19 --d 60 --m5 19", 0),
+            ("negsearch --preset klein --field modp:29 --dmax 29", 0),
+            ("fatideal contain --preset klein-char7 --dmax 127", 2),
+            ("fatideal contain --preset klein-char7 --dmax 20 --r 126", 0),
+            ("fatideal generators --preset klein-char7 --depth 127", 2),
+            ("waldschmidt --preset klein --field modp:29 --ledger-dmax 29", 2),
+            ("waldschmidt --preset klein --field modp:29 --ledger-dmax 30", 0),
+            ("fatideal resurgence --preset klein --field mod4733 "
+             "--ledger-dmax 1648", 2)):
+        assert codes[argv] == code, argv
 
 
 def test_wiman_psi_built_only_when_read():

@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 
 import pytest
 
-from kleinwiman import groups
-from kleinwiman.configs import (_pick_representative, build_config, build_klein,
+from kleinwiman import configs, groups
+from kleinwiman.configs import (LineConfiguration, OrbitClass,
+                                _pick_representative, build_config, build_klein,
                                 build_wiman, line_coeffs, point_on_line,
                                 projective_zero_locus, verify_orbit_decomposition)
 from kleinwiman.errors import ConfigError
 from kleinwiman.fields import WIMAN_PRIME, preset_field
 from kleinwiman.groups import act_on_point
+from kleinwiman.poly import Poly
 
 # sha256 of the newline-joined texts of the 45 Wiman lines over Q(sqrt5, omega)
 # in the order build_config returns them (the order of `config show`)
@@ -108,6 +111,99 @@ def test_multiplicity_audit_all_presets(klein_config_exact, wiman_config_modp,
         assert rep["pairwise_coverage"]
 
 
+def _with_classes(cfg, *point_lists, lines=None):
+    """A copy of cfg whose classes hold these point lists, in order; each
+    keeps the multiplicity and label of cfg's class at its place, or of the
+    last class past the end."""
+    classes = [dataclasses.replace(cfg.classes[min(i, len(cfg.classes) - 1)],
+                                   points=pts)
+               for i, pts in enumerate(point_lists)]
+    return dataclasses.replace(cfg, classes=classes,
+                               lines=cfg.lines if lines is None else lines)
+
+
+def test_coverage_audit_reads_no_intersection(monkeypatch, klein_config_exact,
+                                              wiman_config_modp, char7_config):
+    """Coverage is counted from the incidences: with line_intersection made
+    to fail, the audit of a built configuration still passes."""
+    def no_intersection(*args, **kwargs):
+        raise AssertionError("the audit intersected two lines")
+
+    monkeypatch.setattr(configs, "line_intersection", no_intersection)
+    for cfg in (klein_config_exact, wiman_config_modp, char7_config):
+        rep = verify_orbit_decomposition(cfg)
+        assert rep["ok"] and rep["pairwise_coverage"], rep
+
+
+def test_coverage_fails_for_a_dropped_point(char7_config):
+    """One triple point fewer: every multiplicity holds, but the pairs
+    through the class points count 207 of the C(21, 2) = 210."""
+    e4, e3 = (c.points for c in char7_config.classes)
+    rep = verify_orbit_decomposition(_with_classes(char7_config, e4, e3[1:]))
+    assert [c["multiplicity_audit"] for c in rep["classes"]] == ["ok", "ok"]
+    assert not rep["pairwise_coverage"] and not rep["ok"]
+
+
+def test_coverage_fails_for_a_duplicated_line(char7_config):
+    """A line listed twice, once rescaled, is not a new line: the audit
+    reports it instead of raising."""
+    f = char7_config.field
+    extra = char7_config.lines[0].scale(f.coerce(3))
+    cfg = _with_classes(char7_config, *(c.points for c in char7_config.classes),
+                        lines=char7_config.lines + [extra])
+    rep = verify_orbit_decomposition(cfg)
+    assert not rep["pairwise_coverage"] and not rep["ok"]
+    # the lines x, y, 3x through [0:0:1]: the count C(3, 2) = 3 and the
+    # multiplicity hold, the distinctness of the lines does not
+    x, y = (Poly.variable(f, i) for i in range(2))
+    point = (f.zero, f.zero, f.one)
+    cfg = LineConfiguration("klein-char7", f, [x, y, x.scale(f.coerce(3))],
+                            [OrbitClass(3, "P", [point], point, 2)])
+    rep = verify_orbit_decomposition(cfg)
+    assert rep["classes"][0]["multiplicity_audit"] == "ok"
+    assert not rep["pairwise_coverage"] and not rep["ok"]
+
+
+def test_coverage_fails_for_a_point_in_two_classes(char7_config):
+    """The triple points split in two classes that share one point and miss
+    another: the multiplicities and the count of pairs still hold, the
+    distinctness of the points does not, also when the second copy is
+    rescaled."""
+    f = char7_config.field
+    e4, e3 = (c.points for c in char7_config.classes)
+    for copy in (e3[0], tuple(f.mul(3, c) for c in e3[0])):
+        cfg = _with_classes(char7_config, e4, e3[:14], e3[14:-1] + [copy])
+        rep = verify_orbit_decomposition(cfg)
+        assert [c["multiplicity_audit"] for c in rep["classes"]] == ["ok"] * 3
+        assert not rep["pairwise_coverage"] and not rep["ok"]
+
+
+def test_coverage_fails_for_a_point_on_no_line(char7_config):
+    """A conic point added to the triple points adds no pair to the count;
+    that it lies on fewer than two lines is what fails."""
+    e4, e3 = (c.points for c in char7_config.classes)
+    extra = char7_config.aux["conic_points"][0]
+    rep = verify_orbit_decomposition(
+        _with_classes(char7_config, e4, e3 + [extra]))
+    assert rep["classes"][1]["multiplicity_audit"] == \
+        f"point {extra} lies on 0 lines"
+    assert not rep["pairwise_coverage"] and not rep["ok"]
+
+
+def test_multiplicity_audit_names_the_first_moved_point(char7_config):
+    """Two triple points moved onto the conic, which no line meets: the
+    audit names the first of them, in the same words as before."""
+    e4, e3 = (c.points for c in char7_config.classes)
+    conic = char7_config.aux["conic_points"]
+    moved = list(e3)
+    moved[5], moved[9] = conic[0], conic[1]
+    rep = verify_orbit_decomposition(_with_classes(char7_config, e4, moved))
+    assert rep["classes"][0]["multiplicity_audit"] == "ok"
+    assert rep["classes"][1]["multiplicity_audit"] == \
+        f"point {conic[0]} lies on 0 lines"
+    assert not rep["pairwise_coverage"] and not rep["ok"]
+
+
 def test_generators_permute_classes(klein_config_exact):
     g = klein_config_exact.gens[2]
     for cls in klein_config_exact.classes:
@@ -124,6 +220,20 @@ def test_special_orbits_klein():
     assert rep["ok"], rep
     counts = {k: v["count"] for k, v in rep["special_orbits"].items()}
     assert counts == {"phi4^phi6": 24, "phi4^phi14": 56}
+
+
+def test_special_orbit_scan_once_per_form(monkeypatch):
+    """Both Klein pairs start from phi4: its zero locus is scanned once."""
+    scanned = []
+
+    def counting_scan(f):
+        scanned.append(f.degree())
+        return projective_zero_locus(f)
+
+    monkeypatch.setattr(configs, "projective_zero_locus", counting_scan)
+    rep = verify_orbit_decomposition(build_klein(preset_field("modp", 2311)),
+                                     check_special=True)
+    assert rep["ok"] and scanned == [4]
 
 
 def test_special_orbits_wiman(wiman_config_modp):

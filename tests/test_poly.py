@@ -55,7 +55,7 @@ def test_determinants_vs_evaluation_oracle():
     x, y, z = _xyz(f)
     for _ in range(5):
         coeffs = [f.coerce(rng.randrange(4733)) for _ in range(10)]
-        mono3 = [Poly(f, {e: c}) for e, c in zip(monomials_of_degree(3, 3), coeffs)]
+        mono3 = [Poly(f, {e: c}) for e, c in zip(monomials_of_degree(3), coeffs)]
         cub = mono3[0]
         for m in mono3[1:]:
             cub = cub + m
@@ -117,17 +117,27 @@ def test_weighted_basis_examples():
         assert len(weighted_basis((4, 6, 14), d)) == want
 
 
+def test_weighted_basis_order():
+    """The series column order: every (a, b, c) of weighted degree d, each
+    once, lexicographically descending, for the Klein and Wiman weights."""
+    for wa, wb, wc in ((4, 6, 14), (6, 12, 30)):
+        for d in range(0, 121, 6):
+            want = sorted(((a, b, c) for a in range(d // wa + 1)
+                           for b in range(d // wb + 1) for c in range(d // wc + 1)
+                           if a * wa + b * wb + c * wc == d), reverse=True)
+            assert weighted_basis((wa, wb, wc), d) == tuple(want)
+
+
 def test_monomials_of_degree_order():
     """The column order of every fat-point matrix: exponent tuples of total
     degree d, lexicographically descending, as weighted_basis gives them."""
-    assert monomials_of_degree(3, 2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1),
-                                         (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-    for n in (1, 2, 3):
-        for d in range(31):
-            want = sorted(((*h, d - sum(h)) for h in product(range(d + 1), repeat=n - 1)
-                           if sum(h) <= d), reverse=True)
-            assert monomials_of_degree(n, d) == want
-            assert monomials_of_degree(n, d) == list(weighted_basis((1,) * n, d))
+    assert monomials_of_degree(2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1),
+                                      (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    for d in range(31):
+        want = sorted(((*h, d - sum(h)) for h in product(range(d + 1), repeat=2)
+                       if sum(h) <= d), reverse=True)
+        assert monomials_of_degree(d) == want
+        assert monomials_of_degree(d) == list(weighted_basis((1, 1, 1), d))
 
 
 def test_truncpoly_is_a_truncating_poly():
@@ -183,9 +193,9 @@ def test_local_expand_multiplicative():
     rng = random.Random(11)
     for _ in range(6):
         terms_f = {e: f.coerce(rng.randrange(4733))
-                   for e in rng.sample(monomials_of_degree(3, 5), 6)}
+                   for e in rng.sample(monomials_of_degree(5), 6)}
         terms_g = {e: f.coerce(rng.randrange(4733))
-                   for e in rng.sample(monomials_of_degree(3, 4), 5)}
+                   for e in rng.sample(monomials_of_degree(4), 5)}
         a, b = Poly(f, terms_f), Poly(f, terms_g)
         pt = (rng.randrange(4733), rng.randrange(4733), 1)
         m = 6
@@ -212,7 +222,7 @@ def test_local_expand_matches_translation(name):
     for chart in range(3):
         for m in (1, 4, 7):
             deg = rng.randint(0, 6)
-            mons = monomials_of_degree(3, deg)
+            mons = monomials_of_degree(deg)
             f = Poly(field, {e: _random_element(field, rng)
                              for e in rng.sample(mons, min(len(mons), 6))})
             center = [_random_element(field, rng) for _ in range(3)]
@@ -295,7 +305,7 @@ def test_substitute_matches_term_by_term(name):
     phi6 = x * y ** 5 + y * z ** 5 + z * x ** 5 - (x ** 2 * y ** 2 * z ** 2).scale(5)
     invariants = [phi4, phi6, bordered_hessian_det(phi4, phi6)]
     weights, names = (4, 6, 14), ("v1", "v2", "v3")
-    mons = [e for deg in range(7) for e in monomials_of_degree(3, deg)]
+    mons = [e for deg in range(7) for e in monomials_of_degree(deg)]
     cases = []
     for images in (dense, affine):
         for _ in range(3):
