@@ -320,10 +320,7 @@ def _chain_levels(g, top):
     lead, e = max(g.terms), g.degree()
     levels = []
     for s in range(top % e, top + 1, e):
-        # monomials_of_degree(s): x^a by a descending, then z^c ascending
-        a = np.repeat(np.arange(s, -1, -1), np.arange(1, s + 2))
-        c = np.arange(len(a)) - (s - a) * (s - a + 1) // 2
-        mus = np.stack([a, s - a - c, c], axis=1)
+        mus = np.array(monomials_of_degree(s), dtype=np.int64)
         levels.append((s, mus[(mus < lead).any(axis=1)]))
     return levels
 

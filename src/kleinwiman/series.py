@@ -16,9 +16,9 @@ stabilizer G_P of P acts on the tangent directions at P, and the leading
 form h_k0 of a form F of order k0 at P is semi-invariant under it, so the
 zeros of h_k0 are a union of G_P-orbits.  The slopes are taken in turn
 from 0, 1, 2, ..., each skipped when it lies in the orbit of one already
-taken; the first lines.count(n) of them have orbits covering at least n
+taken; the first point.count(n) of them have orbits covering at least n
 directions.  The rows of order k are the t^k coefficients on the first
-lines.count(k + 1) lines (`_block_rows`).  They cut out the same kernel as
+point.count(k + 1) lines (`_block_rows`).  They cut out the same kernel as
 the m(m + 1)/2 rows on the slopes 0 .. m - 1: if F satisfies them and has
 order k0 < m, h_k0 vanishes on the orbits of lines covering more than k0
 directions, and is zero.  So the kernel and its canonical basis are those
@@ -30,8 +30,11 @@ line every form is a polynomial in t alone, and products are one-variable
 truncated products.  The slopes are distinct in F_p only when m <= p: a
 larger multiplicity over F_p is a usage error.
 
-Over F_p the line values of a generator at multiplicity m are an (L, m)
-array (line, coefficient), and each representative keeps one table per
+Everything a block reads at one point is built once, on one object
+(`_point`): the stabilizer's tangent maps, the slopes, the generators'
+expansions and their line values, which field operations build over every
+field: at multiplicity m an (L, m) array (line, coefficient) over F_p, L
+TruncPoly lines otherwise.  Over F_p the point keeps one table per
 generator: its powers 0 .. E below t^M, an (E + 1, L, M) array for the L
 lines that cover M directions, built by doubling in about log2(E) batched
 products.  A block that needs a larger E extends it; one that needs a
@@ -47,12 +50,12 @@ time.
 
 The series of one degree share their blocks (`_series_matrices`): each
 orbit class has one block, at the largest multiplicity that the series
-read ask of it, and the matrix of a series stacks its classes' row
-prefixes.  The negative-curve search reads each degree's candidates this
-way (`series_dims`), and a single series is the case of one.  A degree
-with more weighted monomials than the mod-p kernels take columns
-(kernels.WIDEST; `dim_t` counts them without listing them) is a usage
-error.
+read ask of it (none, and no point, when that is 0), and the matrix of a
+series stacks its classes' row prefixes.  The negative-curve search reads
+each degree's candidates this way (`series_dims`), and a single series is
+the case of one.  A degree with more weighted monomials than the mod-p
+kernels take columns (kernels.WIDEST; `dim_t` counts them without listing
+them) is a usage error.
 
 The dimension of a series is a rank: its column count minus the rank of
 its condition matrix (`series_dims`, through `linalg.rank`: over F_p the
@@ -65,7 +68,7 @@ and `series` without `--basis` need nothing more; the kernel basis
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
 
 import numpy as np
@@ -164,13 +167,6 @@ def edim(spec):
     return max(base - used, 0)
 
 
-@lru_cache(maxsize=None)
-def _generator_expansion(preset, field, rep, i):
-    """Complete local expansion of fundamental invariant i at a point."""
-    w = series_weights(preset)[i]
-    return local_expand(invariant_set(preset, field).phi[w], rep, w + 1)
-
-
 def _tangent_maps(preset, field, rep):
     """The stabilizer of a class representative acting on its tangent
     directions: per element g, the 2 x 2 matrix (a, b, c, d) taking the
@@ -189,17 +185,21 @@ def _tangent_maps(preset, field, rep):
             for g in stabilizer(config.gens, rep, PLANE_ORDERS[preset] // cls.size)]
 
 
-class _Slopes:
-    """The slopes of the lines (u, v) = (t, l t) through one point: 0, 1,
-    2, ... in turn, each skipped when it lies in the orbit of one already
-    taken.  The orbit of l is where the point's tangent maps send the
-    direction (1, l): a slope, or None for (0, 1).  reach[n] counts the
-    directions in the orbits of slopes[:n + 1]."""
+class _Point:
+    """The series data of one point, shared by all its blocks (`_point`).
 
-    def __init__(self, field, maps):
-        self.field, self.maps = field, maps
-        self.slopes, self.reach, self.covered = [], [], set()
-        self.next = 0
+    The slopes of the lines (u, v) = (t, l t) through it are 0, 1, 2, ...
+    in turn, each skipped when it lies in the orbit of one already taken.
+    The orbit of l is where the tangent maps send the direction (1, l): a
+    slope, or None for (0, 1).  reach[n] counts the directions in the
+    orbits of slopes[:n + 1].  The generators' expansions are built when
+    first read, and over F_p `tables` holds each generator's power table.
+    """
+
+    def __init__(self, preset, field, rep, maps):
+        self.preset, self.field, self.rep, self.maps = preset, field, rep, maps
+        self.slopes, self.reach, self.covered, self.next = [], [], set(), 0
+        self.expansions, self.tables = [None] * 3, [None] * 3
 
     def count(self, m):
         """How many of the slopes have orbits covering m directions;
@@ -223,112 +223,104 @@ class _Slopes:
             self.reach.append(len(self.covered))
         return bisect_left(self.reach, m) + 1
 
+    def expansion(self, i):
+        """Complete local expansion of fundamental invariant i at the point."""
+        if self.expansions[i] is None:
+            w = series_weights(self.preset)[i]
+            self.expansions[i] = local_expand(
+                invariant_set(self.preset, self.field).phi[w], self.rep, w + 1)
+        return self.expansions[i]
+
+    def line_values(self, i, m):
+        """Generator i on the first count(m) lines below t^m, by field
+        operations over every field: entry [l][k] is h_k(1, l), h_k the
+        degree-k part of the expansion; an (L, m) int64 array over F_p, one
+        TruncPoly in u alone per line otherwise."""
+        f = self.field
+        terms = [(a + b, b, c) for (a, b), c in self.expansion(i).terms.items()
+                 if a + b < m]
+        lines = []
+        for slope in self.slopes[:self.count(m)]:
+            powers = list(accumulate(repeat(slope, m - 1), f.mul, initial=f.one))
+            row = [f.zero] * m
+            for k, j, c in terms:
+                row[k] = f.add(row[k], f.mul(c, powers[j]))
+            lines.append(row)
+        if isinstance(f, PrimeField):
+            return np.array(lines, dtype=np.int64)
+        return [TruncPoly(f, m, {(k, 0): c for k, c in enumerate(row)})
+                for row in lines]
+
+    def table(self, i, m, e):
+        """Powers 0 .. e (at least) of generator i's line values below t^M,
+        M >= m, as the leading axis of an int64 array over F_p.
+
+        A table too narrow for m is rebuilt from powers 0 and 1 at twice its
+        M (at least m, at most p); one too short for e is extended by
+        doubling: powers n + 1 .. n + k are powers 1 .. k times power n, one
+        batched product each, in an array allocated first, within
+        kernels.MAX_BYTES.
+        """
+        p = self.field.p
+        tab = self.tables[i]
+        if tab is None or tab.shape[2] < m:
+            base = self.line_values(i, m if tab is None else
+                                    min(max(m, 2 * tab.shape[2]), p))
+            one = np.zeros_like(base)
+            one[:, 0] = 1
+            tab = np.stack([one, base])
+        n = len(tab) - 1
+        if n < e:
+            grown = kernels.empty((e + 1,) + tab.shape[1:])
+            grown[:n + 1] = tab
+            while n < e:
+                k = min(n, e - n)
+                grown[n + 1:n + k + 1] = kernels.trunc_mul_mod(grown[1:k + 1],
+                                                               grown[n], p)
+                n += k
+            tab = grown
+        self.tables[i] = tab
+        return tab
+
 
 @lru_cache(maxsize=None)
-def _slopes(preset, field, rep):
-    """The point's slope sequence, shared by all its blocks."""
-    return _Slopes(field, _tangent_maps(preset, field, rep))
+def _point(preset, field, rep):
+    """The _Point of a point, built when a block first reads it."""
+    return _Point(preset, field, rep, _tangent_maps(preset, field, rep))
 
 
-def _block_rows(lines, m):
+def _block_rows(point, m):
     """The (line, degree) pairs of a block below order m: for each k < m,
-    the t^k coefficient on the first lines.count(k + 1) lines, those whose
+    the t^k coefficient on the first point.count(k + 1) lines, those whose
     orbits cover k + 1 directions (k + 1 lines off a class representative).
     The pairs of each k do not depend on m, so the pairs for m are the first
     ones for any larger m."""
-    return [(line, k) for k in range(m) for line in range(lines.count(k + 1))]
+    return [(line, k) for k in range(m) for line in range(point.count(k + 1))]
 
-
-def _line_values(field, expansion, slopes, m):
-    """An expansion on the lines (u, v) = (t, l t), l in slopes, below t^m.
-
-    Entry [l][k] is h_k(1, l), h_k the degree-k part of the expansion: an
-    (L, m) int64 array over F_p, one TruncPoly in u alone per line otherwise.
-    """
-    terms = [(i + j, j, c) for (i, j), c in expansion.terms.items() if i + j < m]
-    if isinstance(field, PrimeField):
-        p = field.p
-        slopes = np.array(slopes, dtype=np.int64)
-        powers = np.ones((len(slopes), 1 + max((j for _, j, _ in terms), default=0)),
-                         dtype=np.int64)
-        for j in range(1, powers.shape[1]):
-            powers[:, j] = powers[:, j - 1] * slopes % p
-        diag = np.zeros((m, powers.shape[1]), dtype=np.int64)
-        for k, j, c in terms:
-            diag[k, j] = c
-        return powers @ diag.T % p
-    lines = []
-    for slope in slopes:
-        row = [field.zero] * m
-        for k, j, c in terms:
-            row[k] = field.add(row[k], field.mul(c, field.pow(slope, j)))
-        lines.append(TruncPoly(field, m, {(k, 0): c for k, c in enumerate(row)}))
-    return lines
-
-
-# Over F_p, per (preset, field, representative, generator): the powers
-# 0 .. E of the generator's values on the first L lines below t^M, one
-# (E + 1, L, M) int64 array, L lines covering M directions, grown when a
-# block needs a larger M or E (see the module docstring).
-_power_tables = {}
 
 # Cells of one (columns, L, m) stack of column products: chunks of columns
 # keep every temporary of a batched product near this size.
 CHUNK_CELLS = 1 << 15
 
 
-def _power_table(preset, field, rep, i, m, e):
-    """Powers 0 .. e (at least) of generator i's line values below t^M,
-    M >= m, as the leading axis of an int64 array over F_p.
-
-    A table too narrow for m is rebuilt from powers 0 and 1 at twice its M
-    (at least m, at most p); one too short for e is extended by doubling:
-    powers n + 1 .. n + k are powers 1 .. k times power n, one batched
-    product each, in an array allocated first, within kernels.MAX_BYTES.
-    """
-    key = (preset, field, rep, i)
-    tab = _power_tables.get(key)
-    if tab is None or tab.shape[2] < m:
-        size = m if tab is None else min(max(m, 2 * tab.shape[2]), field.p)
-        lines = _slopes(preset, field, rep)
-        base = _line_values(field, _generator_expansion(preset, field, rep, i),
-                            lines.slopes[:lines.count(size)], size)
-        one = np.zeros_like(base)
-        one[:, 0] = 1
-        tab = np.stack([one, base])
-    n = len(tab) - 1
-    if n < e:
-        grown = kernels.empty((e + 1,) + tab.shape[1:])
-        grown[:n + 1] = tab
-        while n < e:
-            k = min(n, e - n)
-            grown[n + 1:n + k + 1] = kernels.trunc_mul_mod(grown[1:k + 1], grown[n],
-                                                           field.p)
-            n += k
-        tab = grown
-    _power_tables[key] = tab
-    return tab
-
-
-def _condition_block(preset, field, rep, m, exps, out=None):
-    """Rows of vanishing conditions (below order m) at one representative:
-    an int64 array over F_p, written into `out` when given (allocated
-    within kernels.MAX_BYTES otherwise), a list of rows otherwise.
+def _condition_block(point, m, exps, out=None):
+    """Rows of vanishing conditions (below order m) at one point: an int64
+    array over F_p, written into `out` when given (allocated within
+    kernels.MAX_BYTES otherwise), a list of rows otherwise.
 
     For each k < m, the t^k coefficients on the lines whose orbits cover
     k + 1 directions (see the module docstring): the block at m is the row
     prefix of the block at any larger m.
     """
-    lines = _slopes(preset, field, rep)
-    n = lines.count(m)
-    rows = _block_rows(lines, m)
+    field = point.field
+    n = point.count(m)
+    rows = _block_rows(point, m)
     if isinstance(field, PrimeField):
         at, degrees = np.array(rows).T
         if out is None:
             out = kernels.empty((len(rows), len(exps)))
         e = np.array(exps).T
-        tabs = [_power_table(preset, field, rep, i, m, e[i].max())[:, :n, :m]
-                for i in range(3)]
+        tabs = [point.table(i, m, e[i].max())[:, :n, :m] for i in range(3)]
         step = max(1, CHUNK_CELLS // (n * m))
         for s in range(0, len(exps), step):
             a, b, c = e[:, s:s + step]
@@ -340,12 +332,10 @@ def _condition_block(preset, field, rep, m, exps, out=None):
     def mul(a, b):
         return [x * y for x, y in zip(a, b)]
 
-    slopes = lines.slopes[:n]
-    one = _line_values(field, TruncPoly(field, m, {(0, 0): field.one}), slopes, m)
+    one = [TruncPoly(field, m, {(0, 0): field.one})] * n
     powers = []
     for i in range(3):
-        base = _line_values(field, _generator_expansion(preset, field, rep, i),
-                            slopes, m)
+        base = point.line_values(i, m)
         row = [one]
         for _ in range(max(e[i] for e in exps)):
             row.append(mul(row[-1], base))
@@ -419,21 +409,25 @@ def _series_matrices(specs, field, keep=None):
             yield spec, exps, []
             continue
         if blocks is None:
-            # per class the order of each row: a prefix below m is bisected
-            orders = [[k for _, k in _block_rows(_slopes(preset, field, rep), m)]
+            # a point for each class that a block reads (no rows, and no
+            # point, at m = 0), and per class the order of each row: a
+            # prefix below m is bisected
+            points = [_point(preset, field, rep) if m else None
                       for rep, m in zip(reps, top)]
+            orders = [[k for _, k in _block_rows(point, m)]
+                      for point, m in zip(points, top)]
             starts = list(accumulate(map(len, orders), initial=0))
             # one array, filled block by block, whose row slices linalg
             # takes as they are
             blocks = kernels.empty((starts[-1], len(exps))) if prime else []
-            for i, (rep, m) in enumerate(zip(reps, top)):
+            for i, (point, m) in enumerate(zip(points, top)):
                 if not m:
                     continue
                 if prime:
-                    _condition_block(preset, field, rep, m, exps,
+                    _condition_block(point, m, exps,
                                      blocks[starts[i]:starts[i + 1]])
                 else:
-                    blocks += _condition_block(preset, field, rep, m, exps)
+                    blocks += _condition_block(point, m, exps)
         parts = [(start, start + bisect_left(ks, m))
                  for ks, m, start in zip(orders, mults, starts) if m]
         if all(a[1] == b[0] for a, b in zip(parts, parts[1:])):

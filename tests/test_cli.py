@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 
 import kleinwiman
 from kleinwiman import invariants
-from kleinwiman.cli import dispatch, jsonable, main
+from kleinwiman.cli import build_parser, dispatch, jsonable, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -540,3 +543,15 @@ def test_engine_leaves_numpy_random_unimported():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def test_readme_cli_examples_parse():
+    """Every `kleinwiman ...` line of the README's CLI code block parses
+    with the current option set; none is run."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    examples = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("kleinwiman ")]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv).command == argv[0], argv

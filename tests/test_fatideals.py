@@ -520,6 +520,39 @@ def test_unit_form(points, text, request):
     assert all(not ps.field.is_zero(exact.evaluate(pt)) for pt in ps.points)
 
 
+@pytest.mark.parametrize("points, top", [("klein_points_modp", 5),
+                                         ("char7_points", 7)])
+def test_chain_entries_match_local_expand(points, top, request):
+    """Each entry of chain_matrix is congruent mod p to the coefficient of
+    the local expansion of its column mu g^k at its point, read in
+    local_monomials order, with mixed per-point orders (0 and three
+    positive ones, so several batches by order): the unit line z over
+    F_4733, the conic over F_7.  Each level lists its monomials in
+    monomials_of_degree order."""
+    ps = request.getfixturevalue(points)
+    field, p = ps.field, ps.field.p
+    g = fatideals.unit_form(ps)
+    orders = [(2, 0, 3, 1)[n % 4] for n in range(len(ps))]
+    mat, levels = fatideals.chain_matrix(ps, g, orders, top)
+    lead = max(g.terms)
+    for s, mus in levels:
+        assert mus.tolist() == [list(mu) for mu in monomials_of_degree(s)
+                                if any(a < b for a, b in zip(mu, lead))]
+    cols = [Poly(field, {tuple(mu): field.one}) * g ** ((top - s) // g.degree())
+            for s, mus in levels for mu in mus.tolist()]
+    assert mat.shape == (sum(m * (m + 1) // 2 for m in orders), len(cols))
+    assert len(cols) == (top + 1) * (top + 2) // 2
+    r = 0
+    for pt, chart, m in zip(ps.points, ps.charts, orders):
+        monos = local_monomials(m)
+        block = (mat[r:r + len(monos)] % p).T.tolist()
+        for col, entries in zip(cols, block):
+            t = local_expand(col, pt, m, chart=chart)
+            assert entries == [t.coeff(ij) for ij in monos]
+        r += len(monos)
+    assert r == len(mat)
+
+
 def test_no_unit_form_on_the_whole_plane():
     """Every line and every conic over F_7 has a rational point, so on all
     57 points of PG(2, 7) no candidate is a unit form, and alpha has no

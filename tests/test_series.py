@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -231,12 +232,12 @@ def test_line_rows_match_bivariate_rows(preset, fixture, where, d, m, request):
     rep = config.classes[where].representative if isinstance(where, int) \
         else tuple(field.coerce(c) for c in where)
     exps = weighted_basis(series_weights(preset), d)
-    lines = _condition_block(preset, field, rep, m, exps)
+    point = series._point(preset, field, rep)
+    lines = _condition_block(point, m, exps)
     ref = _bivariate_rows(preset, field, rep, m, exps)
-    count = series._slopes(preset, field, rep).count(m)
+    count = point.count(m)
     assert count < m if isinstance(where, int) else count == m
-    assert len(lines) == sum(series._slopes(preset, field, rep).count(k + 1)
-                             for k in range(m))
+    assert len(lines) == sum(point.count(k + 1) for k in range(m))
     assert len(ref) == m * (m + 1) // 2
     n = len(exps)
     assert linalg.rank(lines, n, field) == linalg.rank(ref, n, field)
@@ -257,36 +258,32 @@ PREFIX_CASES = [
 @pytest.mark.parametrize("preset, fixture, d, mults", PREFIX_CASES,
                          ids=[fx.replace("_", "-") for _, fx, _, _ in PREFIX_CASES])
 def test_block_is_row_prefix_of_larger_block(preset, fixture, d, mults, request):
-    """A representative's block at m is the first len(_block_rows(lines, m))
+    """A representative's block at m is the first len(_block_rows(point, m))
     rows of its block at any larger M: the rows of each order do not depend
     on the multiplicity."""
     field = request.getfixturevalue(fixture)
     exps = weighted_basis(series_weights(preset), d)
     for cls in invariant_set(preset, field).config.classes:
-        rep = cls.representative
-        lines = series._slopes(preset, field, rep)
-        top = _condition_block(preset, field, rep, mults[-1], exps)
+        point = series._point(preset, field, cls.representative)
+        top = _condition_block(point, mults[-1], exps)
         for m in mults[:-1]:
-            block = _condition_block(preset, field, rep, m, exps)
-            n = len(series._block_rows(lines, m))
+            block = _condition_block(point, m, exps)
+            n = len(series._block_rows(point, m))
             assert len(block) == n < len(top)
             assert np.array_equal(block, top[:n]) if isinstance(top, np.ndarray) \
                 else block == top[:n], (cls.label, m)
 
 
-def _column_by_column(preset, field, rep, m, exps):
+def _column_by_column(point, m, exps):
     """The condition block over F_p one column at a time: each generator's
     powers by repeated (lines, m) products, then two products per column."""
-    p = field.p
-    lines = series._slopes(preset, field, rep)
-    slopes = lines.slopes[:lines.count(m)]
-    rows = series._block_rows(lines, m)
-    one = np.zeros((len(slopes), m), dtype=np.int64)
+    p = point.field.p
+    rows = series._block_rows(point, m)
+    one = np.zeros((point.count(m), m), dtype=np.int64)
     one[:, 0] = 1
     powers = []
     for i in range(3):
-        base = series._line_values(
-            field, series._generator_expansion(preset, field, rep, i), slopes, m)
+        base = point.line_values(i, m)
         row = [one]
         for _ in range(max(e[i] for e in exps)):
             row.append(kernels.trunc_mul_mod(row[-1], base, p))
@@ -323,21 +320,20 @@ def test_power_tables_match_column_by_column(klein_modp, wiman_modp):
               "mod29": preset_field("modp", 29)}
     seen = set()
     for seed in range(3):
-        series._power_tables.clear()
+        fresh = lru_cache(maxsize=None)(series._point.__wrapped__)  # no tables yet
         blocks = list(POWER_TABLE_BLOCKS)
         random.Random(seed).shuffle(blocks)
         for preset, name, cls, m, d in blocks:
             field = fields[name]
             rep = invariant_set(preset, field).config.classes[cls].representative
+            point = fresh(preset, field, rep)
             exps = weighted_basis(series_weights(preset), d)
-            held = [series._power_tables.get((preset, field, rep, i))
-                    for i in range(3)]
-            for i, tab in enumerate(held):
+            for i, tab in enumerate(point.tables):
                 e = max(x[i] for x in exps)
                 seen.add("cold" if tab is None else "grown" if tab.shape[2] < m
                          or len(tab) <= e else "sliced")
-            got = _condition_block(preset, field, rep, m, exps)
-            assert np.array_equal(got, _column_by_column(preset, field, rep, m, exps))
+            got = _condition_block(point, m, exps)
+            assert np.array_equal(got, _column_by_column(point, m, exps))
     assert seen == {"cold", "grown", "sliced"}
 
 
@@ -345,17 +341,17 @@ def test_power_table_and_block_allocations_are_bounded(klein_modp, monkeypatch):
     """A power table grown past kernels.MAX_BYTES, and a condition block
     allocated by _condition_block itself, are a UsageError naming the shape
     before anything is allocated; the table held stays as it was."""
-    monkeypatch.setattr(series, "_power_tables", {})
     rep = invariant_set("klein", klein_modp).config.classes[0].representative
-    tab = series._power_table("klein", klein_modp, rep, 0, 4, 3)
+    point = series._point.__wrapped__("klein", klein_modp, rep)
+    tab = point.table(0, 4, 3)
     monkeypatch.setattr(kernels, "MAX_BYTES", 2 * tab.nbytes)
     with pytest.raises(UsageError, match=r"a 21 x \d+ x \d+ int64 matrix"):
-        series._power_table("klein", klein_modp, rep, 0, 4, 20)
-    assert series._power_tables[("klein", klein_modp, rep, 0)] is tab
+        point.table(0, 4, 20)
+    assert point.tables[0] is tab
     exps = weighted_basis(series_weights("klein"), 48)
     monkeypatch.setattr(kernels, "MAX_BYTES", 8 * len(exps))
     with pytest.raises(UsageError, match=rf"a \d+ x {len(exps)} int64 matrix"):
-        _condition_block("klein", klein_modp, rep, 2, exps)
+        _condition_block(point, 2, exps)
 
 
 # (preset, field, degrees, multiplicities): blocks at every class
@@ -370,24 +366,13 @@ ORBIT_LINE_CASES = [
 ]
 
 
-class _EverySlope:
-    """The slopes 0 .. m - 1 as series._Slopes gives them for a point with
-    no tangent maps: the block on all m lines."""
-
-    def __init__(self, field, m):
-        self.slopes = [field.coerce(slope) for slope in range(m)]
-
-    def count(self, m):
-        return m
-
-
 def test_orbit_lines_cut_out_the_kernel_of_all_lines(klein_modp, wiman_modp,
-                                                     klein_exact, wiman_exact,
-                                                     monkeypatch):
+                                                     klein_exact, wiman_exact):
     """At every class representative, the block read on the lines whose
     stabilizer orbits cover m tangent directions has the canonical kernel
-    of the block read on all m slopes 0 .. m - 1; each stabilizer element
-    fixes its point, and there are |G| / |orbit| of them."""
+    of the block read on all m slopes 0 .. m - 1, the block of the same
+    point with no tangent maps; each stabilizer element fixes its point,
+    and there are |G| / |orbit| of them."""
     fields = {"klein-mod4733": klein_modp, "wiman-mod4951": wiman_modp,
               "klein-exact": klein_exact, "wiman-exact": wiman_exact,
               "mod29": preset_field("modp", 29), "mod19": preset_field("modp", 19)}
@@ -401,16 +386,14 @@ def test_orbit_lines_cut_out_the_kernel_of_all_lines(klein_modp, wiman_modp,
             elements = stabilizer(config.gens, rep, order)
             assert len({g.projective_key() for g in elements}) == order
             assert all(act_on_point(g, rep) == rep for g in elements)
+            point = series._point(preset, field, rep)
             for d in degrees:
                 exps = weighted_basis(series_weights(preset), d)
                 for m in mults:
-                    lines = _condition_block(preset, field, rep, m, exps)
-                    assert series._slopes(preset, field, rep).count(m) < m
-                    with monkeypatch.context() as patch:
-                        patch.setattr(series, "_slopes",
-                                      lambda *_: _EverySlope(field, m))
-                        patch.setattr(series, "_power_tables", {})
-                        every = _condition_block(preset, field, rep, m, exps)
+                    lines = _condition_block(point, m, exps)
+                    assert point.count(m) < m
+                    every = _condition_block(
+                        series._Point(preset, field, rep, []), m, exps)
                     assert len(every) == m * (m + 1) // 2
                     n = len(exps)
                     got, want = (linalg.kernel(lines, n, field),
@@ -424,8 +407,7 @@ def test_orbit_lines_cut_out_the_kernel_of_all_lines(klein_modp, wiman_modp,
     # slopes run out over F_p once m exceeds the p + 1 tangent directions
     rep = invariant_set("klein", fields["mod29"]).config.classes[1].representative
     with pytest.raises(EngineError):
-        series._Slopes(fields["mod29"], series._tangent_maps(
-            "klein", fields["mod29"], rep)).count(31)
+        series._point.__wrapped__("klein", fields["mod29"], rep).count(31)
 
 
 def test_multiplicity_above_characteristic_is_usage_error(monkeypatch):
@@ -437,9 +419,9 @@ def test_multiplicity_above_characteristic_is_usage_error(monkeypatch):
     built = []
     block = series._condition_block
 
-    def recording_block(preset, field, rep, m, exps, out=None):
+    def recording_block(point, m, exps, out=None):
         built.append(m)
-        return block(preset, field, rep, m, exps, out)
+        return block(point, m, exps, out)
 
     monkeypatch.setattr(series, "_condition_block", recording_block)
     with pytest.raises(UsageError):
