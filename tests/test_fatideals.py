@@ -359,6 +359,108 @@ def _same_piece(a, b):
     return (a.rows, a.pivots, a.monomials) == (b.rows, b.pivots, b.monomials)
 
 
+def _rows(piece):
+    rows = piece.rows
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+
+
+# the exact Klein (3, 21) piece unsplit is 294 x 253 over Q(zeta7), about
+# 1.5 s; the exact Wiman pieces unsplit are left out (6 s for (1, 16))
+@pytest.mark.parametrize("config, m, d", [
+    ("klein_config_exact", 1, 8), ("klein_config_exact", 2, 16),
+    ("klein_config_exact", 3, 21), ("klein_config_modp", 2, 16),
+    ("wiman_config_modp", 1, 16), ("wiman_config_modp", 2, 32)])
+def test_split_piece_matches_unsplit(config, m, d, request):
+    """A piece split by the characters of the diagonal subgroup, at one
+    point per orbit, has the RREF of the one kernel of every condition on
+    every monomial, built on a copy with no diagonal subgroup."""
+    split = PointSet.from_config(request.getfixturevalue(config))
+    whole = _copy(split)
+    assert len(split.representatives) < len(split)
+    assert whole.representatives is whole and len(whole.characters(
+        monomials_of_degree(d))) == 1
+    a, b = symbolic_piece(split, m, d), symbolic_piece(whole, m, d)
+    assert a.dim > 0
+    assert (_rows(a), a.pivots, a.monomials) == (_rows(b), b.pivots, b.monomials)
+
+
+def test_split_wiman_exact_piece_reduces_to_modp(wiman_points_exact,
+                                                 wiman_points_modp):
+    """The exact Wiman (1, 16) piece, from its four character blocks of 63
+    rows, has dimension 3 and reduces entry by entry at 4951 to the piece
+    over F_4951."""
+    exact = symbolic_piece(wiman_points_exact, 1, 16)
+    modp = symbolic_piece(wiman_points_modp, 1, 16)
+    assert len(wiman_points_exact.representatives) == 63
+    assert exact.dim == modp.dim == 3 and exact.pivots == modp.pivots
+    field = wiman_points_exact.field
+    assert [[field.reduce(c) for c in row] for row in exact.rows] \
+        == modp.rows.tolist()
+
+
+@pytest.mark.parametrize("config, order, orbits, characters", [
+    ("klein_config_exact", 7, 7, 7), ("klein_config_modp", 7, 7, 7),
+    ("wiman_config_modp", 4, 63, 4)])
+def test_diagonal_orbits(config, order, orbits, characters, request):
+    """Klein's 49 points form 7 free orbits of diag(zeta^4, zeta^2, zeta);
+    Wiman's 201 form 63 orbits of the sign changes of determinant 1, whose
+    points on the mirrors have nontrivial stabilizers.  Every character of
+    D occurs on the monomials of degree 16."""
+    cfg = request.getfixturevalue(config)
+    ps = PointSet.from_config(cfg)
+    group = fatideals._diagonal_closure(ps.field, ps.diagonal)
+    assert len(group) == order
+    reps = ps.representatives
+    assert len(reps) == orbits and not reps.diagonal
+    assert set(reps.points) <= set(ps.points)
+    images = {normalize_point(ps.field, tuple(map(ps.field.mul, t, pt)))
+              for pt in reps.points for t in group}
+    assert images == set(ps.points)
+    if cfg.preset == "klein":
+        assert len(ps) == 49 and orbits * order == 49       # free orbits
+    blocks = ps.characters(monomials_of_degree(16))
+    assert len(blocks) == characters
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(153))
+
+
+def _mutated(config, kind):
+    """The Klein point set with diag(1, zeta, 1), not in the group, as its
+    diagonal subgroup, or with its first point dropped."""
+    ps = PointSet.from_config(config)
+    field = ps.field
+    if kind == "outside":
+        ps.diagonal = [(field.one, field.constant("zeta"), field.one)]
+        return ps
+    return PointSet(ps.preset, field, ps.points[1:], ps.charts[1:], ps.lines,
+                    ps.diagonal)
+
+
+@pytest.mark.parametrize("kind", ["outside", "dropped"])
+def test_diagonal_subgroup_must_fix_the_set(klein_config_exact, kind,
+                                            monkeypatch):
+    """Mutations: an element outside the group, or a set with a point
+    dropped, maps a point outside the set.  symbolic_piece raises a
+    FatIdealError before any matrix is built, and the CLI exits 1 without
+    building a condition matrix."""
+    built = []
+    for name in ("point_conditions_matrix", "chain_matrix"):
+        monkeypatch.setattr(fatideals, name,
+                            lambda *args, name=name: built.append(name))
+    with pytest.raises(FatIdealError, match="image outside the set"):
+        symbolic_piece(_mutated(klein_config_exact, kind), 1, 8)
+    assert built == []
+    monkeypatch.undo()
+    conditions = fatideals.point_conditions_matrix
+    monkeypatch.setattr(fatideals, "point_conditions_matrix",
+                        lambda *args: built.append(args) or conditions(*args))
+    mutated = _mutated(klein_config_exact, kind)
+    monkeypatch.setattr(PointSet, "from_config",
+                        classmethod(lambda cls, config: mutated))
+    assert cli.dispatch(["fatideal", "generators", "--preset", "klein",
+                         "--field", "exact", "--depth", "9"]) == (1, None)
+    assert built == []
+
+
 # (preset, m, alpha of the m-th symbolic power, degrees rebuilt on the exact
 # route): the exact Wiman pieces of I^(2) cost about 1 s each near degree 30,
 # so that route is compared on the low degrees and the last empty one
