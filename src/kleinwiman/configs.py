@@ -1,12 +1,31 @@
-"""Line configurations: lines, classified singular points, intersection form."""
+"""Line configurations: lines, classified singular points, intersection form.
+
+The incidences and orbits are found at a prime and confirmed exactly.  Over
+F_p the residue map is the identity; over Q(zeta7) and Q(sqrt5, omega) it
+is the partner map of the field (SimpleExtension.reduce), a ring
+homomorphism on the elements it is defined on.  So a nonzero residue
+proves a nonzero value: a line whose coefficients pair with a point to a
+nonzero residue misses the point, two lines or points with different
+normalized residues are different, and an image under a generator with no
+residue among a set's points is not in the set.  A zero residue or a match
+is only a candidate, and each is confirmed in the field itself
+(point_on_line; proportionality to a point in normal form).  Whatever has
+no residue (a denominator that vanishes at p, a field with no partner
+prime) or cannot be confirmed takes the exact route alone, so every
+classification and audit verdict is the one exact arithmetic gives.
+"""
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import combinations
 
-from kleinwiman.errors import ConfigError
+import numpy as np
+
+from kleinwiman.errors import ConfigError, FieldError, UsageError
 from kleinwiman.fields import PrimeField, hosting_problem, preset_field
 from kleinwiman.groups import (act_on_poly, klein_generators, orbit,
                                orbit_of_poly, valentiner_generators)
+from kleinwiman.kernels import MAX_PRIME
 from kleinwiman.poly import Poly, chart_for_point, normalize_point
 
 
@@ -46,6 +65,159 @@ def points_on_line(field, coeffs):
         pts.append(tuple(v))
     pts.append(tuple(field.add(a, b) for a, b in zip(pts[0], pts[1])))
     return pts
+
+
+# -- residues at a prime -----------------------------------------------------
+
+def _residues(field, vectors):
+    """The coordinates of the vectors at the residue prime p of the field:
+    p, an int64 array with one row per vector, and a mask of the rows that
+    have residues (a denominator may vanish at p).  p is None, and no row
+    has residues, when the field has no partner prime or p is past
+    MAX_PRIME (below it a sum of three products of residues is exact in
+    int64)."""
+    rows = np.zeros((len(vectors), 3), dtype=np.int64)
+    ok = np.zeros(len(vectors), dtype=bool)
+    if isinstance(field, PrimeField):
+        p, red = field.p, field.coerce
+    else:
+        p, red = getattr(field, "partner_prime", None), getattr(field, "reduce", None)
+    if p is None or p >= MAX_PRIME:
+        return None, rows, ok
+    for k, v in enumerate(vectors):
+        try:
+            rows[k] = [red(c) for c in v]
+        except FieldError:
+            continue
+        ok[k] = True
+    return p, rows, ok
+
+
+def _projective_keys(p, rows):
+    """Each row of residues scaled mod p to last nonzero entry 1 and coded
+    as one int64, (k_0 p + k_1) p + k_2, and the mask of the nonzero rows
+    (a zero row's key is 0)."""
+    rows = rows % p
+    lead = rows[:, 2].copy()                            # last nonzero entry
+    for k in (1, 0):
+        zero = lead == 0
+        lead[zero] = rows[zero, k]
+    inv, base, e = np.ones_like(lead), lead, p - 2     # lead^(p-2) = 1/lead
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    keys = rows * inv[:, None] % p
+    return (keys[:, 0] * p + keys[:, 1]) * p + keys[:, 2], lead != 0
+
+
+def _cross_mod(p, u, v):
+    """Row-wise cross products of two arrays of residues, mod p."""
+    return np.stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+                     u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                     u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]], axis=1) % p
+
+
+def incident_lines(field, coeffs, points):
+    """For each point, the indices of the lines (coefficient vectors)
+    through it, in increasing order.
+
+    Every pairing of a line with a point is taken mod p in one int64
+    product; a nonzero residue proves the point off the line, and each
+    zero, like each pair with no residues, is confirmed by point_on_line.
+    """
+    p, lines, lok = _residues(field, coeffs)
+    _, pts, pok = _residues(field, points)
+    candidate = ~(pok[:, None] & lok[None, :])
+    if p is not None:
+        candidate |= pts @ lines.T % p == 0
+    out = [[] for _ in points]
+    for j, i in zip(*np.nonzero(candidate)):
+        if point_on_line(field, points[j], coeffs[i]):
+            out[j].append(int(i))
+    return out
+
+
+def _distinct_lines(field, coeffs):
+    """Whether no two coefficient vectors are proportional.  Vectors with
+    different normalized residues are not; those that share one are
+    compared exactly, and so is every vector when one has no nonzero
+    residue."""
+    p, rows, ok = _residues(field, coeffs)
+    groups = {None: coeffs}
+    if p is not None and ok.all():
+        keys, nonzero = _projective_keys(p, rows)
+        if nonzero.all():
+            groups = {}
+            for c, key in zip(coeffs, keys.tolist()):
+                groups.setdefault(key, []).append(c)
+    return all(len({normalize_point(field, c) for c in group}) == len(group)
+               for group in groups.values() if len(group) > 1)
+
+
+def _in_normal_form(field, point):
+    """Canonical coordinates, the last nonzero one equal to 1."""
+    nonzero = [c for c in point if not field.is_zero(c)]
+    return (bool(nonzero) and nonzero[-1] == field.one
+            and all(field.coerce(c) == c for c in point))
+
+
+def _proportional(field, v, s):
+    """Whether the vector v is a multiple of the point s, which is in
+    normal form: two products at most, no inverse."""
+    c = chart_for_point(field, s)
+    return (not field.is_zero(v[c])
+            and all(field.is_zero(v[j]) for j in range(c + 1, 3))
+            and all(v[i] == field.mul(v[c], s[i]) for i in range(c)))
+
+
+def _orbit_in(gens, start, points):
+    """The orbit of `start` under the group the matrices in gens generate,
+    as a set of points in normal form.  When it lies in `points` it is read
+    by a breadth-first walk over the set's own points: each image g q is
+    looked up among them by its normalized residue, found from the residues
+    of g and q, and confirmed exactly as proportional to the point found.
+    When the walk cannot be confirmed (an image with no confirmed match, a
+    point not in normal form, a coordinate with no residue) it is
+    groups.orbit."""
+    field = gens[0].field
+    pts = list(dict.fromkeys(points))
+    if not all(_in_normal_form(field, q) for q in pts):
+        return set(orbit(gens, start))
+    p, res, ok = _residues(field, pts + [start])
+    _, gres, gok = _residues(field, [row for g in gens for row in g.m])
+    if p is None or not (ok.all() and gok.all()):
+        return set(orbit(gens, start))
+    keys = _projective_keys(p, res)[0].tolist()
+    index = {}
+    for q, key in zip(pts, keys):
+        index.setdefault(key, []).append(q)
+    # images[g][k]: key of the image of point k under generator g
+    mats = gres.reshape(len(gens), 3, 3)
+    images = [_projective_keys(p, res[:-1] @ m.T)[0].tolist() for m in mats]
+    position = {q: k for k, q in enumerate(pts)}
+
+    def find(v, key):
+        return next((s for s in index.get(key, ()) if _proportional(field, v, s)),
+                    None)
+
+    first = find(start, keys[-1])
+    if first is None:
+        return set(orbit(gens, start))
+    seen, frontier = {first}, [first]
+    while frontier:
+        new = []
+        for q in frontier:
+            for g, image in zip(gens, images):
+                s = find(g.matvec(q), image[position[q]])
+                if s is None:
+                    return set(orbit(gens, start))
+                if s not in seen:
+                    seen.add(s)
+                    new.append(s)
+        frontier = new
+    return seen
 
 
 @dataclass
@@ -91,13 +263,47 @@ class LineConfiguration:
 
 
 def classify_points(field, lines):
-    """Pairwise intersections grouped by the number of incident lines."""
+    """Pairwise intersections grouped by the number of incident lines.
+
+    The pairs of lines are grouped by their intersection mod p (the
+    normalized cross product of their residues); pairs that meet in one
+    point fall in one group.  Each group's point is intersected exactly
+    once, from its first pair, and every line of the group is confirmed on
+    it; then the group's lines are exactly the lines through the point (a
+    pair meeting there with a nonzero cross product mod p has its key).  A
+    group that fails, and a pair with no residue or a cross product zero
+    mod p, are intersected pair by pair.
+    """
     coeffs = [line_coeffs(line) for line in lines]
+    first, second = np.array(list(combinations(range(len(coeffs)), 2)),
+                             dtype=np.intp).reshape(-1, 2).T
+    p, rows, ok = _residues(field, coeffs)
+    usable = np.zeros(len(first), dtype=bool)
+    groups = {}                         # key -> its pairs, in increasing order
+    if p is not None:
+        keys, nonzero = _projective_keys(
+            p, _cross_mod(p, rows[first], rows[second]))
+        usable = ok[first] & ok[second] & nonzero
+        pairs = np.flatnonzero(usable)
+        for t, key in zip(pairs.tolist(), keys[pairs].tolist()):
+            groups.setdefault(key, []).append(t)
+    single = np.flatnonzero(~usable).tolist()   # pairs intersected one by one
+    found = []                                  # (first pair, point, lines)
+    for pairs in groups.values():
+        i, j = int(first[pairs[0]]), int(second[pairs[0]])
+        point = line_intersection(field, coeffs[i], coeffs[j])
+        group = set(first[pairs].tolist()) | set(second[pairs].tolist())
+        if all(point_on_line(field, point, coeffs[k])
+               for k in group if k not in (i, j)):
+            found.append((pairs[0], point, group))
+        else:
+            single.extend(pairs)
+    for t in single:
+        i, j = int(first[t]), int(second[t])
+        found.append((t, line_intersection(field, coeffs[i], coeffs[j]), {i, j}))
     incidence = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            p = line_intersection(field, coeffs[i], coeffs[j])
-            incidence.setdefault(p, set()).update((i, j))
+    for _, point, group in sorted(found, key=lambda item: item[0]):
+        incidence.setdefault(point, set()).update(group)
     by_mult = {}
     for p, inc in incidence.items():
         by_mult.setdefault(len(inc), []).append(p)
@@ -178,9 +384,9 @@ def build_wiman(field):
     if counts != {5: 36, 4: 45, 3: 120}:
         raise ConfigError(f"unexpected singular point counts {counts}")
     # split the triple points into the two 60-point orbits
-    first = orbit(gens, by_mult[3][0])
-    orbit_a = [p for p in by_mult[3] if p in set(first)]
-    orbit_b = [p for p in by_mult[3] if p not in set(first)]
+    first = _orbit_in(gens, by_mult[3][0], by_mult[3])
+    orbit_a = [p for p in by_mult[3] if p in first]
+    orbit_b = [p for p in by_mult[3] if p not in first]
     if len(orbit_a) != 60 or len(orbit_b) != 60:
         raise ConfigError("triple points do not split into two 60-point orbits")
     if orbit_b[0] < orbit_a[0]:
@@ -260,32 +466,35 @@ def verify_orbit_decomposition(config, check_special=False):
     multiplicity audit's incidences: two distinct lines meet in one point, so
     with distinct lines and distinct class points (as tuples, each scaled to
     last nonzero coordinate 1), each on two lines or more, the class points
-    are the pairwise intersections iff sum C(n_p, 2) = C(L, 2)."""
+    are the pairwise intersections iff sum C(n_p, 2) = C(L, 2).  The
+    incidences are found mod p and confirmed exactly (incident_lines), and
+    a class is one orbit when the orbit of its representative, read over
+    the class's own points where it can be (_orbit_in), is the class."""
     field = config.field
     report = {"preset": config.preset, "classes": [], "ok": True}
     coeffs = [line_coeffs(line) for line in config.lines]
-    incidences = []                  # n_p, the lines through p, per point
+    points = config.all_points()
+    incidences = [len(on) for on in incident_lines(field, coeffs, points)]
+    start = 0
     for cls in config.classes:
         entry = {"label": cls.label, "multiplicity": cls.multiplicity,
                  "size": cls.size, "multiplicity_audit": "ok"}
-        counts = [sum(1 for c in coeffs if point_on_line(field, p, c))
-                  for p in cls.points]
-        incidences.extend(counts)
+        counts = incidences[start:start + cls.size]
+        start += cls.size
         for p, inc in zip(cls.points, counts):
             if inc != cls.multiplicity:
                 entry["multiplicity_audit"] = f"point {p} lies on {inc} lines"
                 report["ok"] = False
                 break
         if config.gens:
-            orb = orbit(config.gens, cls.representative)
-            entry["single_orbit"] = (set(orb) == set(cls.points))
+            entry["single_orbit"] = (_orbit_in(config.gens, cls.representative,
+                                               cls.points) == set(cls.points))
             if not entry["single_orbit"]:
                 report["ok"] = False
         report["classes"].append(entry)
-    points = config.all_points()
     num = len(coeffs)
     report["pairwise_coverage"] = (
-        len({normalize_point(field, c) for c in coeffs}) == num
+        _distinct_lines(field, coeffs)
         and len(set(points)) == len(points)
         and all(p[chart_for_point(field, p)] == field.one for p in points)
         and min(incidences, default=0) >= 2
@@ -306,9 +515,12 @@ SPECIAL_ORBITS = {"klein": [(4, 6, 24), (4, 14, 56)], "wiman": [(6, 12, 72)]}
 def _special_orbit_counts(config):
     """Counts of common zeros of invariant pairs; prime fields only.
 
-    The expected counts assume every point of the orbit is rational over the
-    prime field, which depends on the prime (2311 splits all three recorded
-    orbits; the 56-point orbit is not rational mod 4733).
+    Each pair cuts out one orbit (its Bezout number of points, the expected
+    count), and the group is defined over the prime field, so the orbit's
+    points are all rational there or none is: 2311 splits all three
+    recorded orbits, while the 56-point Klein orbit has no point mod 4733.
+    A count of 0 is such a prime, a UsageError naming the orbit and the
+    prime; any other count that differs is a failed verification.
     """
     from kleinwiman.invariants import invariant_set  # local import, no cycle
 
@@ -323,45 +535,57 @@ def _special_orbit_counts(config):
         if a not in loci:
             loci[a] = projective_zero_locus(phi[a])
         count = sum(1 for p in loci[a] if field.is_zero(phi[b].evaluate(p)))
+        if count == 0:
+            raise UsageError(
+                f"--special: the {expect}-point orbit phi{a}^phi{b} has no "
+                f"point over {field.name} (p = {field.p}); its points are "
+                f"all rational over a prime field or none is, so choose a "
+                f"prime that splits it")
         out[f"phi{a}^phi{b}"] = {"count": count, "expected": expect}
     return out
 
 
 def projective_zero_locus(f):
-    """All rational projective zeros of f over its prime field (numpy scan)."""
-    import numpy as np
+    """All rational projective zeros of f over its prime field (numpy scan).
 
+    In the chart z = 1, f = sum_b P_b(x) y^b: each P_b is evaluated once per
+    block of x values, and f by Horner's rule in y over the block's grid,
+    reduced mod p only where the next step could leave int64.
+    """
     field = f.field
     p = field.p
-    terms = list(f.terms.items())
+    by_y = {}
+    for (a, b, _c), coef in f.terms.items():     # chart z = 1
+        by_y.setdefault(b, {})[a] = coef
+    top = max(by_y)
     out = []
     block = max(1, (1 << 21) // p)
     ys = np.arange(p, dtype=np.int64)
-    ypow = {0: np.ones(p, dtype=np.int64)}
-
-    def ypowers(k):
-        if k not in ypow:
-            ypow[k] = ypowers(k - 1) * ys % p
-        return ypow[k]
-
     for x0 in range(0, p, block):
         xs = np.arange(x0, min(x0 + block, p), dtype=np.int64)
-        acc = np.zeros((xs.size, p), dtype=np.int64)
-        xpow = {0: np.ones_like(xs)}
-        for (a, b, _c), coef in terms:   # chart z = 1
-            if a not in xpow:
-                base = xs.copy()
-                cur = xpow[max(k for k in xpow)]
-                for k in range(max(xpow) + 1, a + 1):
-                    cur = cur * base % p
-                    xpow[k] = cur
-            acc = (acc + coef * xpow[a][:, None] * ypowers(b)[None, :]) % p
+        columns = {}
+        for b, coeffs in by_y.items():
+            column = np.zeros_like(xs)
+            for a in range(max(coeffs), -1, -1):
+                column = (column * xs + coeffs.get(a, 0)) % p
+            columns[b] = column[:, None]
+        acc = np.repeat(columns[top], p, axis=1)
+        bound = p - 1                            # acc <= bound entrywise
+        for b in range(top - 1, -1, -1):
+            if bound * p >= 1 << 63:
+                acc %= p
+                bound = p - 1
+            acc *= ys
+            if b in columns:
+                acc += columns[b]
+            bound = bound * (p - 1) + p - 1
+        acc %= p
         for i, j in zip(*np.nonzero(acc == 0)):
             out.append(normalize_point(field, (int(xs[i]), int(ys[j]), 1)))
     # the line z = 0
     for q in [(0, 1, 0)] + [(1, y, 0) for y in range(p)]:
         acc = field.zero
-        for (a, b, c), coef in terms:
+        for (a, b, c), coef in f.terms.items():
             if c == 0:
                 v = field.mul(coef, field.mul(field.pow(field.coerce(q[0]), a),
                                               field.pow(field.coerce(q[1]), b)))

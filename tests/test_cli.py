@@ -119,6 +119,8 @@ def test_usage_error_exit_code():
     ["series", "--preset", "klein", "--d", "20000", "--m3", "1", "--field", "mod4733"],
     ["series", "--preset", "klein", "--d", "200000", "--m3", "1", "--field",
      "mod4733"],
+    ["config", "show", "--preset", "klein", "--field", "mod4733", "--verify",
+     "--special"],
 ], ids=["field-not-a-number", "field-not-prime", "field-prime-too-large",
         "field-even-prime", "r-zero", "d-negative", "dmax-negative",
         "field-lacks-preset-constants", "removed-dhint",
@@ -129,9 +131,11 @@ def test_usage_error_exit_code():
         "special-exact-field", "special-char7", "curve-only-with-ledger",
         "curve-only-wiman", "klein-series-m5", "klein-series-m3b",
         "generators-depth-above-126", "contain-dmax-above-126",
-        "alpha-m-above-126", "series-d-past-width", "series-d-far-past-width"])
+        "alpha-m-above-126", "series-d-past-width", "series-d-far-past-width",
+        "special-orbit-not-rational"])
 def test_bad_input_is_usage_error(argv):
-    """Rejected before any engine work: exit 2, no report."""
+    """Rejected with exit 2 and no report: before any engine work, or (a
+    special orbit with no point over the prime) at the scan that finds it."""
     assert run_cli(argv) == (2, None)
 
 
@@ -451,20 +455,23 @@ SWEEP_CASES = [
      ["--ledger-dmax"], (29, 30, 1648)),
     (["waldschmidt", "--preset", "klein", "--field", "modp:29"],
      ["--ledger-dmax"], (29, 30, 1648)),
+    (["config", "show", "--preset", "klein", "--verify", "--special"],
+     ["--field"], ("mod4733", "modp:2311")),
 ]
 
 
 def test_option_boundary_sweep():
-    """The integer options at their boundary values, one process per value
-    under the address-space limit and a 20 s alarm: exit 0, 1 or 2, never a
-    traceback."""
+    """The integer options at their boundary values, and `config show
+    --special` at a prime where a special orbit has no point and at one
+    that splits them all, one process per value under the address-space
+    limit and a 20 s alarm: exit 0, 1 or 2, never a traceback."""
     argvs = [base + [option, str(value)]
              for base, options, values in SWEEP_CASES for option in options
              for value in values]
     proc = _run_limited(["-c", SWEEP, json.dumps(argvs), "20"])
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
-    assert len(results) == len(argvs) == 58
+    assert len(results) == len(argvs) == 60
     for argv, (code, err) in zip(argvs, results):
         assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
     # p + 1, past the width bound, past the top degree and below the ledger's
@@ -482,7 +489,10 @@ def test_option_boundary_sweep():
             ("waldschmidt --preset klein --field modp:29 --ledger-dmax 29", 2),
             ("waldschmidt --preset klein --field modp:29 --ledger-dmax 30", 0),
             ("fatideal resurgence --preset klein --field mod4733 "
-             "--ledger-dmax 1648", 2)):
+             "--ledger-dmax 1648", 2),
+            ("config show --preset klein --verify --special --field mod4733", 2),
+            ("config show --preset klein --verify --special --field modp:2311",
+             0)):
         assert codes[argv] == code, argv
 
 

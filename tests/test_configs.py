@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from kleinwiman import configs, groups
@@ -8,10 +9,11 @@ from kleinwiman.configs import (LineConfiguration, OrbitClass,
                                 _pick_representative, build_config, build_klein,
                                 build_wiman, line_coeffs, point_on_line,
                                 projective_zero_locus, verify_orbit_decomposition)
-from kleinwiman.errors import ConfigError
-from kleinwiman.fields import WIMAN_PRIME, preset_field
+from kleinwiman.errors import ConfigError, UsageError
+from kleinwiman.fields import (WIMAN_PRIME, PrimeField, SimpleExtension,
+                               preset_field)
 from kleinwiman.groups import act_on_point
-from kleinwiman.poly import Poly
+from kleinwiman.poly import Poly, normalize_point
 
 # sha256 of the newline-joined texts of the 45 Wiman lines over Q(sqrt5, omega)
 # in the order build_config returns them (the order of `config show`)
@@ -271,3 +273,199 @@ def test_wiman_exact_line_order():
     cfg = build_config("wiman", preset_field("wiman-exact"))
     text = "\n".join(line.text() for line in cfg.lines)
     assert hashlib.sha256(text.encode()).hexdigest() == WIMAN_EXACT_LINES_SHA256
+
+
+# -- the residue route against the exact brute force -------------------------
+
+def _brute_classes(field, lines):
+    """Pairwise exact intersections grouped by the number of lines through
+    them, each group sorted: the classification without residues."""
+    coeffs = [line_coeffs(line) for line in lines]
+    incidence = {}
+    for i in range(len(coeffs)):
+        for j in range(i + 1, len(coeffs)):
+            point = configs.line_intersection(field, coeffs[i], coeffs[j])
+            incidence.setdefault(point, set()).update((i, j))
+    by_mult = {}
+    for point, inc in incidence.items():
+        by_mult.setdefault(len(inc), []).append(point)
+    return {m: sorted(pts, key=lambda q: tuple(field.sort_key(c) for c in q))
+            for m, pts in by_mult.items()}
+
+
+def _brute_incidences(field, coeffs, points):
+    return [[i for i, c in enumerate(coeffs) if point_on_line(field, q, c)]
+            for q in points]
+
+
+def _exact_route(monkeypatch):
+    """Take every residue away: each incidence, class and orbit is then
+    found by exact arithmetic alone."""
+    monkeypatch.setattr(configs, "_residues", lambda field, vectors: (
+        None, np.zeros((len(vectors), 3), dtype=np.int64),
+        np.zeros(len(vectors), dtype=bool)))
+
+
+@pytest.mark.parametrize("preset, field", [
+    ("klein", ("klein-exact",)),
+    ("wiman", ("wiman-exact",)),
+    ("klein", ("klein-mod4733",)),
+    ("wiman", ("modp", WIMAN_PRIME)),
+    ("klein-char7", ()),
+], ids=["klein-exact", "wiman-exact", "klein-4733", "wiman-4951", "klein-char7"])
+def test_residue_route_matches_brute_force(monkeypatch, preset, field):
+    """Incidences, classes and orbits found mod p and confirmed exactly are
+    the ones point_on_line on every pair, line_intersection on every pair
+    of lines and groups.orbit give; each orbit is read by the walk alone."""
+    cfg = build_config(preset, preset_field(*field) if field else None)
+    f = cfg.field
+    coeffs = [line_coeffs(line) for line in cfg.lines]
+    points = cfg.all_points()
+    assert configs.incident_lines(f, coeffs, points) == \
+        _brute_incidences(f, coeffs, points)
+    assert configs.classify_points(f, cfg.lines) == _brute_classes(f, cfg.lines)
+    orbits = [set(groups.orbit(cfg.gens, cls.representative))
+              for cls in cfg.classes] if cfg.gens else []
+    monkeypatch.setattr(configs, "orbit", _no_orbit)
+    for cls, expected in zip(cfg.classes, orbits):
+        assert configs._orbit_in(cfg.gens, cls.representative, cls.points) \
+            == expected == set(cls.points)
+
+
+def _no_orbit(*args, **kwargs):
+    raise AssertionError("the orbit was not read over the set's points")
+
+
+def _congruent_copy(field, point):
+    """A point in normal form that differs from `point` exactly and agrees
+    with it at the partner prime: p added to its first coordinate."""
+    p = field.partner_prime
+    moved = (field.add(point[0], field.coerce(p)),) + tuple(point[1:])
+    assert moved != point and point[2] == field.one
+    assert [field.reduce(c) for c in moved] == [field.reduce(c) for c in point]
+    return moved
+
+
+def test_congruent_point_fails_the_audit(monkeypatch, klein_config_exact):
+    """A quadruple point replaced by a point congruent to it mod 4733: its
+    residues pair to zero with its four lines, and neither the incidence nor
+    the orbit survives exact confirmation."""
+    cfg = klein_config_exact
+    f = cfg.field
+    e4, e3 = (list(c.points) for c in cfg.classes)
+    k = next(k for k, q in enumerate(e4) if q != cfg.classes[0].representative)
+    e4[k] = _congruent_copy(f, e4[k])
+    mutated = _with_classes(cfg, e4, e3)
+    rep = verify_orbit_decomposition(mutated)
+    assert rep["classes"][0]["multiplicity_audit"] != "ok"
+    assert rep["classes"][0]["single_orbit"] is False and not rep["ok"]
+    # no walk over the class confirms the moved point: groups.orbit answers
+    monkeypatch.setattr(configs, "orbit", _no_orbit)
+    with pytest.raises(AssertionError, match="not read over"):
+        configs._orbit_in(cfg.gens, e4[0], e4)
+    monkeypatch.setattr(configs, "orbit", groups.orbit)
+    _exact_route(monkeypatch)
+    assert verify_orbit_decomposition(mutated) == rep
+
+
+def test_points_equal_mod_p_take_the_exact_route(monkeypatch, klein_config_exact):
+    """Two class points that agree mod p, and two lines that do: the
+    residue route gives the exact route's incidences, classes and
+    verdicts."""
+    cfg = klein_config_exact
+    f = cfg.field
+    e4, e3 = (list(c.points) for c in cfg.classes)
+    extra = _congruent_copy(f, e3[3])
+    coeffs = [line_coeffs(line) for line in cfg.lines]
+    assert configs.incident_lines(f, coeffs, e3 + [extra]) == \
+        _brute_incidences(f, coeffs, e3 + [extra])
+    # the walk confirms e3[3] and never its copy: the orbit is the 28 points
+    with monkeypatch.context() as m:
+        m.setattr(configs, "orbit", _no_orbit)
+        assert configs._orbit_in(cfg.gens, e3[0], e3 + [extra]) == set(e3)
+    line = cfg.lines[0] + Poly.variable(f, 0).scale(f.coerce(f.partner_prime))
+    lines = cfg.lines + [line]
+    new_classes = configs.classify_points(f, lines)
+    assert new_classes == _brute_classes(f, lines)
+    mutated = [_with_classes(cfg, e4, e3 + [extra]),
+               _with_classes(cfg, e4, e3, lines=lines)]
+    reports = [verify_orbit_decomposition(m) for m in mutated]
+    assert reports[0]["classes"][1]["single_orbit"] is False
+    assert not reports[1]["pairwise_coverage"]
+    _exact_route(monkeypatch)
+    assert configs.classify_points(f, lines) == new_classes
+    assert [verify_orbit_decomposition(m) for m in mutated] == reports
+
+
+@pytest.mark.parametrize("config", ["klein_config_exact", "wiman_config_modp"])
+def test_points_not_in_normal_form_keep_the_orbit_verdict(request, config):
+    """A class point rescaled by 3, or over F_p with p added to a
+    coordinate, is not in normal form: single_orbit is today's verdict, the
+    orbit of the representative against the class as tuples."""
+    cfg = request.getfixturevalue(config)
+    f = cfg.field
+    moves = [lambda q: tuple(f.mul(f.coerce(3), c) for c in q)]
+    if isinstance(f, PrimeField):
+        moves.append(lambda q: (q[0] + f.p,) + q[1:])
+    for move in moves:
+        for k in (0, 1):
+            points = [list(c.points) for c in cfg.classes]
+            points[-1][k] = move(points[-1][k])
+            mutated = _with_classes(cfg, *points)
+            cls = mutated.classes[-1]
+            expected = (set(groups.orbit(cfg.gens, cls.representative))
+                        == set(cls.points))
+            rep = verify_orbit_decomposition(mutated)
+            assert rep["classes"][-1]["single_orbit"] is expected is False
+
+
+def test_exact_klein_audit_inverts_nothing(monkeypatch, klein_config_exact):
+    """The exact Klein audit finds its incidences, orbits and distinct lines
+    by residues and exact products: no SimpleExtension.inv call, so that a
+    normalization per orbit image cannot come back unnoticed."""
+    calls = []
+    inv = SimpleExtension.inv
+
+    def counting_inv(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(SimpleExtension, "inv", counting_inv)
+    assert verify_orbit_decomposition(klein_config_exact)["ok"]
+    assert len(calls) == 0
+
+
+def test_special_orbit_with_no_rational_point_is_usage_error(klein_modp):
+    """The 56 points of phi4 = phi14 = 0 are all rational mod p or none is;
+    mod 4733 none is, which is a usage error naming the orbit and the
+    prime."""
+    with pytest.raises(UsageError, match=r"56-point orbit phi4\^phi14 has no "
+                                         r"point over F4733 \(p = 4733\)"):
+        verify_orbit_decomposition(build_klein(klein_modp), check_special=True)
+
+
+def test_special_orbit_miscount_stays_a_failed_verification(monkeypatch):
+    """A count that is neither 0 nor the expected one fails the audit."""
+    monkeypatch.setitem(configs.SPECIAL_ORBITS, "klein", [(4, 6, 25)])
+    rep = verify_orbit_decomposition(build_klein(preset_field("modp", 2311)),
+                                     check_special=True)
+    assert rep["special_orbits"] == {"phi4^phi6": {"count": 24, "expected": 25}}
+    assert not rep["ok"]
+
+
+@pytest.mark.parametrize("preset, p, degrees", [
+    ("klein", 29, (4, 6, 14)), ("wiman", 19, (6, 12))])
+def test_zero_locus_matches_evaluation(preset, p, degrees):
+    """The Horner scan finds, in order, the zeros that evaluating the form
+    at every point of P2(F_p) finds; at p = 29 the degree-14 form takes
+    the reductions that keep its grid in int64."""
+    from kleinwiman.invariants import invariant_set
+
+    field = preset_field("modp", p)
+    phi = invariant_set(preset, field).phi
+    chart_z = [(x, y, 1) for x in range(p) for y in range(p)]
+    chart_y = [(0, 1, 0)] + [(1, y, 0) for y in range(p)]
+    for d in degrees:
+        expected = [normalize_point(field, q) for q in chart_z + chart_y
+                    if field.is_zero(phi[d].evaluate(q))]
+        assert projective_zero_locus(phi[d]) == expected
