@@ -240,6 +240,10 @@ class LineConfiguration:
     lines: list                      # canonical linear Polys
     classes: list                    # OrbitClass, fixed order
     gens: list = dc_field(default_factory=list)   # group generators, if any
+    # generators of a diagonal subgroup D that fixes the points, each
+    # (omega, (a, b, c)) for diag(omega^a, omega^b, omega^c), omega a root
+    # of unity of the field
+    diagonal: list = dc_field(default_factory=list)
     aux: dict = dc_field(default_factory=dict)
 
     @property
@@ -366,7 +370,8 @@ def build_klein(field):
     trip_rep = normalize_point(field, (1, 1, 1))
     classes = [_make_class(field, 4, "E4", by_mult[4], quad_rep),
                _make_class(field, 3, "E3", by_mult[3], trip_rep)]
-    return LineConfiguration("klein", field, lines, classes, gens=gens)
+    return LineConfiguration("klein", field, lines, classes, gens=gens,
+                             diagonal=[(z, (4, 2, 1))])
 
 
 @lru_cache(maxsize=None)
@@ -398,7 +403,8 @@ def build_wiman(field):
                _make_class(field, 4, "E4", by_mult[4], p4),
                _make_class(field, 3, "E3a", orbit_a),
                _make_class(field, 3, "E3b", orbit_b)]
-    return LineConfiguration("wiman", field, lines, classes, gens=gens)
+    return LineConfiguration("wiman", field, lines, classes, gens=gens,
+                             diagonal=_sign_changes(field))
 
 
 @lru_cache(maxsize=None)
@@ -433,7 +439,16 @@ def build_klein_char7():
         "tangent_forms": [Poly.linear_form(field, t).canonical_scale()
                           for t in conic],
     }
-    return LineConfiguration("klein-char7", field, lines, classes, aux=aux)
+    return LineConfiguration("klein-char7", field, lines, classes, aux=aux,
+                             diagonal=_sign_changes(field))
+
+
+def _sign_changes(field):
+    """diag(1, -1, -1) and diag(-1, 1, -1), the sign changes up to scalars:
+    Wiman's r2 and its conjugates by r1, and they fix the conic
+    x^2 + y^2 + z^2 of the characteristic-7 model."""
+    minus = field.neg(field.one)
+    return [(minus, (0, 1, 1)), (minus, (1, 0, 1))]
 
 
 def _projective_points_f7(field):
@@ -448,7 +463,6 @@ def _projective_points_f7(field):
     return [normalize_point(field, q) for q in pts]
 
 
-@lru_cache(maxsize=None)
 def build_config(preset, field=None):
     if preset == "klein":
         return build_klein(field or preset_field("klein-exact"))

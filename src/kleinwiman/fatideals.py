@@ -4,14 +4,13 @@ resurgence certificates.
 
 Unlike the invariant series, symbolic powers impose vanishing conditions at
 every point of the configuration (they are not spanned by invariants).  The
-group still splits them: a preset's point set is fixed by a diagonal
-subgroup D of its group (PointSet.diagonal), every monomial is an
-eigenform of D, and a form of one character (one eigenvalue under each
-element of D) that vanishes to order m at a point P vanishes to order m on
-all of D P.  So a piece is the sum over the characters of D of its forms of
-that character, and each is the kernel of one block: the character's
-monomials as columns, the conditions at one point per D-orbit as rows
-(symbolic_piece).  A set with no D is one character at every point.
+group still splits them: each configuration declares a diagonal subgroup D
+of its group that fixes its points (PointSet.diagonal), every monomial is an
+eigenform of D, and a form of one character that vanishes to order m at a
+point P vanishes to order m on all of D P.  So a piece is the sum over the
+characters of D of its forms of that character, and each is the kernel of
+one block: the character's monomials as columns, the conditions at one
+point per D-orbit as rows (symbolic_piece).
 
 Every piece below a least degree is empty, and least_degree proves it once,
 over F_p.  It first divides out the lines of the configuration that are
@@ -82,15 +81,12 @@ def _check_degree(d):
 class PointSet:
     """Points of the plane with their charts, and what is built on them.
 
-    A set from_config also holds its diagonal subgroup D, by the diagonal
-    entries of its generators: the configuration's diagonal generators and
-    their conjugates by its monomial generators (a monomial matrix
-    conjugates a diagonal one to its entries permuted), each kept when the
-    group of those before does not hold it: diag(zeta^4, zeta^2, zeta) for
-    Klein, diag(1, -1, -1) and diag(-1, 1, -1) for Wiman.  A set with none,
-    as klein-char7's, a reduced set or one built by hand, has D trivial.
-    The pieces read D through representatives, one point per orbit, and
-    characters, the monomials of a degree grouped by character."""
+    A set from_config also holds the diagonal subgroup D its configuration
+    declares (LineConfiguration.diagonal): (zeta; 4, 2, 1) for Klein, the
+    sign changes (-1; 0, 1, 1) and (-1; 1, 0, 1) for Wiman and klein-char7.
+    A reduced set or one built by hand has D trivial.  The pieces read D
+    through representatives, one point per orbit, and characters, the
+    monomials of a degree grouped by character."""
 
     preset: str
     field: object
@@ -99,27 +95,44 @@ class PointSet:
     # coefficient vectors (on x, y, z) of lines of the plane, the
     # configuration's lines for a set from_config: least_degree peels them
     lines: list = dc_field(default_factory=list)
-    # the generators of D as diagonal entries (a, b, c)
+    # the generators of D, each (omega, (a, b, c)) for diag(omega^a,
+    # omega^b, omega^c)
     diagonal: list = dc_field(default_factory=list)
     # kept so that nothing is built twice for one point set: symbolic_piece's
     # pieces by (m, d), over F_p the Taylor tables of the conditions by
-    # (coordinate, m), least_degree's results by (m, top), and the character
-    # of a monomial by its exponents modulo the orders of D's generators
+    # (coordinate, m), and least_degree's results by (m, top)
     pieces: dict = dc_field(default_factory=dict, compare=False, repr=False)
     taylor: dict = dc_field(default_factory=dict, compare=False, repr=False)
     least: dict = dc_field(default_factory=dict, compare=False, repr=False)
-    eigen: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_config(cls, config):
         pts = config.all_points()
         charts = [chart_for_point(config.field, p) for p in pts]
         return cls(config.preset, config.field, pts, charts,
-                   [line_coeffs(line) for line in config.lines],
-                   _diagonal_subgroup(config.field, config.gens))
+                   [line_coeffs(line) for line in config.lines], config.diagonal)
 
     def __len__(self):
         return len(self.points)
+
+    @cached_property
+    def _roots(self):
+        """(omega^0, omega^1, ... below its order, weights) per generator."""
+        return [(closure(self.field.one, [omega], self.field.mul), w)
+                for omega, w in self.diagonal]
+
+    def diagonal_elements(self, c):
+        """The elements of D as diagonal entries scaled to 1 at entry c,
+        each once, the identity first: the products of the generators'
+        powers, the k-th power of a generator with weights w scaled to
+        entries omega^(k (w_j - w_c)), no inverse taken."""
+        mul = self.field.mul
+        out = [(self.field.one,) * 3]
+        for powers, w in self._roots:
+            n = len(powers)
+            out = [tuple(mul(s, powers[k * (a - w[c]) % n]) for s, a in zip(t, w))
+                   for t in out for k in range(n)]
+        return list(dict.fromkeys(out))
 
     @cached_property
     def representatives(self):
@@ -129,52 +142,38 @@ class PointSet:
         under the elements of D, each looked up among the points: an image
         outside the set is a FatIdealError, so the lookup is also the check
         that D fixes the set.  The image of a point with 1 at its chart c
-        under t, normalized, is the point times t / t_c, one scaled copy of
-        t per chart."""
+        is the point times the element scaled to 1 at c, in normal form."""
         if not self.diagonal:
             return self
-        field = self.field
-        group = _diagonal_closure(field, self.diagonal)[1:]
         index = {pt: n for n, pt in enumerate(self.points)}
-        scaled = {}
+        elements = {c: self.diagonal_elements(c) for c in set(self.charts)}
         covered, reps = set(), []
         for n, (pt, c) in enumerate(zip(self.points, self.charts)):
             if n in covered:
                 continue
             reps.append(n)
-            for k, t in enumerate(group):
-                if (k, c) not in scaled:
-                    inv = field.inv(t[c])
-                    scaled[k, c] = [field.mul(a, inv) for a in t]
-                image = tuple(map(field.mul, scaled[k, c], pt))
+            for t in elements[c][1:]:
+                image = tuple(map(self.field.mul, t, pt))
                 if image not in index:
                     raise FatIdealError(
                         f"the diagonal subgroup does not fix the {self.preset} "
                         f"points: point {n} has an image outside the set")
                 covered.add(index[image])
-        return PointSet(self.preset, field, [self.points[n] for n in reps],
+        return PointSet(self.preset, self.field, [self.points[n] for n in reps],
                         [self.charts[n] for n in reps], taylor=self.taylor)
-
-    @cached_property
-    def _generator_powers(self):
-        """t^0, t^1, ..., t^(n - 1) for each generator t of D, n its order."""
-        return [_diagonal_closure(self.field, [t]) for t in self.diagonal]
 
     def characters(self, cols):
         """The monomials cols of one degree grouped by their character
         under D, as index arrays into cols in order of first column; one
-        block of every column when D is trivial.  A monomial's character is
-        its eigenvalue under each generator t of D, t^e = t_0^e_0 t_1^e_1
-        t_2^e_2, which depends on e only modulo the order of t: it is read
-        from t's powers and kept by those residues (eigen)."""
+        block of every column when D is trivial.  Under a generator
+        diag(omega^a, omega^b, omega^c) of D the monomial x^e takes
+        omega^(a e_0 + b e_1 + c e_2), so its character is that integer
+        modulo the order of omega, one per generator."""
         blocks = {}
-        mul, powers = self.field.mul, self._generator_powers
         for c, e in enumerate(cols):
-            key = tuple(tuple(k % len(pw) for k in e) for pw in powers)
-            if key not in self.eigen:
-                self.eigen[key] = tuple(mul(mul(pw[a][0], pw[b][1]), pw[r][2])
-                                        for pw, (a, b, r) in zip(powers, key))
-            blocks.setdefault(self.eigen[key], []).append(c)
+            key = tuple((a * e[0] + b * e[1] + r * e[2]) % len(powers)
+                        for powers, (a, b, r) in self._roots)
+            blocks.setdefault(key, []).append(c)
         return [np.array(b, dtype=np.intp) for b in blocks.values()]
 
     @cached_property
@@ -205,38 +204,6 @@ class PointSet:
         if len(set(pts)) < len(pts):
             lines = []
         return PointSet(self.preset, fp, pts, self.charts, list(dict.fromkeys(lines)))
-
-
-def _diagonal_closure(field, gens):
-    """The group the diagonal matrices gens (by their diagonal entries)
-    generate, as diagonal entries, the identity first; for one generator
-    t, its powers t^0, t^1, ... in order."""
-    return closure((field.one,) * 3, gens,
-                   lambda a, b: tuple(map(field.mul, a, b)))
-
-
-def _diagonal_subgroup(field, gens):
-    """Generators of the diagonal subgroup D of the group the matrices gens
-    generate, as diagonal entries (see PointSet); none when gens has no
-    diagonal matrix."""
-    diagonal, monomial = [], []
-    for g in gens:
-        support = [[j for j in range(3) if not field.is_zero(g.m[i][j])]
-                   for i in range(3)]
-        if sorted(support) == [[0], [1], [2]]:
-            cols = [js[0] for js in support]
-            monomial.append(cols)
-            if cols == [0, 1, 2]:
-                diagonal.append(tuple(g.m[i][i] for i in range(3)))
-    out, group = [], {(field.one,) * 3}
-    for t in diagonal:
-        # a monomial matrix with its entries at (i, cols[i]) conjugates
-        # diag(t) to the diagonal matrix with t[cols[i]] at i
-        for u in closure(t, monomial, lambda a, cols: tuple(a[j] for j in cols)):
-            if u not in group:
-                out.append(u)
-                group = set(_diagonal_closure(field, out))
-    return out
 
 
 def _taylor_array(pointset, c, d, m):

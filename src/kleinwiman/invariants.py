@@ -175,7 +175,6 @@ def wiman_phi45(inv):
     return jacobian_det(inv.phi[6], inv.phi[12], inv.phi[30])
 
 
-@lru_cache(maxsize=None)
 def invariant_set(preset, field):
     if preset == "klein":
         return klein_invariants(field)

@@ -114,10 +114,15 @@ def wiman_points_modp(wiman_config_modp):
 
 
 @pytest.fixture(scope="session")
-def wiman_points_exact(wiman_exact):
+def wiman_config_exact(wiman_exact):
     from kleinwiman.configs import build_wiman
+    return build_wiman(wiman_exact)
+
+
+@pytest.fixture(scope="session")
+def wiman_points_exact(wiman_config_exact):
     from kleinwiman.fatideals import PointSet
-    return PointSet.from_config(build_wiman(wiman_exact))
+    return PointSet.from_config(wiman_config_exact)
 
 
 @pytest.fixture(scope="session")

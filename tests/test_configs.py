@@ -262,7 +262,13 @@ def test_representative_off_the_line_z0(klein_modp):
 
 
 def test_build_config_dispatch():
+    """build_config only dispatches: each call returns the object its
+    builder keeps, so a set-up that builds a configuration warms it."""
     assert build_config("klein-char7").preset == "klein-char7"
+    assert build_config("klein-char7") is build_config("klein-char7")
+    assert (build_config("klein", preset_field("klein-exact"))
+            is build_config("klein", preset_field("klein-exact"))
+            is build_config("klein"))
     with pytest.raises(ConfigError):
         build_config("fermat")
 

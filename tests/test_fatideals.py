@@ -369,7 +369,9 @@ def _rows(piece):
 @pytest.mark.parametrize("config, m, d", [
     ("klein_config_exact", 1, 8), ("klein_config_exact", 2, 16),
     ("klein_config_exact", 3, 21), ("klein_config_modp", 2, 16),
-    ("wiman_config_modp", 1, 16), ("wiman_config_modp", 2, 32)])
+    ("wiman_config_modp", 1, 16), ("wiman_config_modp", 2, 32),
+    *(("char7_config", 1, d) for d in range(8, 14)),
+    *(("char7_config", 2, d) for d in range(16, 21))])
 def test_split_piece_matches_unsplit(config, m, d, request):
     """A piece split by the characters of the diagonal subgroup, at one
     point per orbit, has the RREF of the one kernel of every condition on
@@ -400,22 +402,29 @@ def test_split_wiman_exact_piece_reduces_to_modp(wiman_points_exact,
 
 @pytest.mark.parametrize("config, order, orbits, characters", [
     ("klein_config_exact", 7, 7, 7), ("klein_config_modp", 7, 7, 7),
-    ("wiman_config_modp", 4, 63, 4)])
+    ("wiman_config_exact", 4, 63, 4), ("wiman_config_modp", 4, 63, 4),
+    ("char7_config", 4, 19, 4)])
 def test_diagonal_orbits(config, order, orbits, characters, request):
     """Klein's 49 points form 7 free orbits of diag(zeta^4, zeta^2, zeta);
     Wiman's 201 form 63 orbits of the sign changes of determinant 1, whose
-    points on the mirrors have nontrivial stabilizers.  Every character of
-    D occurs on the monomials of degree 16."""
+    points on the mirrors have nontrivial stabilizers, and klein-char7's 49
+    form 19 orbits of the same sign changes.  Each orbit class is D-stable,
+    not only the whole set.  Every character of D occurs on the monomials
+    of degree 16."""
     cfg = request.getfixturevalue(config)
     ps = PointSet.from_config(cfg)
-    group = fatideals._diagonal_closure(ps.field, ps.diagonal)
-    assert len(group) == order
+    field = ps.field
+    group = ps.diagonal_elements(2)
+    assert len(group) == order and group[0] == (field.one,) * 3
     reps = ps.representatives
     assert len(reps) == orbits and not reps.diagonal
     assert set(reps.points) <= set(ps.points)
-    images = {normalize_point(ps.field, tuple(map(ps.field.mul, t, pt)))
+    images = {normalize_point(field, tuple(map(field.mul, t, pt)))
               for pt in reps.points for t in group}
     assert images == set(ps.points)
+    for cls in cfg.classes:
+        assert {normalize_point(field, tuple(map(field.mul, t, pt)))
+                for pt in cls.points for t in group} == set(cls.points)
     if cfg.preset == "klein":
         assert len(ps) == 49 and orbits * order == 49       # free orbits
     blocks = ps.characters(monomials_of_degree(16))
@@ -424,40 +433,47 @@ def test_diagonal_orbits(config, order, orbits, characters, request):
 
 
 def _mutated(config, kind):
-    """The Klein point set with diag(1, zeta, 1), not in the group, as its
-    diagonal subgroup, or with its first point dropped."""
+    """The point set with a generator outside its group as its diagonal
+    subgroup (diag(1, zeta, 1) for Klein, diag(1, 1, 3) over F_7 for
+    klein-char7), or with its first point dropped."""
     ps = PointSet.from_config(config)
     field = ps.field
     if kind == "outside":
-        ps.diagonal = [(field.one, field.constant("zeta"), field.one)]
+        if config.preset == "klein":
+            ps.diagonal = [(field.constant("zeta"), (0, 1, 0))]
+        else:
+            ps.diagonal = [(field.coerce(3), (0, 0, 1))]
         return ps
     return PointSet(ps.preset, field, ps.points[1:], ps.charts[1:], ps.lines,
                     ps.diagonal)
 
 
-@pytest.mark.parametrize("kind", ["outside", "dropped"])
-def test_diagonal_subgroup_must_fix_the_set(klein_config_exact, kind,
-                                            monkeypatch):
+@pytest.mark.parametrize("config, kind", [
+    ("klein_config_exact", "outside"), ("klein_config_exact", "dropped"),
+    ("char7_config", "outside")], ids=["outside", "dropped", "char7-outside"])
+def test_diagonal_subgroup_must_fix_the_set(config, kind, request, monkeypatch):
     """Mutations: an element outside the group, or a set with a point
     dropped, maps a point outside the set.  symbolic_piece raises a
     FatIdealError before any matrix is built, and the CLI exits 1 without
     building a condition matrix."""
+    cfg = request.getfixturevalue(config)
     built = []
     for name in ("point_conditions_matrix", "chain_matrix"):
         monkeypatch.setattr(fatideals, name,
                             lambda *args, name=name: built.append(name))
     with pytest.raises(FatIdealError, match="image outside the set"):
-        symbolic_piece(_mutated(klein_config_exact, kind), 1, 8)
+        symbolic_piece(_mutated(cfg, kind), 1, 8)
     assert built == []
     monkeypatch.undo()
     conditions = fatideals.point_conditions_matrix
     monkeypatch.setattr(fatideals, "point_conditions_matrix",
                         lambda *args: built.append(args) or conditions(*args))
-    mutated = _mutated(klein_config_exact, kind)
+    mutated = _mutated(cfg, kind)
     monkeypatch.setattr(PointSet, "from_config",
                         classmethod(lambda cls, config: mutated))
-    assert cli.dispatch(["fatideal", "generators", "--preset", "klein",
-                         "--field", "exact", "--depth", "9"]) == (1, None)
+    field = ["--field", "exact"] if cfg.preset == "klein" else []
+    assert cli.dispatch(["fatideal", "generators", "--preset", cfg.preset, *field,
+                         "--depth", "9"]) == (1, None)
     assert built == []
 
 

@@ -281,5 +281,6 @@ def test_phi45_squared_proportional_to_recorded_relation(wiman_inv_modp):
 
 def test_invariant_set_dispatch(klein_exact):
     assert invariant_set("klein", klein_exact).preset == "klein"
+    assert invariant_set("klein", klein_exact) is invariant_set("klein", klein_exact)
     with pytest.raises(Exception):
         invariant_set("fermat", klein_exact)
