@@ -32,6 +32,11 @@ partner prime of its field (PointSet.reduced: Q(zeta7) at 4733, Q(sqrt5,
 omega) at 4951); rank can only drop under reduction, so their empty
 degrees are empty exactly.  The pieces from there on are kernels of their
 conditions (symbolic_piece; linalg.kernel_certified over an extension).
+
+Every product of forms is one row product (_times_form): coefficient rows
+on the monomials of one degree times a form, each term moving each column
+to a closed-form place.  It gives the chain's forms, alpha's piece times the
+peeled lines, S_1 * I_(d-1) for the generators and the ordinary powers.
 """
 
 from collections import Counter
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, count
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -286,14 +291,6 @@ class GradedPiece:
             row = row.tolist()
         return Poly.from_coeff_vector(self.field, row, self.monomials)
 
-    def basis_polys(self):
-        return [self.basis_poly(i) for i in range(self.dim)]
-
-
-def membership(f, piece):
-    """Exact membership of a form in a graded piece."""
-    return piece.contains_poly(f)
-
 
 def symbolic_piece(pointset, m, d):
     """Exact basis of the forms of degree d vanishing to order >= m at every
@@ -534,53 +531,49 @@ def _chain(pointset, g, orders, top):
     return s, ncols - len(basis), ncols, (basis[ends <= c, :c], levels[:k + 1])
 
 
-def _times(acc, terms, p):
-    """Forms times the form with these terms ((exponent, coefficient)
-    pairs), mod p.  A form is a dense array indexed by the exponents of x
-    and y, large enough to hold the product."""
-    out = np.zeros_like(acc)
-    n = acc.shape[1]
-    for (a, b, _), coeff in terms:
-        out[:, a:, b:] += coeff * acc[:, :n - a, :n - b]
-    return out % p
-
-
-def _read_forms(acc, d):
-    """Dense forms of degree d as coefficient rows in monomials_of_degree(d)
-    order: (rows, monomials)."""
-    cols = monomials_of_degree(d)
-    a, b, _ = np.array(cols, dtype=np.intp).reshape(len(cols), 3).T
-    return acc[:, a, b], cols
+def _times_form(rows, cols, g, field):
+    """Forms of one degree d, coefficient rows on the monomials cols, times
+    the form g, as rows on monomials_of_degree(d + deg g): an int64 array
+    reduced mod p for an array of rows, lists otherwise.  A term c x^e of g
+    moves column mu to the place of mu x^e; x^a y^b z^c of degree D is at
+    (D - a)(D - a + 1)/2 + D - a - b.  Over F_p the sums stay below
+    len(g.terms) p**2, exact in int64 (g has at most kernels.WIDEST terms
+    and p < kernels.MAX_PRIME)."""
+    exps = np.array(cols, dtype=np.intp).reshape(len(cols), 3)
+    top = int(exps[0].sum()) + g.degree()
+    terms = np.array(list(g.terms), dtype=np.intp).reshape(len(g.terms), 3)
+    a = top - terms[:, :1] - exps[:, 0]
+    places = a * (a + 1) // 2 + a - terms[:, 1:2] - exps[:, 1]
+    if isinstance(rows, np.ndarray):
+        out = np.zeros((len(rows), comb(top + 2, 2)), dtype=np.int64)
+        for c, at in zip(g.terms.values(), places):
+            out[:, at] += c * rows
+        return out % field.p
+    out = [[field.zero] * comb(top + 2, 2) for _ in rows]
+    for c, at in zip(g.terms.values(), places):
+        at = at.tolist()
+        for row, new in zip(rows, out):
+            for k, v in zip(at, row):
+                if not field.is_zero(v):
+                    v = v if c == field.one else field.mul(c, v)
+                    new[k] = v if field.is_zero(new[k]) else field.add(new[k], v)
+    return out
 
 
 def _chain_forms(rows, levels, g, field):
     """The forms sum over the columns of v_mu mu g^((d - deg mu) / deg g),
     d the last level's degree, for chain vectors v over F_p, as coefficient
     rows in monomials_of_degree(d) order, by Horner's rule in g from the
-    lowest level: (rows, monomials).  A form is built as a dense array
-    indexed by the exponents of x and y."""
-    d = levels[-1][0]
-    acc = np.zeros((len(rows), d + 1, d + 1), dtype=np.int64)
-    c = 0
-    for _, mus in levels:
-        if c:
-            acc = _times(acc, g.terms.items(), field.p)
-        acc[:, mus[:, 0], mus[:, 1]] += rows[:, c:c + len(mus)]
+    lowest level, each level's columns placed among the monomials of its
+    degree by _times_form(..., 1): (rows, monomials)."""
+    acc, c = None, 0
+    for s, mus in levels:
+        new = _times_form(rows[:, c:c + len(mus)], mus, Poly.constant(field, 1), field)
+        if acc is not None:
+            new = (_times_form(acc, cols, g, field) + new) % field.p
+        acc, cols = new, monomials_of_degree(s)
         c += len(mus)
-    return _read_forms(acc % field.p, d)
-
-
-def _times_lines(forms, cols, lines, p):
-    """Forms of one degree (coefficient rows on the monomials cols) times
-    the product of lines (coefficient vectors on x, y, z), as rows on the
-    monomials of the product's degree: (rows, monomials)."""
-    d = sum(cols[0]) + len(lines)
-    acc = np.zeros((len(forms), d + 1, d + 1), dtype=np.int64)
-    a, b, _ = np.array(cols, dtype=np.intp).reshape(len(cols), 3).T
-    acc[:, a, b] = forms
-    for line in lines:
-        acc = _times(acc, zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line), p)
-    return _read_forms(acc, d)
+    return acc, cols
 
 
 def _incidence(pointset):
@@ -726,9 +719,10 @@ def least_degree(pointset, m, cap=None, progress=None):
             field = pointset.field
             forms, cols = _chain_forms(rows, levels, g, field)
             if s:
-                forms, cols = _times_lines(forms, cols,
-                                           [pointset.lines[i] for i in peeled], field.p)
-            pointset.pieces[(m, s + alpha)] = GradedPiece(s + alpha, field, cols, forms)
+                lines = prod(Poly.linear_form(field, pointset.lines[i]) for i in peeled)
+                forms = _times_form(forms, cols, lines, field)
+            pointset.pieces[(m, s + alpha)] = GradedPiece(
+                s + alpha, field, monomials_of_degree(s + alpha), forms)
         pointset.least[key] = s + alpha
     return pointset.least[key]
 
@@ -810,28 +804,25 @@ def minimal_generators(pointset, up_to_degree):
     """Minimal generators of the point ideal, degree by degree from
     least_degree (every lower piece is empty): in degree d the new
     generators complete a basis of I_d modulo the degree-d part of
-    S_1 * I_(d-1)."""
+    S_1 * I_(d-1), the rows of I_(d-1) times x, y and z (_times_form).  A
+    row becomes a form only once it is selected as a generator."""
     field = pointset.field
     gens = GeneratorSet(pointset, complete_through=up_to_degree)
-    prev_basis = []  # basis polys of I_(d-1)
+    products = []   # S_1 * I_(d-1)
     for d in range(least_degree(pointset, 1), up_to_degree + 1):
         piece = symbolic_piece(pointset, 1, d)
         cols = piece.monomials
-        products = []
-        for f in prev_basis:
-            for v in range(3):
-                g = f * Poly.variable(field, v)
-                products.append(g.coeff_vector(cols))
         span = GradedPiece(d, field, cols, products)
-        basis = piece.basis_polys()
         new = []
-        for f, vec in zip(basis, piece.rows):
+        for i, vec in enumerate(piece.rows):
             if not span.contains_vector(vec):
-                new.append(f)
+                new.append(piece.basis_poly(i))
                 span = GradedPiece(d, field, cols, list(span.rows) + [vec])
         if new:
             gens.by_degree[d] = new
-        prev_basis = basis
+        if d < up_to_degree:
+            products = [row for v in range(3) for row in _times_form(
+                piece.rows, cols, Poly.variable(field, v), field)]
     return gens
 
 
@@ -846,7 +837,8 @@ def jacobian_minor_generators(f, g):
 
 def power_piece(gens, r, d):
     """Degree-d piece of the r-th ordinary power: the span of all r-fold
-    products of generators times filling monomials, empty below r * alpha."""
+    products of generators times filling monomials, empty below r * alpha.
+    Each product is one coefficient row, made factor by factor from 1."""
     field = gens.pointset.field
     alpha = gens.alpha
     if alpha is None:
@@ -859,29 +851,27 @@ def power_piece(gens, r, d):
     if r * alpha > d:
         return GradedPiece(d, field, cols, [])
     flat = gens.all_generators()
-    rows = []
-    products = {(): Poly.constant(field, field.one)}
+    rows, one = [], [[field.one]]
+    products = {(): np.array(one) if isinstance(field, PrimeField) else one}
     for key in combinations_with_replacement(range(len(flat)), r):
         degsum = sum(flat[i].degree() for i in key)
         if degsum > d:
             continue
         for j in range(1, len(key) + 1):
-            sub = key[:j]
-            if sub not in products:
-                products[sub] = products[key[:j - 1]] * flat[key[j - 1]]
-        prod = products[key]
+            if key[:j] not in products:
+                below = monomials_of_degree(sum(flat[i].degree() for i in key[:j - 1]))
+                products[key[:j]] = _times_form(products[key[:j - 1]], below,
+                                                flat[key[j - 1]], field)
+        above = monomials_of_degree(degsum)
         for e in monomials_of_degree(d - degsum):
-            rows.append((prod * Poly(field, {e: field.one})).coeff_vector(cols))
+            monomial = Poly(field, {e: field.one})
+            rows.extend(_times_form(products[key], above, monomial, field))
     return GradedPiece(d, field, cols, rows)
 
 
 def line_product(config):
     """Product of the configuration's linear forms."""
-    field = config.field
-    acc = Poly.constant(field, field.one)
-    for line in config.lines:
-        acc = acc * line
-    return acc.canonical_scale()
+    return prod(config.lines).canonical_scale()
 
 
 def containment_report(pointset, m, r, d_max, gens=None):
@@ -960,7 +950,7 @@ def extreme_failure(pointset, gens, f):
     d = f.degree()
     return {"pair": [3, 2], "element_degree": d,
             "in_symbolic_cube": vanishes_to_order(f, pointset, 3),
-            "in_square": membership(f, power_piece(gens, 2, d))}
+            "in_square": power_piece(gens, 2, d).contains_poly(f)}
 
 
 def resurgence_certificate(config, pointset, ledger_dmax=None):

@@ -36,8 +36,7 @@ def klein_core_checks():
                                      waldschmidt_bounds, DivisorClass)
     from kleinwiman.fatideals import (PointSet, extreme_failure,
                                       jacobian_minor_generators, line_product,
-                                      membership, minimal_generators,
-                                      symbolic_piece)
+                                      minimal_generators, symbolic_piece)
     from kleinwiman.groups import klein_group, stabilizer_order
     from kleinwiman.invariants import (degree0_constant, identity_checks,
                                        klein_curve_local, klein_invariants)
@@ -111,7 +110,7 @@ def klein_core_checks():
     minors = jacobian_minor_generators(invp.phi[4], invp.phi[6])
     sp8 = symbolic_piece(ps, 1, 8)
     out.append(_check_true("minors span the degree-8 piece",
-                           sp8.dim == 3 and all(membership(m, sp8) for m in minors)))
+                           sp8.dim == 3 and all(sp8.contains_poly(m) for m in minors)))
     out.extend(_extreme_failure_checks(extreme_failure(ps, gens,
                                                       line_product(cfgp))))
     return out
@@ -124,8 +123,7 @@ def wiman_core_checks():
                                      WIMAN_NEF_CANDIDATE)
     from kleinwiman.fatideals import (PointSet, extreme_failure,
                                       jacobian_minor_generators, line_product,
-                                      membership, minimal_generators,
-                                      symbolic_piece)
+                                      minimal_generators, symbolic_piece)
     from kleinwiman.groups import valentiner_group
     from kleinwiman.invariants import (identity_checks, wiman_curve_local,
                                        wiman_invariants)
@@ -173,7 +171,7 @@ def wiman_core_checks():
     minors = jacobian_minor_generators(inv.phi[6], inv.phi[12])
     sp16 = symbolic_piece(ps, 1, 16)
     out.append(_check_true("minors span the degree-16 piece",
-                           sp16.dim == 3 and all(membership(m, sp16)
+                           sp16.dim == 3 and all(sp16.contains_poly(m)
                                                  for m in minors)))
     out.extend(_extreme_failure_checks(extreme_failure(ps, gens,
                                                       line_product(cfg))))

@@ -254,8 +254,7 @@ def test_criterion_07_waldschmidt():
 def test_criterion_08_generators():
     from kleinwiman.configs import build_klein, build_klein_char7, build_wiman
     from kleinwiman.fatideals import (PointSet, jacobian_minor_generators,
-                                      membership, minimal_generators,
-                                      symbolic_piece)
+                                      minimal_generators, symbolic_piece)
     from kleinwiman.invariants import klein_invariants, wiman_invariants
 
     KE = preset_field("klein-exact")
@@ -275,7 +274,7 @@ def test_criterion_08_generators():
     minors = jacobian_minor_generators(inv.phi[4], inv.phi[6])
     sp8 = symbolic_piece(ps, 1, 8)
     ok &= _line("klein: generators equal in span to the Jacobian minors",
-                sp8.dim == 3 and all(membership(m, sp8) for m in minors))
+                sp8.dim == 3 and all(sp8.contains_poly(m) for m in minors))
     Wp = preset_field("modp", WIMAN_PRIME)
     cw = build_wiman(Wp)
     psw = PointSet.from_config(cw)
@@ -287,7 +286,7 @@ def test_criterion_08_generators():
     minw = jacobian_minor_generators(invw.phi[6], invw.phi[12])
     sp16 = symbolic_piece(psw, 1, 16)
     ok &= _line("wiman: degree-16 piece spanned by the minors",
-                sp16.dim == 3 and all(membership(m, sp16) for m in minw))
+                sp16.dim == 3 and all(sp16.contains_poly(m) for m in minw))
     c7 = build_klein_char7()
     ps7 = PointSet.from_config(c7)
     g7 = minimal_generators(ps7, 13)
@@ -301,7 +300,7 @@ def test_criterion_08_generators():
 
 def test_criterion_09_containment():
     from kleinwiman.configs import build_klein, build_klein_char7, build_wiman
-    from kleinwiman.fatideals import (PointSet, containment_report, membership,
+    from kleinwiman.fatideals import (PointSet, containment_report,
                                       minimal_generators, power_piece,
                                       vanishes_to_order)
     from kleinwiman.invariants import (klein_invariants, wiman_invariants,
@@ -319,7 +318,7 @@ def test_criterion_09_containment():
         # membership in the symbolic piece is the vanishing of the defining
         # conditions at every point, checked directly (no elimination needed)
         in_cube = vanishes_to_order(inv.phi[21], ps, 3)
-        in_square = membership(inv.phi[21], power_piece(gens, 2, 21))
+        in_square = power_piece(gens, 2, 21).contains_poly(inv.phi[21])
         return in_cube, in_square
 
     (in_cube, in_square), dt, in_time = _timed(300, klein_work)
@@ -335,7 +334,7 @@ def test_criterion_09_containment():
     ok &= _line("wiman (prime preset): degree-45 product inside symbolic cube",
                 vanishes_to_order(f45, psw, 3))
     ok &= _line("wiman (prime preset): degree-45 product outside the square",
-                not membership(f45, power_piece(gw, 2, 45)))
+                not power_piece(gw, 2, 45).contains_poly(f45))
     c7 = build_klein_char7()
     ps7 = PointSet.from_config(c7)
     g7 = minimal_generators(ps7, 13)
@@ -354,9 +353,8 @@ def test_criterion_10_char7_asymptotics():
     from kleinwiman.fatideals import (PointSet, alpha_symbolic,
                                       asymptotic_resurgence_bounds,
                                       containment_inequality_certificate,
-                                      line_product, membership,
-                                      minimal_generators, power_piece,
-                                      vanishes_to_order)
+                                      line_product, minimal_generators,
+                                      power_piece, vanishes_to_order)
 
     c7 = build_klein_char7()
     ps = PointSet.from_config(c7)
@@ -366,7 +364,7 @@ def test_criterion_10_char7_asymptotics():
     F = line_product(c7)
     ok &= _line("extreme failure witness (3, 2): line product",
                 vanishes_to_order(F, ps, 3)
-                and not membership(F, power_piece(gens, 2, 21)))
+                and not power_piece(gens, 2, 21).contains_poly(F))
     cert = containment_inequality_certificate(Fraction(25, 4), (9, 6), 8)
     ok &= _line("containment inequality closes for r >= 8", cert["holds"],
                 f"slope {cert['slope']}, value {cert['value_at_rmin']}")
@@ -408,7 +406,7 @@ def gradient_identity_holds(field, samples=5, seed=0):
 
 
 def test_criterion_11_property_suites():
-    from kleinwiman.fatideals import (PointSet, membership, power_piece,
+    from kleinwiman.fatideals import (PointSet, power_piece,
                                       minimal_generators, symbolic_piece)
     from kleinwiman.configs import build_klein_char7
     from kleinwiman.series import SeriesSpec, edim, series_dim
@@ -453,10 +451,11 @@ def test_criterion_11_property_suites():
     for d in (18, 21):
         s3 = symbolic_piece(ps, 3, d)
         s2 = symbolic_piece(ps, 2, d)
-        good &= all(membership(f, s2) for f in s3.basis_polys())
+        good &= all(s2.contains_poly(f)
+                    for f in [s3.basis_poly(i) for i in range(s3.dim)])
         pw = power_piece(gens, 2, d)
-        good &= all(membership(f, symbolic_piece(ps, 2, d))
-                    for f in pw.basis_polys())
+        good &= all(symbolic_piece(ps, 2, d).contains_poly(f)
+                    for f in [pw.basis_poly(i) for i in range(pw.dim)])
     ok &= _line("fat-ideal monotonicity and inclusion", good)
     # exact-vs-prime dimension agreement on the golden specs
     KE = preset_field("klein-exact")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +10,14 @@ from kleinwiman.fatideals import (GradedPiece, PointSet, alpha_symbolic,
                                   asymptotic_resurgence_bounds, certified_alpha,
                                   containment_inequality_certificate,
                                   containment_report, jacobian_minor_generators,
-                                  least_degree, line_product, membership,
+                                  least_degree, line_product,
                                   minimal_generators, point_conditions_matrix,
                                   power_piece, resurgence_certificate,
                                   symbolic_piece, vanishes_to_order)
-from kleinwiman.fields import PrimeField, RationalField
+from kleinwiman.fields import PrimeField, RationalField, preset_field
 from kleinwiman.groups import act_on_poly
 from kleinwiman.poly import (Poly, chart_for_point, local_expand, local_monomials,
-                             monomials_of_degree, normalize_point)
+                             monomials_of_degree, normalize_point, weighted_basis)
 
 
 def test_symbolic_piece_dims_klein(klein_points_modp):
@@ -188,7 +189,7 @@ def test_minors_span_ideal_piece(klein_points_modp, klein_inv_modp):
                                        klein_inv_modp.phi[6])
     sp = symbolic_piece(klein_points_modp, 1, 8)
     assert sp.dim == 3
-    assert all(membership(m, sp) for m in minors)
+    assert all(sp.contains_poly(m) for m in minors)
     piece_from_minors = GradedPiece(
         8, klein_modp_field(klein_points_modp),
         sp.monomials, [m.coeff_vector(sp.monomials) for m in minors])
@@ -207,7 +208,7 @@ def test_minor_span_group_stable(klein_points_modp, klein_inv_modp):
     from kleinwiman.configs import build_klein
     for g in build_klein(klein_points_modp.field).gens:
         for m in minors:
-            assert membership(act_on_poly(g, m), sp)
+            assert sp.contains_poly(act_on_poly(g, m))
 
 
 def test_wiman_minors(wiman_points_modp, wiman_inv_modp):
@@ -215,7 +216,7 @@ def test_wiman_minors(wiman_points_modp, wiman_inv_modp):
                                        wiman_inv_modp.phi[12])
     sp = symbolic_piece(wiman_points_modp, 1, 16)
     assert sp.dim == 3
-    assert all(membership(m, sp) for m in minors)
+    assert all(sp.contains_poly(m) for m in minors)
 
 
 def test_power_piece_dims(klein_points_modp, klein_gens_modp):
@@ -237,13 +238,13 @@ def test_power_piece_precondition(klein_gens_modp):
 def test_membership_basics(klein_points_modp, klein_inv_modp, klein_gens_modp):
     phi21 = klein_inv_modp.phi[21]
     sp = symbolic_piece(klein_points_modp, 3, 21)
-    assert membership(phi21, sp)
+    assert sp.contains_poly(phi21)
     assert vanishes_to_order(phi21, klein_points_modp, 3)
-    assert not membership(phi21, power_piece(klein_gens_modp, 2, 21))
+    assert not power_piece(klein_gens_modp, 2, 21).contains_poly(phi21)
     zero = Poly.zero(klein_points_modp.field)
-    assert membership(zero, sp)
+    assert sp.contains_poly(zero)
     with pytest.raises(FatIdealError):
-        membership(klein_inv_modp.phi[4], sp)
+        sp.contains_poly(klein_inv_modp.phi[4])
 
 
 def test_monotonicity_properties(char7_points, char7_gens):
@@ -252,23 +253,33 @@ def test_monotonicity_properties(char7_points, char7_gens):
         sm1 = symbolic_piece(char7_points, 1, d)
         sm2 = symbolic_piece(char7_points, 2, d)
         sm3 = symbolic_piece(char7_points, 3, d)
-        for f in sm3.basis_polys():
-            assert membership(f, sm2)
-        for f in sm2.basis_polys():
-            assert membership(f, sm1)
+        for f in [sm3.basis_poly(i) for i in range(sm3.dim)]:
+            assert sm2.contains_poly(f)
+        for f in [sm2.basis_poly(i) for i in range(sm2.dim)]:
+            assert sm1.contains_poly(f)
     for (r, d) in ((2, 16), (2, 18), (2, 21)):
         pw = power_piece(char7_gens, r, d)
         sm = symbolic_piece(char7_points, r, d)
-        for f in pw.basis_polys():
-            assert membership(f, sm)
+        for f in [pw.basis_poly(i) for i in range(pw.dim)]:
+            assert sm.contains_poly(f)
 
 
 def test_char7_line_product_membership(char7_config, char7_points, char7_gens):
     F = line_product(char7_config)
     assert F.degree() == 21
     assert vanishes_to_order(F, char7_points, 3)
-    assert membership(F, symbolic_piece(char7_points, 3, 21))
-    assert not membership(F, power_piece(char7_gens, 2, 21))
+    assert symbolic_piece(char7_points, 3, 21).contains_poly(F)
+    assert not power_piece(char7_gens, 2, 21).contains_poly(F)
+
+
+def test_exact_line_product_vanishes_to_order_three(klein_config_exact,
+                                                   klein_points_exact):
+    """Over Q(zeta7) the Klein line product vanishes to order 3 at every
+    point and not to order 4, as the triple points have order 3: the exact
+    check's local expansions find a nonzero term."""
+    F = line_product(klein_config_exact)
+    assert vanishes_to_order(F, klein_points_exact, 3)
+    assert not vanishes_to_order(F, klein_points_exact, 4)
 
 
 def test_char7_containment_reports(char7_points, char7_gens):
@@ -671,6 +682,64 @@ def test_chain_entries_match_local_expand(points, top, request):
     assert r == len(mat)
 
 
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(4733),
+                                   preset_field("klein-exact")],
+                         ids=["F7", "F4733", "Q(zeta7)"])
+def test_times_form_matches_poly_products(field):
+    """_times_form gives the coefficient rows of the Poly products, as an
+    int64 array over F_p and as lists otherwise: random rows of degrees 0
+    to 9 with a zero row among them, and no rows at all, times 1, a
+    monomial, a line with a zero coefficient, x^2 + y^2 + z^2 and a random
+    cubic."""
+    rng = random.Random(34)
+    prime = isinstance(field, PrimeField)
+
+    def element():
+        c = field.coerce(rng.randrange(-20, 20))
+        return c if prime else field.add(c, field.mul(field.coerce(rng.randrange(5)),
+                                                      field.gen))
+
+    def form(terms):
+        return Poly(field, {e: field.coerce(c) for e, c in terms.items()})
+
+    forms = [form({(0, 0, 0): 1}), form({(2, 0, 1): 3}),
+             form({(1, 0, 0): 2, (0, 0, 1): -1}),
+             form({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}),
+             Poly(field, {e: element() for e in monomials_of_degree(3)})]
+    for d in range(10):
+        cols = monomials_of_degree(d)
+        for k in (0, 4):
+            rows = [[element() for _ in cols] for _ in range(k)]
+            if k:
+                rows[1] = [field.zero] * len(cols)
+            for g in forms:
+                out = monomials_of_degree(d + g.degree())
+                expected = [(Poly.from_coeff_vector(field, row, cols) * g)
+                            .coeff_vector(out) for row in rows]
+                if prime:
+                    got = fatideals._times_form(
+                        np.array(rows, dtype=np.int64).reshape(k, len(cols)),
+                        cols, g, field)
+                    assert got.dtype == np.int64 and got.shape == (k, len(out))
+                    assert got.tolist() == expected
+                else:
+                    assert fatideals._times_form(rows, cols, g, field) == expected
+
+
+def test_times_form_places_every_monomial():
+    """The closed-form place of x^a y^b z^c of degree d in _times_form is its
+    index in monomials_of_degree(d), for every d <= MAX_DEGREE: one row
+    0, 1, 2, ... times 1 comes back unchanged over F_8191, above the
+    widest degree's C(MAX_DEGREE + 2, 2) columns.  The monomial lists are
+    built uncached, as the widest are large."""
+    field = PrimeField(8191)
+    one = Poly.constant(field, 1)
+    for d in range(fatideals.MAX_DEGREE + 1):
+        cols = weighted_basis.__wrapped__((1, 1, 1), d)
+        row = np.arange(len(cols), dtype=np.int64)[None]
+        assert (fatideals._times_form(row, cols, one, field) == row).all()
+
+
 def test_no_unit_form_on_the_whole_plane():
     """Every line and every conic over F_7 has a rational point, so on all
     57 points of PG(2, 7) no candidate is a unit form, and alpha has no
@@ -768,7 +837,7 @@ def test_third_symbolic_power_char7_is_the_line_product(char7_config, char7_poin
     lines = []
     assert certified_alpha(ps, 3, progress=lines.append)["alpha"] == 21
     piece = ps.pieces[(3, 21)]
-    assert piece.dim == 1 and membership(line_product(char7_config), piece)
+    assert piece.dim == 1 and piece.contains_poly(line_product(char7_config))
     assert lines[0] == ("the product of 21 lines divides every form through "
                         "degree 23: residual degree 2, no conditions")
 
