@@ -69,24 +69,21 @@ def points_on_line(field, coeffs):
 
 # -- residues at a prime -----------------------------------------------------
 
-def _residues(field, vectors):
-    """The coordinates of the vectors at the residue prime p of the field:
-    p, an int64 array with one row per vector, and a mask of the rows that
-    have residues (a denominator may vanish at p).  p is None, and no row
-    has residues, when the field has no partner prime or p is past
-    MAX_PRIME (below it a sum of three products of residues is exact in
-    int64)."""
+def residues(field, vectors):
+    """The coordinates of the vectors at the residue prime p of the field
+    (Field.partner_prime, by Field.reduce): p, an int64 array with one row
+    per vector, and a mask of the rows that have residues (a denominator
+    may vanish at p).  p is None, and no row has residues, when the field
+    has no partner prime or p is past MAX_PRIME (below it a sum of three
+    products of residues is exact in int64)."""
     rows = np.zeros((len(vectors), 3), dtype=np.int64)
     ok = np.zeros(len(vectors), dtype=bool)
-    if isinstance(field, PrimeField):
-        p, red = field.p, field.coerce
-    else:
-        p, red = getattr(field, "partner_prime", None), getattr(field, "reduce", None)
+    p = field.partner_prime
     if p is None or p >= MAX_PRIME:
         return None, rows, ok
     for k, v in enumerate(vectors):
         try:
-            rows[k] = [red(c) for c in v]
+            rows[k] = [field.reduce(c) for c in v]
         except FieldError:
             continue
         ok[k] = True
@@ -127,8 +124,8 @@ def incident_lines(field, coeffs, points):
     product; a nonzero residue proves the point off the line, and each
     zero, like each pair with no residues, is confirmed by point_on_line.
     """
-    p, lines, lok = _residues(field, coeffs)
-    _, pts, pok = _residues(field, points)
+    p, lines, lok = residues(field, coeffs)
+    _, pts, pok = residues(field, points)
     candidate = ~(pok[:, None] & lok[None, :])
     if p is not None:
         candidate |= pts @ lines.T % p == 0
@@ -144,7 +141,7 @@ def _distinct_lines(field, coeffs):
     different normalized residues are not; those that share one are
     compared exactly, and so is every vector when one has no nonzero
     residue."""
-    p, rows, ok = _residues(field, coeffs)
+    p, rows, ok = residues(field, coeffs)
     groups = {None: coeffs}
     if p is not None and ok.all():
         keys, nonzero = _projective_keys(p, rows)
@@ -185,8 +182,8 @@ def _orbit_in(gens, start, points):
     pts = list(dict.fromkeys(points))
     if not all(_in_normal_form(field, q) for q in pts):
         return set(orbit(gens, start))
-    p, res, ok = _residues(field, pts + [start])
-    _, gres, gok = _residues(field, [row for g in gens for row in g.m])
+    p, res, ok = residues(field, pts + [start])
+    _, gres, gok = residues(field, [row for g in gens for row in g.m])
     if p is None or not (ok.all() and gok.all()):
         return set(orbit(gens, start))
     keys = _projective_keys(p, res)[0].tolist()
@@ -281,7 +278,7 @@ def classify_points(field, lines):
     coeffs = [line_coeffs(line) for line in lines]
     first, second = np.array(list(combinations(range(len(coeffs)), 2)),
                              dtype=np.intp).reshape(-1, 2).T
-    p, rows, ok = _residues(field, coeffs)
+    p, rows, ok = residues(field, coeffs)
     usable = np.zeros(len(first), dtype=bool)
     groups = {}                         # key -> its pairs, in increasing order
     if p is not None:

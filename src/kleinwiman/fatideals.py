@@ -37,6 +37,11 @@ Every product of forms is one row product (_times_form): coefficient rows
 on the monomials of one degree times a form, each term moving each column
 to a closed-form place.  It gives the chain's forms, alpha's piece times the
 peeled lines, S_1 * I_(d-1) for the generators and the ordinary powers.
+
+S_1 * I_(d-1) lies inside I_d, so the pivots of its RREF are among those of
+I_d, and the rows of I_d's RREF at the other pivots span a complement: they
+are the new generators of degree d (minimal_generators).  Any complement
+gives the same ordinary powers, so nothing else depends on which one.
 """
 
 from collections import Counter
@@ -49,9 +54,9 @@ from math import comb, prod
 import numpy as np
 
 from kleinwiman import kernels, linalg
-from kleinwiman.configs import line_coeffs
+from kleinwiman.configs import line_coeffs, residues
 from kleinwiman.divisors import waldschmidt_bounds
-from kleinwiman.errors import FatIdealError, FieldError, UsageError
+from kleinwiman.errors import FatIdealError, UsageError
 from kleinwiman.fields import PrimeField
 from kleinwiman.groups import closure
 from kleinwiman.poly import (Poly, chart_for_point, gradient, local_expand,
@@ -185,29 +190,23 @@ class PointSet:
     def reduced(self):
         """The point set over F_p that the unit-form chains run on: the set
         itself over a prime field, otherwise the set at the partner prime
-        of its field (same charts, so its condition matrices reduce these
-        entry by entry), built once; None when the field has no partner
-        prime or a coordinate's denominator vanishes there.  Its lines are
-        the distinct reductions of the set's lines (two lines that meet mod
-        p count once); it has none when a coefficient has no image, or when
-        two points meet mod p, as the peel counts each point once."""
+        of its field (configs.residues; same charts, so its condition
+        matrices reduce these entry by entry), built once; None when the
+        field has no partner prime or a coordinate's denominator vanishes
+        there.  Its lines are the distinct reductions of the set's lines
+        (two lines that meet mod p count once); it has none when a
+        coefficient has no image, or when two points meet mod p, as the
+        peel counts each point once."""
         if isinstance(self.field, PrimeField):
             return self
-        p = getattr(self.field, "partner_prime", None)
-        if p is None:
+        p, pts, ok = residues(self.field, self.points)
+        if p is None or not ok.all():
             return None
-        try:
-            pts = [tuple(self.field.reduce(c) for c in pt) for pt in self.points]
-        except FieldError:
-            return None
+        pts = [tuple(pt) for pt in pts.tolist()]
         fp = PrimeField(p)
-        try:
-            lines = [normalize_point(fp, [self.field.reduce(c) for c in line])
-                     for line in self.lines]
-        except FieldError:
-            lines = []
-        if len(set(pts)) < len(pts):
-            lines = []
+        _, lines, ok = residues(self.field, self.lines)
+        lines = [normalize_point(fp, line) for line in lines.tolist()] \
+            if ok.all() and len(set(pts)) == len(pts) else []
         return PointSet(self.preset, fp, pts, self.charts, list(dict.fromkeys(lines)))
 
 
@@ -804,20 +803,21 @@ def minimal_generators(pointset, up_to_degree):
     """Minimal generators of the point ideal, degree by degree from
     least_degree (every lower piece is empty): in degree d the new
     generators complete a basis of I_d modulo the degree-d part of
-    S_1 * I_(d-1), the rows of I_(d-1) times x, y and z (_times_form).  A
-    row becomes a form only once it is selected as a generator."""
+    S_1 * I_(d-1), the rows of I_(d-1) times x, y and z (_times_form): they
+    are the rows of I_d's RREF at the pivots that this part's RREF lacks
+    (see the module docstring), a FatIdealError when its pivots are not
+    among I_d's."""
     field = pointset.field
     gens = GeneratorSet(pointset, complete_through=up_to_degree)
     products = []   # S_1 * I_(d-1)
     for d in range(least_degree(pointset, 1), up_to_degree + 1):
         piece = symbolic_piece(pointset, 1, d)
         cols = piece.monomials
-        span = GradedPiece(d, field, cols, products)
-        new = []
-        for i, vec in enumerate(piece.rows):
-            if not span.contains_vector(vec):
-                new.append(piece.basis_poly(i))
-                span = GradedPiece(d, field, cols, list(span.rows) + [vec])
+        spanned = set(GradedPiece(d, field, cols, products).pivots)
+        if not spanned <= set(piece.pivots):
+            raise FatIdealError(f"S_1 I_(d-1) is not inside I_d at d = {d}")
+        new = [piece.basis_poly(i) for i, c in enumerate(piece.pivots)
+               if c not in spanned]
         if new:
             gens.by_degree[d] = new
         if d < up_to_degree:
@@ -852,20 +852,20 @@ def power_piece(gens, r, d):
         return GradedPiece(d, field, cols, [])
     flat = gens.all_generators()
     rows, one = [], [[field.one]]
-    products = {(): np.array(one) if isinstance(field, PrimeField) else one}
+    if isinstance(field, PrimeField):
+        one = np.array(one)
     for key in combinations_with_replacement(range(len(flat)), r):
         degsum = sum(flat[i].degree() for i in key)
         if degsum > d:
             continue
-        for j in range(1, len(key) + 1):
-            if key[:j] not in products:
-                below = monomials_of_degree(sum(flat[i].degree() for i in key[:j - 1]))
-                products[key[:j]] = _times_form(products[key[:j - 1]], below,
-                                                flat[key[j - 1]], field)
+        product, top = one, 0
+        for i in key:
+            product = _times_form(product, monomials_of_degree(top), flat[i], field)
+            top += flat[i].degree()
         above = monomials_of_degree(degsum)
         for e in monomials_of_degree(d - degsum):
             monomial = Poly(field, {e: field.one})
-            rows.extend(_times_form(products[key], above, monomial, field))
+            rows.extend(_times_form(product, above, monomial, field))
     return GradedPiece(d, field, cols, rows)
 
 

@@ -143,6 +143,8 @@ class Field:
 
     kind = None
     name = None
+    # the prime p of the residue map to F_p (reduce), None when there is none
+    partner_prime = None
 
     def __init__(self):
         self.constants = {}
@@ -194,7 +196,7 @@ class PrimeField(Field):
         super().__init__()
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
-        self.p = p
+        self.p = self.partner_prime = p
         self.name = f"F{p}"
         self.zero = 0
         self.one = 1
@@ -209,6 +211,9 @@ class PrimeField(Field):
         if isinstance(x, Fraction):
             return self.embed_rational(x)
         return int(x) % self.p
+
+    # the residue map of F_p is the identity on its elements
+    reduce = coerce
 
     def embed_rational(self, fr):
         fr = Fraction(fr)
@@ -333,7 +338,6 @@ class SimpleExtension(Field):
             row = [r + top * c for r, c in zip(row, rows[0])]
             rows.append(row)
         self._red = [[(i, c) for i, c in enumerate(r) if c] for r in rows]
-        self.partner_prime = None
         self.partner_powers = None
 
     def set_partner(self, p, gen_image):

@@ -303,11 +303,10 @@ def kernel_mod(a, p):
 
 def in_rowspace_mod(rref, pivots, v, p):
     """Whether row vector v lies in the span of an RREF row basis mod p."""
+    # the RREF is the identity on its k pivot columns, so v lies in the span
+    # exactly when v = v[pivots] rref: one product, below k p**2 in int64
     v = np.asarray(v, dtype=np.int64) % p
-    for i, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * rref[i]) % p
-    return not np.any(v)
+    return not ((v - v[pivots] @ rref[:len(pivots)]) % p).any()
 
 
 def trunc_mul_mod(a, b, p):

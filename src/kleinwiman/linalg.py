@@ -86,17 +86,6 @@ def kernel_field(rows, ncols, field):
     return basis
 
 
-def reduce_against_rref(rref_rows, pivots, vec, field):
-    """Residual of vec after reduction by an RREF row basis."""
-    v = list(vec)
-    for i, c in enumerate(pivots):
-        f = v[c]
-        if not field.is_zero(f):
-            row = rref_rows[i]
-            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
-    return v
-
-
 # -- kernels over Q by CRT and rational reconstruction ----------------------
 
 def _primes_below(n):
@@ -310,5 +299,11 @@ def in_rowspace(rref_rows, pivots, vec, field):
     """Whether vec lies in the span of the rows returned by rref."""
     if isinstance(field, PrimeField):
         return kernels.in_rowspace_mod(rref_rows, pivots, vec, field.p)
-    return all(field.is_zero(c) for c in reduce_against_rref(rref_rows, pivots,
-                                                             vec, field))
+    # vec = sum_i vec[c_i] R_i, as the RREF is the identity on its pivots c_i:
+    # one pass over the other columns, to the first where they differ
+    pivset = set(pivots)
+    terms = [(vec[c], row) for c, row in zip(pivots, rref_rows)
+             if not field.is_zero(vec[c])]
+    return all(field.is_zero(field.sub(x, field.sum(
+        field.mul(f, row[j]) for f, row in terms if not field.is_zero(row[j]))))
+        for j, x in enumerate(vec) if j not in pivset)

@@ -307,7 +307,7 @@ def _brute_incidences(field, coeffs, points):
 def _exact_route(monkeypatch):
     """Take every residue away: each incidence, class and orbit is then
     found by exact arithmetic alone."""
-    monkeypatch.setattr(configs, "_residues", lambda field, vectors: (
+    monkeypatch.setattr(configs, "residues", lambda field, vectors: (
         None, np.zeros((len(vectors), 3), dtype=np.int64),
         np.zeros(len(vectors), dtype=bool)))
 

@@ -178,6 +178,63 @@ def test_minimal_generators(klein_gens_modp, char7_gens, wiman_gens_modp):
     assert {d: len(v) for d, v in wiman_gens_modp.by_degree.items()} == {16: 3}
 
 
+@pytest.mark.parametrize("points, depth", [
+    ("klein_points_modp", 13), ("char7_points", 13), ("klein_points_exact", 9)])
+def test_generators_complete_the_products(request, points, depth):
+    """In each degree d the new generators and S_1 I_(d-1), its forms times
+    x, y and z multiplied here as Polys, span I_d, and there are
+    dim I_d - dim S_1 I_(d-1) of them."""
+    ps = request.getfixturevalue(points)
+    gens = minimal_generators(ps, depth)
+    field = ps.field
+    variables = [Poly.variable(field, v) for v in range(3)]
+    below = None
+    for d in range(gens.alpha, depth + 1):
+        piece = symbolic_piece(ps, 1, d)
+        cols = piece.monomials
+        products = [] if below is None else [
+            (below.basis_poly(i) * x).coeff_vector(cols)
+            for i in range(below.dim) for x in variables]
+        new = [g.coeff_vector(cols) for g in gens.by_degree.get(d, [])]
+        assert len(new) == piece.dim - GradedPiece(d, field, cols, products).dim
+        assert all(piece.contains_vector(v) for v in products + new)
+        assert GradedPiece(d, field, cols, products + new).dim == piece.dim
+        below = piece
+
+
+def _dropping_a_row(degree):
+    """symbolic_piece, less the first row of I_degree."""
+    real = fatideals.symbolic_piece
+
+    def piece(pointset, m, d):
+        out = real(pointset, m, d)
+        if (m, d) != (1, degree):
+            return out
+        return GradedPiece(d, out.field, out.monomials, out.rows[1:])
+    return piece
+
+
+@pytest.mark.parametrize("points, degree", [
+    ("klein_points_modp", 9), ("char7_points", 10), ("klein_points_exact", 9)])
+def test_generators_reject_a_piece_without_the_products(monkeypatch, request,
+                                                        points, degree):
+    """In a degree past the last generator degree (Klein has its three in
+    degree 8, char 7 its last in degree 9) I_d is S_1 I_(d-1), so a piece
+    short of a row misses a pivot of the products: a FatIdealError."""
+    ps = request.getfixturevalue(points)
+    monkeypatch.setattr(fatideals, "symbolic_piece", _dropping_a_row(degree))
+    with pytest.raises(FatIdealError, match=r"S_1 I_\(d-1\) is not inside I_d"):
+        minimal_generators(ps, degree + 1)
+
+
+def test_generators_command_exits_1_on_a_short_piece(monkeypatch, capsys):
+    monkeypatch.setattr(fatideals, "symbolic_piece", _dropping_a_row(10))
+    code, report = cli.dispatch(["fatideal", "generators", "--preset",
+                                 "klein-char7", "--depth", "13"])
+    assert (code, report) == (1, None)
+    assert "is not inside I_d at d = 10" in capsys.readouterr().err
+
+
 def test_jacobian_minor_examples(klein_modp):
     x, y = Poly.variable(klein_modp, 0), Poly.variable(klein_modp, 1)
     minors = jacobian_minor_generators(x, y)

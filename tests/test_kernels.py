@@ -245,6 +245,46 @@ def test_linalg_entry_points_prime_field(p):
                 == np.eye(ncols, dtype=np.int64).tolist()
 
 
+@pytest.mark.parametrize("fixture", ["klein_exact", "wiman_exact"])
+def test_in_rowspace_exact(request, fixture):
+    """linalg.in_rowspace over Q(zeta7) and Q(sqrt5, omega) against the rank
+    of the stacked matrix: combinations of random rows, random vectors and
+    the zero vector, for rank-deficient spans and the empty RREF, and a
+    combination moved at one non-pivot column only, which leaves the span."""
+    field = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+
+    def element():
+        if rng.random() < 0.4:
+            return field.zero
+        return field.coerce(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for _ in range(field.deg)))
+
+    def combination(rows, ncols):
+        out = [field.zero] * ncols
+        for row in rows:
+            c = element()
+            out = [field.add(a, field.mul(c, b)) for a, b in zip(out, row)]
+        return out
+
+    for nrows, ncols in ((0, 4), (3, 7), (5, 5), (6, 10)):
+        rows = [[element() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 2:
+            rows[-1] = combination(rows[:2], ncols)
+        reduced, pivots = linalg.rref(rows, ncols, field)
+        free = [j for j in range(ncols) if j not in pivots]
+        inside = combination(rows, ncols)
+        moved = list(inside)
+        moved[free[-1]] = field.add(moved[free[-1]], field.one)
+        zero = [field.zero] * ncols
+        for vec in (inside, [element() for _ in range(ncols)], zero, moved):
+            expected = linalg.rank(rows + [vec], ncols, field) == len(pivots)
+            assert linalg.in_rowspace(reduced, pivots, vec, field) == expected
+        assert linalg.in_rowspace(reduced, pivots, inside, field)
+        assert linalg.in_rowspace(reduced, pivots, zero, field)
+        assert not linalg.in_rowspace(reduced, pivots, moved, field)
+
+
 def test_linalg_zero_rows_exact():
     q = RationalField()
     assert linalg.kernel([], 3, q) == [[q.one if i == j else q.zero
