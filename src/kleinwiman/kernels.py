@@ -13,9 +13,20 @@ float32 (as FFLAS-FFPACK keeps small moduli): every partial sum of a
 product is then an integer below that bound, exact in any summation order,
 and each product and centring moves half the bytes.  The unblocked loop
 works in int64.
+
+The products are hundreds of small float32 and float64 BLAS calls, and
+numpy's OpenBLAS hands each of them to its worker threads.  On 2 cores that
+hand-off made them intermittently 2 to 8 times slower (kernel_mod on the
+231 x 300 mod-7 chain of klein-char7 m = 6: 58 to 72 ms against 7.7 to
+8.6 ms), so this module sets the library numpy loaded to one thread, once,
+at import, for the whole process.  BACKEND names numpy, the BLAS and the
+thread count read back, or why nothing was pinned.
 """
 
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 
@@ -25,10 +36,13 @@ from kleinwiman.errors import UsageError
 # accumulation; every preset prime is tiny compared to this.
 MAX_PRIME = 1 << 20
 
-# Widest matrix reduced by the unblocked loop alone: the blocked route took
-# 1.7 times as long on the 38 series matrices of 33 to 96 columns in the
-# benchmark search (and 0.17 against 0.15 s on the Klein search's 97 to 134).
-NARROW = 96
+# Widest matrix reduced by the unblocked loop alone.  With one BLAS thread
+# the blocked route took 1.4 times as long on the Klein search's 20 series
+# matrices of 97 to 134 columns, past degree 170 (67 and 72 against 46 and
+# 51 ms in two replays), and on the two 105-column RREFs of the
+# characteristic-7 generators (3.6 against 2.6 ms); past 134 columns neither
+# route won beyond the spread of the replays.
+NARROW = 134
 
 # Columns per panel of the blocked elimination; rows per strip of a copy.
 PANEL = 64
@@ -58,6 +72,33 @@ assert SINGLE + WIDEST * (SINGLE + 1) ** 2 // 4 < 2 ** 23 \
 # and the 804 class of the Klein search (3,625 x 1,982, 57 MB); an
 # elimination then adds a floating-point copy of the same size.
 MAX_BYTES = 1 << 30
+
+
+def _openblas():
+    """ctypes handle on the scipy-openblas library numpy has loaded, which
+    numpy's wheels ship in numpy.libs; OSError when there is none."""
+    paths = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                   "numpy.libs", "libscipy_openblas64_-*.so"))
+    if len(paths) != 1:
+        raise OSError(f"{len(paths)} libscipy_openblas64_ files in numpy.libs")
+    return ctypes.CDLL(paths[0], mode=os.RTLD_NOLOAD)
+
+
+def _pin_blas():
+    """Set numpy's OpenBLAS to one thread; returns the BACKEND string."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    head = (f"numpy {np.__version__}, {blas['name']} "
+            + ".".join(str(blas.get("version", "?")).split(".")[:3]))
+    try:
+        lib = _openblas()
+        lib.scipy_openblas_set_num_threads64_(1)
+        n = lib.scipy_openblas_get_num_threads64_()
+    except (OSError, AttributeError) as e:
+        return f"{head}, BLAS threads not pinned: {e}"
+    return f"{head}, {n} BLAS thread{'s' * (n != 1)}"
+
+
+BACKEND = _pin_blas()
 
 
 def empty(shape):
@@ -107,13 +148,12 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
             break
         lo = 0 if reduced else r        # the rows that lose the pivot row
         col = a[lo:, c] % p
-        nz = np.flatnonzero(col[r - lo:])
-        if nz.size == 0:
+        nz = col[r - lo:].nonzero()[0]
+        if not nz.size:
             continue
         i = r + int(nz[0])
-        head = a[i, c:] % p
-        head *= pow(int(head[0]), p - 2, p)
-        head %= p
+        # reduced before the scaling: a[i, c:] * inv overflows near MAX_PRIME
+        head = a[i, c:] % p * pow(int(col[i - lo]), p - 2, p) % p
         if i != r:      # row r moves to i; row r is the pivot row from now on
             if swaps is None:
                 a[i, c:] = a[r, c:]
@@ -124,9 +164,9 @@ def _rref_narrow(a, p, swaps=None, reduced=True):
         if reduced:
             a[r, c:] = head
             col[r] = 0
-            a[:, c:] -= col[:, None] * head
+            a[:, c:] -= np.multiply.outer(col, head)
         else:
-            a[r + 1:, c + 1:] -= col[1:, None] * head[1:]
+            a[r + 1:, c + 1:] -= np.multiply.outer(col[1:], head[1:])
         pivots.append(c)
         r += 1
     if reduced:

@@ -37,9 +37,10 @@ def _assert_matches_field_rref(a, p):
 
 
 def test_blocked_rref_matches_field_rref():
-    """Matrices just wider than NARROW, so two panels, against generic
-    elimination over F_p: a panel with no pivot, a rank-deficient panel,
-    fewer rows than a slice, and rows that run out before the columns do."""
+    """Matrices just wider than NARROW, so three panels, the last narrow,
+    against generic elimination over F_p: a panel with no pivot, a
+    rank-deficient panel, fewer rows than a slice, and rows that run out
+    before the columns do."""
     rng = np.random.default_rng(46)
     w, n = kernels.PANEL, kernels.NARROW + 5
     for p in (7, 4733):
@@ -95,6 +96,51 @@ def test_blocked_rref_largest_prime():
     # largest unreduced values, and a panel (PANEL <= NARROW) no more
     a = rng.integers(p - 50, p, (kernels.NARROW + 7, kernels.NARROW)).astype(np.int64)
     _assert_matches_field_rref(a, p)
+
+
+def test_blas_one_thread():
+    """Importing kernels sets numpy's OpenBLAS to one thread, read back
+    through the same library, or BACKEND says why nothing was pinned."""
+    try:
+        lib = kernels._openblas()
+    except OSError as e:
+        assert kernels.BACKEND.endswith(f"BLAS threads not pinned: {e}")
+        return
+    assert lib.scipy_openblas_get_num_threads64_() == 1
+    assert kernels.BACKEND.endswith(", 1 BLAS thread")
+
+
+@pytest.mark.parametrize("p", [7, 4733, 1048573])
+def test_narrow_loop_matches_field_rref(p):
+    """The unblocked loop against generic elimination over F_p, at p up to
+    the largest prime below MAX_PRIME, on entries in (-p, p] whose top rows
+    are multiples of p on the first columns, so that rows are exchanged, and
+    a last row in the span of two others.  Reduced, the rows end as the RREF
+    in [0, p).  Forward only, the pivots are the same, and after the
+    recorded exchanges the first k rows hold, on the k pivot columns, the
+    packed LU of their block A of the input: A = L D^-1 U mod p."""
+    assert p < kernels.MAX_PRIME
+    rng = np.random.default_rng(p)
+    for rows, cols in ((9, 7), (30, 40), (60, kernels.NARROW)):
+        a = rng.integers(1 - p, p + 1, (rows, cols))
+        a[:rows // 2, :3] = p * rng.integers(-1, 2, (rows // 2, 3))
+        a[-1] = (a[0] + 2 * a[-2]) % p
+        m, pivots = rref_field((a % p).tolist(), PrimeField(p))
+        r = a.copy()
+        assert kernels._rref_narrow(r, p) == pivots
+        assert np.array_equal(r, np.array(m, dtype=np.int64))
+        assert kernels._rref_narrow(a.copy(), p, reduced=False) == pivots
+        lu, swaps = a.copy(), []
+        assert kernels._rref_narrow(lu, p, swaps, reduced=False) == pivots
+        assert swaps and all(i < j for i, j in swaps)
+        moved = a.copy()
+        for i, j in swaps:
+            moved[[i, j]] = moved[[j, i]]
+        k = len(pivots)
+        block = (lu[:k, pivots] % p).astype(object)
+        d_inv = [pow(int(x), p - 2, p) for x in np.diagonal(block)]
+        product = (np.tril(block) * d_inv) @ np.triu(block)
+        assert not ((product - moved[:k, pivots].astype(object)) % p).any()
 
 
 def test_empty_matrices():
